@@ -20,6 +20,8 @@ import (
 	"math"
 	"math/rand"
 	"strings"
+
+	"repro/internal/jsonread"
 )
 
 // Pipeline is an immutable-by-convention description of an n-stage
@@ -202,13 +204,27 @@ func (p *Pipeline) MarshalJSON() ([]byte, error) {
 	return json.Marshal(jsonPipeline{W: p.W, Delta: p.Delta})
 }
 
-// UnmarshalJSON decodes and validates a pipeline.
+// jsonFields lists jsonPipeline's keys in UnmarshalJSON's field order.
+var jsonFields = []string{"w", "delta"}
+
+// UnmarshalJSON decodes and validates a pipeline in one pass over data,
+// accepting exactly the documents encoding/json would decode into the
+// wire format (see package jsonread). Decoded slices are exactly sized.
 func (p *Pipeline) UnmarshalJSON(data []byte) error {
-	var jp jsonPipeline
-	if err := json.Unmarshal(data, &jp); err != nil {
+	var w, delta []float64
+	d := jsonread.NewDecoder(data)
+	err := d.Object(jsonFields, func(field int) (err error) {
+		if field == 0 {
+			w, err = d.Floats(w)
+		} else {
+			delta, err = d.Floats(delta)
+		}
+		return err
+	})
+	if err != nil {
 		return err
 	}
-	p.W, p.Delta, p.prefix = jp.W, jp.Delta, nil
+	p.W, p.Delta, p.prefix = jsonread.Exact(w), jsonread.Exact(delta), nil
 	if err := p.Validate(); err != nil {
 		return err
 	}

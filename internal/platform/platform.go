@@ -22,11 +22,15 @@
 package platform
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"strings"
+
+	"repro/internal/jsonread"
 )
 
 // Class identifies one of the paper's three platform families.
@@ -251,6 +255,33 @@ func (pl *Platform) Permute(perm []int) *Platform {
 	return cp
 }
 
+// AppendRawBytes appends a byte encoding of the platform in its own
+// processor order to dst and returns the extended slice: Speed, FailProb,
+// BIn, BOut and then every row of B (diagonal included), each as
+// uvarint(length) followed by its values' big-endian IEEE-754 bit
+// patterns. It is the raw-labeled counterpart of the canon package's
+// encoding and normalizes nothing — not -0, not the ignored diagonal —
+// so two platforms produce equal bytes exactly when every field holds
+// bitwise-equal values, valid or not.
+func (pl *Platform) AppendRawBytes(dst []byte) []byte {
+	appendVec := func(dst []byte, xs []float64) []byte {
+		dst = binary.AppendUvarint(dst, uint64(len(xs)))
+		for _, x := range xs {
+			dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(x))
+		}
+		return dst
+	}
+	dst = appendVec(dst, pl.Speed)
+	dst = appendVec(dst, pl.FailProb)
+	dst = appendVec(dst, pl.BIn)
+	dst = appendVec(dst, pl.BOut)
+	dst = binary.AppendUvarint(dst, uint64(len(pl.B)))
+	for _, row := range pl.B {
+		dst = appendVec(dst, row)
+	}
+	return dst
+}
+
 // String summarises the platform ("m=3 Communication Homogeneous, Failure
 // Heterogeneous").
 func (pl *Platform) String() string {
@@ -277,13 +308,39 @@ func (pl *Platform) MarshalJSON() ([]byte, error) {
 	return json.Marshal(jsonPlatform{pl.Speed, pl.FailProb, pl.B, pl.BIn, pl.BOut})
 }
 
-// UnmarshalJSON decodes and validates a platform.
+// jsonFields lists jsonPlatform's keys in UnmarshalJSON's field order.
+var jsonFields = []string{"speed", "failProb", "b", "bIn", "bOut"}
+
+// UnmarshalJSON decodes and validates a platform in one pass over data,
+// accepting exactly the documents encoding/json would decode into the
+// wire format (see package jsonread). Decoded slices are exactly sized.
 func (pl *Platform) UnmarshalJSON(data []byte) error {
-	var jp jsonPlatform
-	if err := json.Unmarshal(data, &jp); err != nil {
+	var jp Platform
+	d := jsonread.NewDecoder(data)
+	err := d.Object(jsonFields, func(field int) (err error) {
+		switch field {
+		case 0:
+			jp.Speed, err = d.Floats(jp.Speed)
+		case 1:
+			jp.FailProb, err = d.Floats(jp.FailProb)
+		case 2:
+			jp.B, err = d.Matrix(jp.B)
+		case 3:
+			jp.BIn, err = d.Floats(jp.BIn)
+		case 4:
+			jp.BOut, err = d.Floats(jp.BOut)
+		}
+		return err
+	})
+	if err != nil {
 		return err
 	}
-	pl.Speed, pl.FailProb, pl.B, pl.BIn, pl.BOut = jp.Speed, jp.FailProb, jp.B, jp.BIn, jp.BOut
+	pl.Speed, pl.FailProb = jsonread.Exact(jp.Speed), jsonread.Exact(jp.FailProb)
+	pl.BIn, pl.BOut = jsonread.Exact(jp.BIn), jsonread.Exact(jp.BOut)
+	pl.B = jsonread.Exact(jp.B)
+	for u := range pl.B {
+		pl.B[u] = jsonread.Exact(pl.B[u])
+	}
 	return pl.Validate()
 }
 

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -15,11 +14,16 @@ import (
 )
 
 // admit is the overload-admission middleware wrapped around every POST
-// path. It buffers the (size-capped) body, peeks the request's
-// deadlineMillis, and asks the limiter for a slot under that deadline:
-// the limiter bounds concurrent requests, queues a bounded overflow, and
-// sheds what cannot be served in time. Sheds are answered before any
-// solver work happens, with a structured body and a Retry-After header:
+// path. It reads the size-capped body and decodes it — once, with
+// json.Unmarshal, so bytes after the top-level value are an error —
+// into the endpoint's request type T, and only then asks the limiter for
+// a slot: a body past the cap gets a structured 413 and a malformed one a
+// 400, both without taking a slot or waiting in the queue. The admission
+// deadline is the request's own deadlineMillis when deadlineMillis
+// reports one (> 0), else the service default; the limiter bounds
+// concurrent requests, queues a bounded overflow, and sheds what cannot
+// be served in time. Sheds are answered before any solver work happens,
+// with a structured body and a Retry-After header:
 //
 //	429 {"error": ..., "retryAfterMillis": ...}  — queue at capacity,
 //	    back off and retry
@@ -29,33 +33,32 @@ import (
 //
 // Admitted requests hold their slot until the handler returns (streams
 // for their whole life), so the slot count is a true concurrency bound.
-func (s *Service) admit(next http.HandlerFunc) http.HandlerFunc {
+func admit[T any](s *Service, what string, deadlineMillis func(*T) int64, next func(http.ResponseWriter, *http.Request, *T)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
 		if err != nil {
 			var tooBig *http.MaxBytesError
 			if errors.As(err, &tooBig) {
 				writeJSON(w, http.StatusRequestEntityTooLarge, errorBody{
-					Error:        fmt.Sprintf("request body exceeds the %d-byte cap", tooBig.Limit),
+					Error:        fmt.Sprintf("%s body exceeds the %d-byte cap", what, tooBig.Limit),
 					MaxBodyBytes: tooBig.Limit,
 				})
 				return
 			}
-			writeJSON(w, http.StatusBadRequest, errorBody{Error: fmt.Sprintf("reading request body: %v", err)})
+			writeJSON(w, http.StatusBadRequest, errorBody{Error: fmt.Sprintf("reading %s body: %v", what, err)})
 			return
 		}
-		r.Body = io.NopCloser(bytes.NewReader(body))
-
-		// Admission deadline: the request's own deadlineMillis when it
-		// carries one, else the service default. Malformed JSON falls
-		// through with the default — the handler's decode will 400 it.
-		var peek struct {
-			DeadlineMillis int64 `json:"deadlineMillis"`
+		req := new(T)
+		if err := json.Unmarshal(body, req); err != nil {
+			writeJSON(w, http.StatusBadRequest, errorBody{Error: fmt.Sprintf("decoding %s: %v", what, err)})
+			return
 		}
-		_ = json.Unmarshal(body, &peek)
+
 		deadline := s.cfg.DefaultDeadline
-		if peek.DeadlineMillis > 0 {
-			deadline = time.Duration(peek.DeadlineMillis) * time.Millisecond
+		if deadlineMillis != nil {
+			if ms := deadlineMillis(req); ms > 0 {
+				deadline = time.Duration(ms) * time.Millisecond
+			}
 		}
 		actx := r.Context()
 		if deadline > 0 {
@@ -70,7 +73,7 @@ func (s *Service) admit(next http.HandlerFunc) http.HandlerFunc {
 			return
 		}
 		defer release()
-		next(w, r)
+		next(w, r, req)
 	}
 }
 

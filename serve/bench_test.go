@@ -2,6 +2,8 @@ package serve
 
 import (
 	"context"
+	"encoding/json"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -115,5 +117,34 @@ func BenchmarkCachedPermutedSolve(b *testing.B) {
 		if !res.Cached {
 			b.Fatal("permuted request missed the solution cache")
 		}
+	}
+}
+
+// BenchmarkDecodeSolveSpec measures the serve path's body decode — the
+// one json.Unmarshal of a solve request into SolveSpec that admission
+// runs — on fully heterogeneous instances, whose O(m²) bandwidth matrix
+// dominates the body. MB/s is over the body bytes.
+func BenchmarkDecodeSolveSpec(b *testing.B) {
+	for _, m := range []int{16, 80, 128} {
+		rng := rand.New(rand.NewSource(int64(m)))
+		body, err := json.Marshal(SolveSpec{
+			Pipeline:   pipeline.Random(rng, 20, 1, 100, 1, 10),
+			Platform:   platform.RandomFullyHeterogeneous(rng, m, 1, 10, 0.01, 0.2, 1, 10),
+			Objective:  "minFailureProb",
+			MaxLatency: 100,
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(fmt.Sprintf("m=%d", m), func(b *testing.B) {
+			b.SetBytes(int64(len(body)))
+			b.ReportAllocs()
+			for b.Loop() {
+				var spec SolveSpec
+				if err := json.Unmarshal(body, &spec); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -22,10 +22,14 @@
 //	GET  /metrics          Prometheus text exposition of the same telemetry
 //
 // Serve-tier robustness: request bodies are capped (structured 413 past
-// MaxBodyBytes), handler panics are recovered into structured 500s (and
-// counted in /v1/stats), and the re-mapping stream degrades in-band —
-// every record carries either a repair or an error, never a dropped
-// status line.
+// MaxBodyBytes) and decoded once, before admission: one json.Unmarshal
+// into the endpoint's request type, whose Pipeline and Platform decode
+// their O(m²) numbers in a single pass and validate them. Malformed
+// bodies, bytes after the request object and invalid instances get a
+// 400 without taking an admission slot. Handler panics are recovered
+// into structured 500s (and counted in /v1/stats), and the re-mapping
+// stream degrades in-band — every record carries either a repair or an
+// error, never a dropped status line.
 //
 // Overload resilience: every POST path runs behind an admission limiter
 // (bounded concurrency, bounded wait queue, deadline-aware shedding with

@@ -4,8 +4,8 @@ import (
 	"container/list"
 	"context"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"math"
 	"sync"
@@ -16,24 +16,23 @@ import (
 	"repro/internal/resilience"
 )
 
-// sessionKey derives the warm-session cache key: a SHA-256 over the
-// canonical JSON of the instance plus every session-level option, so two
-// requests share a session exactly when they would construct identical
-// ones.
-func sessionKey(p *pipeline.Pipeline, pl *platform.Platform, workers int, budget float64, force bool, seed int64) (string, error) {
-	blob, err := json.Marshal(struct {
-		P       *pipeline.Pipeline `json:"p"`
-		Pl      *platform.Platform `json:"pl"`
-		Workers int                `json:"w"`
-		Budget  float64            `json:"b"`
-		Force   bool               `json:"f"`
-		Seed    int64              `json:"s"`
-	}{p, pl, workers, budget, force, seed})
-	if err != nil {
-		return "", err
-	}
-	sum := sha256.Sum256(blob)
-	return hex.EncodeToString(sum[:]), nil
+// sessionKey derives the warm-session cache key of a raw-labeled
+// instance: a SHA-256 over the IEEE-754 bit patterns of every pipeline
+// and platform value in request order plus every session-level option,
+// so two requests share a session exactly when they would construct
+// identical ones.
+func sessionKey(p *pipeline.Pipeline, pl *platform.Platform, workers int, budget float64, force bool, seed int64) string {
+	return sessionDigest(rawSessionDomain, rawInstanceBytes(p, pl), workers, budget, force, seed)
+}
+
+// rawInstanceBytes encodes a raw-labeled instance for sessionKey. The
+// Delta length is spelled out because AppendCanonicalBytes assumes the
+// n+1 a valid pipeline has; instances that fail validation hash here too.
+func rawInstanceBytes(p *pipeline.Pipeline, pl *platform.Platform) []byte {
+	enc := make([]byte, 0, 32+8*(len(p.W)+len(p.Delta)+len(pl.Speed)*(4+len(pl.Speed))))
+	enc = binary.AppendUvarint(enc, uint64(len(p.Delta)))
+	enc = p.AppendCanonicalBytes(enc)
+	return pl.AppendRawBytes(enc)
 }
 
 // canonicalSessionKey derives the warm-session cache key from the
@@ -41,12 +40,21 @@ func sessionKey(p *pipeline.Pipeline, pl *platform.Platform, workers int, budget
 // platform hashes identically, so permuted variants of the same request
 // warm (and reuse) a single session. The session-level options are mixed
 // in because they shape session construction exactly as in sessionKey.
-// The domain prefix keeps the canonical and raw-JSON key spaces disjoint
-// in the shared session cache.
 func canonicalSessionKey(canonBytes []byte, workers int, budget float64, force bool, seed int64) string {
+	return sessionDigest(canonSessionDomain, canonBytes, workers, budget, force, seed)
+}
+
+// Domain prefixes keep the raw and canonical key spaces disjoint in the
+// shared session cache, whatever bytes the two encodings produce.
+const (
+	rawSessionDomain   = "raw-session\x00"
+	canonSessionDomain = "canon-session\x00"
+)
+
+func sessionDigest(domain string, instance []byte, workers int, budget float64, force bool, seed int64) string {
 	h := sha256.New()
-	h.Write([]byte("canon-session\x00"))
-	h.Write(canonBytes)
+	h.Write([]byte(domain))
+	h.Write(instance)
 	fmt.Fprintf(h, "|%d|%x|%t|%d", workers, math.Float64bits(budget), force, seed)
 	return hex.EncodeToString(h.Sum(nil))
 }

@@ -2,12 +2,16 @@ package serve
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro"
+	"repro/internal/pipeline"
+	"repro/internal/platform"
+	"repro/internal/workload"
 )
 
 // TestSessionCacheConcurrentHammer hammers getOrCreate from many
@@ -113,5 +117,76 @@ func TestSessionCacheEvictionUnderPressure(t *testing.T) {
 		if builds[k].Load() == 0 {
 			t.Errorf("key %d never built", k)
 		}
+	}
+}
+
+// TestSessionKeyBits pins the raw-labeled session key: equal instances
+// and options give equal keys; flipping any single float — every
+// pipeline and platform value, the ignored B diagonal and the sign of a
+// zero included — or any option gives a new key; and the raw and
+// canonical key spaces stay apart even over identical payload bytes.
+func TestSessionKeyBits(t *testing.T) {
+	p, pl := workload.Fig5()
+	const (
+		workers = 2
+		budget  = 5e6
+		seed    = 3
+	)
+	base := sessionKey(p, pl, workers, budget, false, seed)
+	if got := sessionKey(p.Clone(), pl.Clone(), workers, budget, false, seed); got != base {
+		t.Fatal("equal instances and options hash to different keys")
+	}
+
+	floats := func(p *pipeline.Pipeline, pl *platform.Platform) []*float64 {
+		var out []*float64
+		for _, xs := range [][]float64{p.W, p.Delta, pl.Speed, pl.FailProb, pl.BIn, pl.BOut} {
+			for i := range xs {
+				out = append(out, &xs[i])
+			}
+		}
+		for _, row := range pl.B {
+			for i := range row {
+				out = append(out, &row[i])
+			}
+		}
+		return out
+	}
+	flips := map[string]func(uint64) uint64{
+		"sign":         func(b uint64) uint64 { return b ^ 1<<63 },
+		"lowest bit":   func(b uint64) uint64 { return b ^ 1 },
+		"exponent bit": func(b uint64) uint64 { return b ^ 1<<52 },
+	}
+	n := len(floats(p, pl))
+	for i := 0; i < n; i++ {
+		for name, flip := range flips {
+			cp, cpl := p.Clone(), pl.Clone()
+			x := floats(cp, cpl)[i]
+			*x = math.Float64frombits(flip(math.Float64bits(*x)))
+			if sessionKey(cp, cpl, workers, budget, false, seed) == base {
+				t.Errorf("flipping the %s of float %d of %d left the key unchanged", name, i, n)
+			}
+		}
+	}
+
+	for name, key := range map[string]string{
+		"workers": sessionKey(p, pl, workers+1, budget, false, seed),
+		"budget":  sessionKey(p, pl, workers, math.Nextafter(budget, 0), false, seed),
+		"force":   sessionKey(p, pl, workers, budget, true, seed),
+		"seed":    sessionKey(p, pl, workers, budget, false, seed+1),
+	} {
+		if key == base {
+			t.Errorf("changing %s left the key unchanged", name)
+		}
+	}
+
+	if canonicalSessionKey(rawInstanceBytes(p, pl), workers, budget, false, seed) == base {
+		t.Error("raw and canonical keys collide over the same payload bytes")
+	}
+	cn, err := repro.CanonicalizeInstance(p, pl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if canonicalSessionKey(cn.Bytes, workers, budget, false, seed) == base {
+		t.Error("the canonical key of an instance equals its raw key")
 	}
 }

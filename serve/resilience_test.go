@@ -232,7 +232,7 @@ func TestBatchCancelStopsSpawning(t *testing.T) {
 	}()
 	done := make(chan struct{})
 	go func() {
-		svc.handleBatch(rec, req)
+		svc.ServeHTTP(rec, req)
 		close(done)
 	}()
 	select {
@@ -253,5 +253,57 @@ func TestBatchCancelStopsSpawning(t *testing.T) {
 		if !strings.Contains(out.Results[i].Error, "canceled before solve") {
 			t.Errorf("result %d = %+v, want an in-band canceled-before-solve error", i, out.Results[i])
 		}
+	}
+}
+
+// TestMalformedBodyRejectedWithoutQueueing saturates the limiter — the
+// one slot held by a stalled solve, the one queue position taken — and
+// asserts that undecodable bodies still get their 400 at once: the body
+// is decoded before admission, so a request that can never be served
+// neither waits for a slot nor counts as a shed.
+func TestMalformedBodyRejectedWithoutQueueing(t *testing.T) {
+	svc := New(Config{MaxConcurrent: 1, MaxQueue: 1})
+	gate := make(chan struct{})
+	svc.solveGate = func(SolveSpec) { <-gate }
+	srv := httptest.NewServer(svc)
+	defer srv.Close()
+
+	status := make(chan int, 2)
+	go func() {
+		resp := postJSON(t, srv, "/v1/solve", fig5Spec(t, ""))
+		resp.Body.Close()
+		status <- resp.StatusCode
+	}()
+	waitUntil(t, "a solve to hold the slot", func() bool { return svc.limiter.Stats().InUse == 1 })
+	go func() {
+		resp := postJSON(t, srv, "/v1/solve", fig5Spec(t, `, "seed": 7`))
+		resp.Body.Close()
+		status <- resp.StatusCode
+	}()
+	waitUntil(t, "a solve to queue", func() bool { return svc.limiter.Stats().Waiting == 1 })
+
+	for _, body := range [][]byte{
+		[]byte("{not json"),
+		append(fig5Spec(t, `, "seed": 9`), "{}"...),
+		[]byte(`{"pipeline": {"w": [1], "delta": [1, 1]}, "platform": {"speed": []}}`),
+	} {
+		resp := postJSON(t, srv, "/v1/solve", body)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%.40q on a saturated limiter: status = %d, want 400", body, resp.StatusCode)
+		}
+		resp.Body.Close()
+	}
+	if st := svc.limiter.Stats(); st.InUse != 1 || st.Waiting != 1 {
+		t.Errorf("limiter in use %d, waiting %d after the rejected bodies, want 1 and 1", st.InUse, st.Waiting)
+	}
+
+	close(gate)
+	for i := 0; i < 2; i++ {
+		if code := <-status; code != http.StatusOK {
+			t.Errorf("stalled request finished with %d, want 200", code)
+		}
+	}
+	if shed := decodeBody[Stats](t, mustGet(t, srv, "/v1/stats")).Shed; shed != 0 {
+		t.Errorf("stats.Shed = %d, want 0 (a malformed body is a 400, not a shed)", shed)
 	}
 }

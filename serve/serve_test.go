@@ -306,3 +306,34 @@ func mustGet(t *testing.T, srv *httptest.Server, path string) *http.Response {
 	}
 	return resp
 }
+
+// TestTrailingBytesAfterBody: a request body is one JSON value and
+// optional whitespace. Bytes after the object get a 400 on every POST
+// path — a streaming json.Decoder used to stop at the object's end and
+// serve it — while a trailing newline is still accepted.
+func TestTrailingBytesAfterBody(t *testing.T) {
+	srv := httptest.NewServer(New(Config{}))
+	defer srv.Close()
+
+	bodies := map[string][]byte{
+		"/v1/solve":        fig5Spec(t, ""),
+		"/v1/solve/batch":  []byte(fmt.Sprintf(`{"problems": [%s]}`, fig5Spec(t, ""))),
+		"/v1/remap/stream": fig5RemapSpec(t, `, "randomEvents": 2`),
+	}
+	for path, body := range bodies {
+		resp := postJSON(t, srv, path, append(append([]byte(nil), body...), "{}"...))
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s with bytes after the object: status = %d, want 400", path, resp.StatusCode)
+		}
+		if eb := decodeBody[errorBody](t, resp); !strings.Contains(eb.Error, "decoding") {
+			t.Errorf("%s with bytes after the object: error = %q, want a decoding error", path, eb.Error)
+		}
+
+		resp = postJSON(t, srv, path, append(append([]byte(nil), body...), '\n'))
+		_, _ = io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Errorf("%s with a trailing newline: status = %d, want 200", path, resp.StatusCode)
+		}
+	}
+}

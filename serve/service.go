@@ -161,9 +161,11 @@ func New(cfg Config) *Service {
 	s.solutionHits = s.rec.Counter("serve_solution_hits_total")
 	s.solutionMisses = s.rec.Counter("serve_solution_misses_total")
 	s.translations = s.rec.Counter("serve_translations_total")
-	s.mux.HandleFunc("POST /v1/solve", s.admit(s.handleSolve))
-	s.mux.HandleFunc("POST /v1/solve/batch", s.admit(s.handleBatch))
-	s.mux.HandleFunc("POST /v1/remap/stream", s.admit(s.handleRemapStream))
+	s.mux.HandleFunc("POST /v1/solve", admit(s, "solve request",
+		func(spec *SolveSpec) int64 { return spec.DeadlineMillis }, s.handleSolve))
+	s.mux.HandleFunc("POST /v1/solve/batch", admit(s, "batch request", nil, s.handleBatch))
+	s.mux.HandleFunc("POST /v1/remap/stream", admit(s, "remap request",
+		func(spec *RemapSpec) int64 { return spec.DeadlineMillis }, s.handleRemapStream))
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /v1/stats", s.handleStats)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
@@ -198,27 +200,6 @@ func (s *Service) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		}
 	}()
 	s.mux.ServeHTTP(w, r)
-}
-
-// decodeRequest decodes the body under the service's size cap and writes
-// the failure response itself: a structured 413 (with the cap echoed)
-// when the body exceeds MaxBodyBytes, 400 on malformed JSON. It reports
-// whether decoding succeeded.
-func (s *Service) decodeRequest(w http.ResponseWriter, r *http.Request, what string, v any) bool {
-	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)).Decode(v)
-	if err == nil {
-		return true
-	}
-	var tooBig *http.MaxBytesError
-	if errors.As(err, &tooBig) {
-		writeJSON(w, http.StatusRequestEntityTooLarge, errorBody{
-			Error:        fmt.Sprintf("%s body exceeds the %d-byte cap", what, tooBig.Limit),
-			MaxBodyBytes: tooBig.Limit,
-		})
-		return false
-	}
-	writeJSON(w, http.StatusBadRequest, errorBody{Error: fmt.Sprintf("decoding %s: %v", what, err)})
-	return false
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
@@ -311,19 +292,11 @@ func (s *Service) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	_ = s.rec.WritePrometheus(w)
 }
 
-func (s *Service) handleSolve(w http.ResponseWriter, r *http.Request) {
-	var spec SolveSpec
-	if !s.decodeRequest(w, r, "solve request", &spec) {
-		return
-	}
-	writeJSON(w, http.StatusOK, s.solveOne(r.Context(), spec))
+func (s *Service) handleSolve(w http.ResponseWriter, r *http.Request, spec *SolveSpec) {
+	writeJSON(w, http.StatusOK, s.solveOne(r.Context(), *spec))
 }
 
-func (s *Service) handleBatch(w http.ResponseWriter, r *http.Request) {
-	var batch BatchRequest
-	if !s.decodeRequest(w, r, "batch request", &batch) {
-		return
-	}
+func (s *Service) handleBatch(w http.ResponseWriter, r *http.Request, batch *BatchRequest) {
 	if len(batch.Problems) == 0 {
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: "batch carries no problems"})
 		return
@@ -565,18 +538,14 @@ func parseObjective(name string) (repro.Objective, error) {
 // same session and the solver runs in canonical labels (solveOne
 // translates mappings back per request). Without one (the streaming
 // re-mapper, which emits requester-labeled processor ids on the wire, or
-// the canonicalization fallback) the key is the raw instance JSON hash
+// the canonicalization fallback) the key hashes the raw instance bits
 // and labels pass through untouched.
 func (s *Service) session(spec SolveSpec, cn *repro.CanonicalInstance) (*repro.Session, string, bool, error) {
 	var key string
 	if cn != nil {
 		key = canonicalSessionKey(cn.Bytes, spec.Workers, spec.ExactBudget, spec.ForceHeuristic, spec.Seed)
 	} else {
-		var err error
-		key, err = sessionKey(spec.Pipeline, spec.Platform, spec.Workers, spec.ExactBudget, spec.ForceHeuristic, spec.Seed)
-		if err != nil {
-			return nil, "", false, fmt.Errorf("hashing instance: %w", err)
-		}
+		key = sessionKey(spec.Pipeline, spec.Platform, spec.Workers, spec.ExactBudget, spec.ForceHeuristic, spec.Seed)
 	}
 	sess, hit, err := s.cache.getOrCreate(key, func() (*repro.Session, error) {
 		// Materialize the canonical relabeling only on a build — a cache

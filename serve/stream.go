@@ -101,11 +101,7 @@ type RemapEvent struct {
 	Error string `json:"error,omitempty"`
 }
 
-func (s *Service) handleRemapStream(w http.ResponseWriter, r *http.Request) {
-	var spec RemapSpec
-	if !s.decodeRequest(w, r, "remap request", &spec) {
-		return
-	}
+func (s *Service) handleRemapStream(w http.ResponseWriter, r *http.Request, spec *RemapSpec) {
 	s.requests.Inc()
 	if spec.Pipeline == nil || spec.Platform == nil {
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: "request needs both \"pipeline\" and \"platform\""})
