@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/bitset"
+	"repro/internal/core"
 	"repro/internal/exact"
 	"repro/internal/graph"
 	"repro/internal/heuristics"
@@ -50,14 +51,28 @@ func BenchmarkE2Fig5(b *testing.B) {
 	}
 }
 
-// BenchmarkE2Fig5DP is the ablation partner of E2: the same Figure 5
-// optimum through the bitmask dynamic program (O(n²·3^m)) instead of full
-// mapping enumeration.
-func BenchmarkE2Fig5DP(b *testing.B) {
-	p, pl := workload.Fig5()
+// BenchmarkCommHomExactN5M12 times the router on the hardest exact-small
+// cell of the open Communication-Homogeneous, failure-heterogeneous class
+// (§4.4): n = 5, m = 12, minimum latency under the failure probability of
+// the whole pipeline on the fastest processor. The ~2·10⁹ unpruned
+// mappings exceed the exact budget; the router still sends the class to
+// branch and bound, which must answer exhaustively optimal.
+func BenchmarkCommHomExactN5M12(b *testing.B) {
+	inst := workload.Random(rand.New(rand.NewSource(1)), platform.CommHomogeneous, 5, 12)
+	p, pl := inst.Pipeline, inst.Platform
+	base, err := mapping.Evaluate(p, pl, mapping.NewSingleInterval(p.NumStages(), []int{pl.FastestProc()}))
+	if err != nil {
+		b.Fatal(err)
+	}
+	pr := core.Problem{Pipeline: p, Platform: pl, Objective: core.MinimizeLatency, MaxFailProb: base.FailureProb}
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := exact.MinFPUnderLatencyDP(p, pl, workload.Fig5LatencyThreshold, exact.Options{}); err != nil {
+		res, err := core.Solve(pr)
+		if err != nil {
 			b.Fatal(err)
+		}
+		if res.Route != "exact" || res.Certainty != core.ExhaustivelyOptimal {
+			b.Fatalf("route %q certainty %v, want exhaustive branch and bound", res.Route, res.Certainty)
 		}
 	}
 }

@@ -108,7 +108,7 @@ type Result struct {
 	Certainty Certainty
 	Method    string
 	// Route names the solver family that produced the answer — "poly",
-	// "dp", "exact", "heuristic", "beam" or "sweep" — the routing decision
+	// "exact", "heuristic", "beam" or "sweep" — the routing decision
 	// in machine-readable form (Method carries the human-readable detail).
 	Route string
 }
@@ -128,7 +128,9 @@ type Options struct {
 	// The pruned branch-and-bound engine solves instances of that size in
 	// well under a second on commodity hardware (the 1.94M-mapping Figure 5
 	// instance enumerates in ~2 ms), so the default is set by answer
-	// latency, not by enumeration feasibility.
+	// latency, not by enumeration feasibility. Communication-homogeneous
+	// platforms with m ≤ 16 take the exact route at any count; twice the
+	// budget caps the mappings one exact search may evaluate.
 	ExactBudget float64
 	// Workers is the goroutine count for the exact enumeration fan-out
 	// (0 = GOMAXPROCS, 1 = sequential). Forwarded to exact.Options.Workers;
@@ -145,9 +147,8 @@ type Options struct {
 	Eval *mapping.Evaluator
 	// SuffixMemo, when non-nil, is a prebuilt exact.SuffixMemo for the
 	// problem's (pipeline, platform) pair, forwarded to the exact solvers
-	// and the bitmask DP so warm sessions reuse solved sub-instances
-	// across calls. Like Eval, the caller guarantees it matches the
-	// problem instance.
+	// so warm sessions reuse solved sub-instances across calls. Like Eval,
+	// the caller guarantees it matches the problem instance.
 	SuffixMemo *exact.SuffixMemo
 	// Recorder, when non-nil, receives per-solve telemetry (route attempts
 	// with phase durations, outcome, certainty) and powers deadline-adaptive
@@ -342,13 +343,23 @@ func solveMinLatency(ctx context.Context, pr Problem, opts Options, tr *solveTra
 	return solveHard(ctx, pr, opts, tr)
 }
 
-// solveHard handles the open and NP-hard classes: the bitmask dynamic
-// program on communication-homogeneous platforms with few processors,
-// exact enumeration when the instance is small enough, and greedy +
-// annealing otherwise. Cancellation during the exact enumeration yields
-// the incumbent graded Partial; when the context fired before any
-// candidate was seen, a fast single-interval sweep provides the
-// best-effort answer.
+// commHomExactProcs admits communication-homogeneous platforms with up
+// to this many processors to the exact route whatever their
+// EstimateMappingCount: branch and bound prunes them far below the
+// unpruned count, which would otherwise send instances it solves in
+// tens of milliseconds (n = 5, m = 12 counts ~2·10⁹ mappings) to the
+// heuristics. The enumeration cap (twice the exact budget) and the
+// ErrBudget fall-through to the heuristics still bound the work of an
+// instance that does not prune.
+const commHomExactProcs = 16
+
+// solveHard handles the open and NP-hard classes: exact branch and bound
+// when the instance is small enough (communication-homogeneous platforms
+// with m ≤ commHomExactProcs, or an estimated mapping count within the
+// exact budget), and greedy + annealing otherwise. Cancellation during
+// the exact search yields the incumbent graded Partial; when the context
+// fired before any candidate was seen, a fast single-interval sweep
+// provides the best-effort answer.
 //
 // With a warm telemetry profile, each structural gate is additionally
 // conditioned on tr.fits: a route whose per-class p95 latency exceeds the
@@ -356,27 +367,14 @@ func solveMinLatency(ctx context.Context, pr Problem, opts Options, tr *solveTra
 // complete (if weaker-certainty) answer instead of a truncated Partial.
 func solveHard(ctx context.Context, pr Problem, opts Options, tr *solveTrace) (Result, error) {
 	n, m := pr.Pipeline.NumStages(), pr.Platform.NumProcs()
-	// An already-done context must not start a new search phase — not
-	// even the polynomial DP, which is fast but not interruptible once
-	// running. Serve the sweep-based best-effort answer immediately.
+	// An already-done context must not start a new search phase. Serve
+	// the sweep-based best-effort answer immediately.
 	if ctx.Err() != nil {
 		return solvePartialFallback(pr, opts, tr, fmt.Errorf("%w: %w", exact.ErrCanceled, context.Cause(ctx)))
 	}
 	if !opts.ForceHeuristic {
-		if _, commHom := pr.Platform.CommHomogeneous(); commHom && m <= exact.MaxBitmaskProcs && tr.fits(telemetry.RouteDP) {
-			began := tr.begin()
-			res, err := solveBitmaskDP(ctx, pr, opts)
-			if err == nil || errors.Is(err, ErrInfeasible) {
-				tr.end(telemetry.RouteDP, began, attemptOutcome(err, false))
-				return res, err
-			}
-			if errors.Is(err, exact.ErrCanceled) {
-				tr.end(telemetry.RouteDP, began, telemetry.OutcomePartial)
-				return solvePartialFallback(pr, opts, tr, err)
-			}
-			tr.end(telemetry.RouteDP, began, telemetry.OutcomeError)
-		}
-		if EstimateMappingCount(n, m) <= opts.exactBudget() && tr.fits(telemetry.RouteExact) {
+		_, commHom := pr.Platform.CommHomogeneous()
+		if (commHom && m <= commHomExactProcs || EstimateMappingCount(n, m) <= opts.exactBudget()) && tr.fits(telemetry.RouteExact) {
 			began := tr.begin()
 			res, err := solveExact(ctx, pr, opts)
 			if err == nil || errors.Is(err, ErrInfeasible) {
@@ -409,34 +407,6 @@ func solvePartialFallback(pr Problem, opts Options, tr *solveTrace, cancelErr er
 	}
 	tr.end(telemetry.RouteSweep, began, telemetry.OutcomeNotFound)
 	return Result{}, fmt.Errorf("%w: %w", ErrNotFound, cancelErr)
-}
-
-// solveBitmaskDP routes to the O(n²·3^m) exact dynamic program for
-// communication-homogeneous platforms. The DP polls ctx through its layer
-// loop, so a mid-run cancellation surfaces as exact.ErrCanceled and the
-// caller falls back to the sweep-based partial answer.
-func solveBitmaskDP(ctx context.Context, pr Problem, opts Options) (Result, error) {
-	var res exact.Result
-	var err error
-	var method string
-	if pr.Objective == MinimizeFailureProb {
-		res, err = exact.MinFPUnderLatencyDP(pr.Pipeline, pr.Platform, pr.MaxLatency, exact.Options{Ctx: ctx, SuffixMemo: opts.SuffixMemo})
-		method = "bitmask DP (min FP s.t. latency)"
-	} else {
-		bound := pr.MaxFailProb
-		if pr.fpUnconstrained() {
-			bound = 1
-		}
-		res, err = exact.MinLatencyUnderFPDP(pr.Pipeline, pr.Platform, bound, exact.Options{Ctx: ctx, SuffixMemo: opts.SuffixMemo})
-		method = "bitmask DP (min latency s.t. FP)"
-	}
-	if errors.Is(err, exact.ErrInfeasible) {
-		return Result{}, fmt.Errorf("%s: %w", method, ErrInfeasible)
-	}
-	if err != nil {
-		return Result{}, err
-	}
-	return Result{res.Mapping, res.Metrics, ExhaustivelyOptimal, method, "dp"}, nil
 }
 
 func solveExact(ctx context.Context, pr Problem, opts Options) (Result, error) {

@@ -284,8 +284,8 @@ func TestObjectiveAndCertaintyStrings(t *testing.T) {
 	}
 }
 
-// TestSolveFullyHetConstrained routes through the exhaustive solver (the
-// bitmask DP only covers CommHom platforms).
+// TestSolveFullyHetConstrained routes the NP-hard class through the
+// exhaustive solver.
 func TestSolveFullyHetConstrained(t *testing.T) {
 	p, pl := workload.Fig34()
 	// Min FP under a latency bound on the fully heterogeneous platform.

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 	"testing"
 
 	"repro/internal/frontier"
@@ -321,19 +320,6 @@ func TestEnumerationZeroAllocs(t *testing.T) {
 	// visited count would be hundreds of allocations.
 	if perRun > 12 {
 		t.Errorf("enumeration allocates %.1f objects per full run, want a small constant (scratch only)", perRun)
-	}
-}
-
-// TestSortResultsByLatency covers the sort.Slice replacement.
-func TestSortResultsByLatency(t *testing.T) {
-	rs := []Result{
-		{Metrics: mapping.Metrics{Latency: 3}},
-		{Metrics: mapping.Metrics{Latency: 1}},
-		{Metrics: mapping.Metrics{Latency: 2}},
-	}
-	sortResultsByLatency(rs)
-	if !sort.SliceIsSorted(rs, func(i, j int) bool { return rs[i].Metrics.Latency < rs[j].Metrics.Latency }) {
-		t.Errorf("results not sorted: %v", rs)
 	}
 }
 

@@ -35,12 +35,12 @@
 // Suffix memoization: Options.SuffixMemo attaches a canonical cache of
 // exactly solved sub-instances keyed by (first free stage, free-processor
 // multiset folded by speed class). On communication-homogeneous platforms
-// the branch-and-bound tail bound and the bitmask DP's latency cap then
-// use exact suffix optima instead of static relaxations. A memoized bound
-// is always ≥ the static TailLatencyLB and always a true lower bound —
-// under replication too, which can only increase Eq. (1) latency — so the
-// strict-better pruning discipline is preserved and results stay bitwise
-// those of a memo-less run.
+// the branch-and-bound tail bound then uses exact suffix optima instead
+// of a static relaxation. A memoized bound is always ≥ the static
+// TailLatencyLB and always a true lower bound — under replication too,
+// which can only increase Eq. (1) latency — so the strict-better pruning
+// discipline is preserved and results stay bitwise those of a memo-less
+// run.
 //
 // Invariants the tests enforce: complete-candidate metrics are bitwise
 // identical to the slice-based mapping.Evaluate on both search paths;
@@ -58,7 +58,6 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"sort"
 
 	"repro/internal/frontier"
 	"repro/internal/mapping"
@@ -118,13 +117,13 @@ type Options struct {
 	Recorder *telemetry.Recorder
 	// SuffixMemo, when non-nil, is a canonical suffix cache built by
 	// NewSuffixMemo for the same (pipeline, platform) pair, sharpening the
-	// communication-homogeneous tail bound and the bitmask DP's pruning
-	// cap; like Eval it exists so long-lived sessions can reuse solved
-	// sub-instances across calls. The caller is responsible for the pair
-	// actually matching the solver arguments; memos built for a different
-	// instance shape are ignored. Memoized bounds never relax pruning below
-	// the strict-better discipline, so results are bitwise those of a
-	// memo-less run (see the package comment).
+	// communication-homogeneous tail bound; like Eval it exists so
+	// long-lived sessions can reuse solved sub-instances across calls.
+	// The caller is responsible for the pair actually matching the solver
+	// arguments; memos built for a different instance shape are ignored.
+	// Memoized bounds never relax pruning below the strict-better
+	// discipline, so results are bitwise those of a memo-less run (see the
+	// package comment).
 	SuffixMemo *SuffixMemo
 
 	// forceWide (tests only) runs the multi-word wide search even on
@@ -525,10 +524,4 @@ func ParetoFront(p *pipeline.Pipeline, pl *platform.Platform, opts Options) ([]R
 	// A canceled enumeration still surfaces the partial front so callers
 	// can serve it as a best-effort answer.
 	return results, runErr
-}
-
-func sortResultsByLatency(rs []Result) {
-	sort.Slice(rs, func(i, j int) bool {
-		return rs[i].Metrics.Latency < rs[j].Metrics.Latency
-	})
 }

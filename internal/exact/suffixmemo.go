@@ -10,13 +10,13 @@ import (
 
 // SuffixMemo is a bounded cache of exactly-solved sub-instances of the
 // communication-homogeneous latency recursion, consulted by the
-// branch-and-bound tail and the bitmask DP in place of the generic
-// TailLatencyLB. A sub-instance is keyed by (first remaining stage,
-// canonical free-processor multiset): processors are folded into speed
-// classes — the attribute folding internal/canon applies to whole
-// platforms — because Eq. (1) costs depend on a replica only through its
-// speed, so every free set with the same per-class counts has the same
-// optimal completion latency. The canonical key is a mixed-radix integer
+// branch-and-bound tail in place of the generic TailLatencyLB. A
+// sub-instance is keyed by (first remaining stage, canonical
+// free-processor multiset): processors are folded into speed classes —
+// the attribute folding internal/canon applies to whole platforms —
+// because Eq. (1) costs depend on a replica only through its speed, so
+// every free set with the same per-class counts has the same optimal
+// completion latency. The canonical key is a mixed-radix integer
 // (one digit per class, the count of free processors of that class),
 // which the searches maintain incrementally: choosing replica set S moves
 // the key by Σ_{u∈S} weight(class(u)), one subtraction per replica.

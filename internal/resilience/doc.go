@@ -1,8 +1,8 @@
 // Package resilience provides the serve tier's overload-protection
 // primitives: a deadline-aware admission limiter (bounded concurrency
 // plus a bounded wait queue that sheds requests whose deadline cannot be
-// met), a generation-counted circuit breaker, retry with exponential
-// backoff and jitter, and per-key singleflight coalescing.
+// met), a generation-counted circuit breaker, and per-key singleflight
+// coalescing.
 //
 // The primitives are policy-free building blocks: they decide *whether*
 // work may proceed and report *why* it may not (a structured ShedError
@@ -14,7 +14,7 @@
 //   - Every primitive is safe for concurrent use.
 //   - Time is read through the Clock interface; NewFakeClock makes
 //     every state machine (breaker cooldowns, limiter service-time
-//     estimates, retry backoff) deterministic in tests.
+//     estimates) deterministic in tests.
 //   - The limiter never blocks past the caller's context: a request
 //     that cannot be admitted before its deadline is shed immediately
 //     with the estimated wait, instead of queuing doomed work.

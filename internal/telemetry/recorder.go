@@ -20,8 +20,6 @@ const (
 	// RoutePoly: one of the paper's polynomial algorithms (Theorems 1/2,
 	// Algorithms 1–4) on its provably-optimal platform class.
 	RoutePoly
-	// RouteDP: the O(n²·3^m) bitmask dynamic program (CommHom, small m).
-	RouteDP
 	// RouteExact: the pruned branch-and-bound enumeration.
 	RouteExact
 	// RouteHeuristic: greedy local improvement + simulated annealing.
@@ -37,7 +35,7 @@ const (
 )
 
 var routeNames = [numRoutes]string{
-	"none", "poly", "dp", "exact", "heuristic", "beam", "sweep", "repair",
+	"none", "poly", "exact", "heuristic", "beam", "sweep", "repair",
 }
 
 func (r Route) String() string {
@@ -125,7 +123,7 @@ type Class struct {
 	// the stage and processor counts.
 	N, M int
 	// CommHom is true on communication-homogeneous platforms (single
-	// link bandwidth), where the DP route exists and Eq.(1) applies.
+	// link bandwidth), where Eq.(1) applies.
 	CommHom bool
 	// Obj is the minimized criterion.
 	Obj Obj

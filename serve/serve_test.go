@@ -130,7 +130,7 @@ func TestBatchSolveEndToEnd(t *testing.T) {
 
 // TestStatsEngineCounters: an exact-route solve must surface the search
 // engine's counters in the stats Engine map and on /metrics. The fully
-// heterogeneous instance skips the poly and DP routes and lands in the
+// heterogeneous instance skips the poly route and lands in the
 // branch-and-bound, which registers the whole counter family on its
 // first run. The replication solver behind this route scores candidates
 // one at a time, so the batch and memo series are asserted present

@@ -80,7 +80,9 @@ func WithWorkers(n int) SessionOption {
 
 // WithExactBudget sets the largest estimated interval-mapping count for
 // which Solve and Pareto use exact enumeration on the hard platform
-// classes (0 means the core default, currently 5,000,000).
+// classes (0 means the core default, currently 5,000,000). Solve takes
+// the exact route on communication-homogeneous platforms with m ≤ 16
+// whatever the count.
 func WithExactBudget(budget float64) SessionOption {
 	return func(c *sessionConfig) { c.exactBudget = budget }
 }
