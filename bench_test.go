@@ -676,8 +676,9 @@ func heurBenchProblem(b *testing.B, n, m int) *heuristics.Problem {
 
 // BenchmarkGreedyM80 times the full-het m = 80 greedy solve on the shared
 // delta search state — the shape whose clone-path sweeps cost ~28s before
-// the heuristics refactor (top-k bounded structural lookahead, apply/undo
-// move scoring, zero allocations in the sweeps).
+// the heuristics refactor (top-k bounded structural lookahead; each
+// candidate applied, scored and dropped by restoring the pre-sweep
+// snapshot; zero allocations in the sweeps).
 func BenchmarkGreedyM80(b *testing.B) {
 	pr := heurBenchProblem(b, 12, 80)
 	b.ReportAllocs()
@@ -742,8 +743,9 @@ func BenchmarkSessionRemapM80(b *testing.B) {
 }
 
 // BenchmarkAnnealDelta times the annealing walk on the incremental state
-// at m = 80: each iteration applies, scores and (when rejected) undoes a
-// move in place instead of cloning and re-validating a Mapping.
+// at m = 80: each iteration applies and scores a move in place, then
+// restores the walk's snapshot (rejected) or re-takes it (accepted),
+// instead of cloning and re-validating a Mapping.
 func BenchmarkAnnealDelta(b *testing.B) {
 	pr := heurBenchProblem(b, 12, 80)
 	cfg := heuristics.AnnealConfig{Seed: 3, Iters: 2000, Restarts: 2}
@@ -751,6 +753,23 @@ func BenchmarkAnnealDelta(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := heuristics.Anneal(context.Background(), pr, cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkSingleIntervalSweepM128 times greedy's seed sweep at m = 128:
+// about 4m single-interval candidates, scored on one EvalState by growing
+// each order's prefix with AddReplica; only the winner becomes a Mapping.
+func BenchmarkSingleIntervalSweepM128(b *testing.B) {
+	pr := heurBenchProblem(b, 12, 128)
+	if _, err := heuristics.SingleIntervalSweep(pr); err != nil { // builds the cached evaluator
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := heuristics.SingleIntervalSweep(pr); err != nil {
 			b.Fatal(err)
 		}
 	}

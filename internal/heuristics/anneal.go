@@ -50,10 +50,11 @@ func (c AnnealConfig) withDefaults() AnnealConfig {
 // are recorded. HillClimb is the InitTemp→0 special case.
 //
 // The walk runs on the shared incremental search state: each drawn move is
-// applied in place, scored through the cached per-interval terms, and
-// undone when rejected — a mapping is materialized only when it improves
-// the best-so-far or survives into the archive, so iterations themselves
-// are allocation-free.
+// applied in place and scored through the cached per-interval terms; a
+// rejected move is dropped by restoring the snapshot of the current walk
+// state, which an accepted move re-takes. A mapping is materialized only
+// when it improves the best-so-far or survives into the archive, so
+// iterations themselves are allocation-free.
 //
 // The walk polls ctx every few iterations: on cancellation it stops and
 // returns the best feasible mapping found so far together with an error
@@ -113,6 +114,7 @@ func Anneal(ctx context.Context, pr *Problem, cfg AnnealConfig) (Result, error) 
 restarts:
 	for r := 0; r < cfg.Restarts; r++ {
 		s.st.Load(randomState(rng, pr))
+		s.snap.CopyFrom(s.st)
 		curMet, _ := s.score()
 		record(curMet)
 		curCost := cost(curMet)
@@ -137,8 +139,9 @@ restarts:
 			nextCost := cost(nextMet)
 			if accept(rng, curCost, nextCost, temp) {
 				curMet, curCost = nextMet, nextCost
+				s.snap.CopyFrom(s.st)
 			} else {
-				mv.undo(s)
+				s.st.CopyFrom(s.snap)
 			}
 			temp *= cfg.Cooling
 		}

@@ -21,26 +21,31 @@
 //
 // # Search state and the move framework
 //
-// Greedy and Anneal share one search-state representation: a
+// Greedy, Anneal and Repair share one search-state representation: a
 // mapping.EvalState bound to the problem's cached Evaluator — interval
 // ends plus stride-word replica masks, mirroring the exact engine's
 // (ends, masks) form — wrapped with per-search scratch in the searcher of
 // state.go. Candidate neighbors are expressed as moves (add, remove or
 // replace a replica, migrate a replica between intervals, split an
-// interval three ways, merge adjacent intervals) applied and undone in
-// place; no candidate is ever materialized as a Mapping, and no
-// Mapping.Clone happens on the hot path.
+// interval three ways, merge adjacent intervals) applied in place; no
+// candidate is ever materialized as a Mapping, and no Mapping.Clone
+// happens on the hot path.
 //
-// Invariants of the move framework:
+// Invariants of the move framework ("apply, score, restore"):
 //
-//   - apply/undo must round-trip the search state exactly: for every move
-//     kind, apply followed by undo restores the boundary representation —
-//     and therefore, EvalState being a pure function of (ends, masks),
-//     the cached terms and metrics — bitwise;
+//   - a sweep snapshots the state once (EvalState.CopyFrom into a spare
+//     state); each candidate is applied, scored, and dropped by copying
+//     the snapshot back. Moves record nothing for their reversal, so a
+//     candidate recomputes the terms it touches once, and its restore is
+//     a memcpy of p rows and terms. Anneal keeps the snapshot at the
+//     current walk state: a rejected move restores it, an accepted one
+//     re-takes it;
 //   - every score read from the state is bitwise identical to the legacy
 //     clone path (Mapping.Clone + slice mapping.Evaluate of the
 //     ascending-id materialization), which is what keeps the delta
 //     refactor observationally equivalent to per-candidate re-evaluation;
+//     a restored state scores exactly like the snapshot it came from,
+//     because EvalState is a pure function of (ends, masks);
 //   - moves preserve mapping validity whenever their preconditions hold
 //     (documented per constructor in state.go); the only transiently
 //     invalid states are the empty halves inside the two-step split-new

@@ -52,10 +52,10 @@ const (
 // candidates per round (topKSplit/topKMerge/topKMigrate).
 //
 // All candidates are scored through the problem's shared incremental
-// mapping.EvalState (apply/undo deltas, no Mapping.Clone, zero
-// allocations in the sweeps). Cancellation is polled per candidate: a
-// canceled search returns the best feasible mapping reached so far
-// alongside an error wrapping the context's cause.
+// mapping.EvalState (apply, score, restore the pre-sweep snapshot; no
+// Mapping.Clone, zero allocations in the sweeps). Cancellation is polled
+// per candidate: a canceled search returns the best feasible mapping
+// reached so far alongside an error wrapping the context's cause.
 func Greedy(ctx context.Context, pr *Problem) (Result, error) {
 	if pr.Recorder != nil {
 		defer pr.observeRun("greedy", time.Now())
@@ -136,6 +136,9 @@ func seed(pr *Problem) (Result, error) {
 // the searcher's state in place and returns its final metrics. It never
 // changes which stages form which interval.
 func (s *searcher) saturate(done <-chan struct{}) mapping.Metrics {
+	if s.satBase == nil { // only Greedy saturates: spare Repair the state
+		s.satBase = s.ev.NewState()
+	}
 	curMet, _ := s.score()
 	for {
 		if fired(done) {
@@ -144,12 +147,13 @@ func (s *searcher) saturate(done <-chan struct{}) mapping.Metrics {
 		improved := false
 		bestMet := curMet
 		var bestMv move
+		s.satBase.CopyFrom(s.st)
 		try := func(mv move) {
 			mv.apply(s)
 			if met, feas := s.score(); feas && s.pr.better(met, bestMet) {
 				bestMet, bestMv, improved = met, mv, true
 			}
-			mv.undo(s)
+			s.st.CopyFrom(s.satBase)
 		}
 		p := s.st.NumIntervals()
 		if s.pr.Goal == MinFP {
@@ -213,6 +217,7 @@ type rankEntry struct {
 func (s *searcher) bestMove(curMet mapping.Metrics, done <-chan struct{}) (bool, mapping.Metrics) {
 	bestMet := curMet
 	improved := false
+	s.snap.CopyFrom(s.st)
 	tryRaw := func(mv move) {
 		if fired(done) {
 			return
@@ -222,7 +227,7 @@ func (s *searcher) bestMove(curMet mapping.Metrics, done <-chan struct{}) (bool,
 			bestMet, improved = met, true
 			s.bestSt.CopyFrom(s.st)
 		}
-		mv.undo(s)
+		s.st.CopyFrom(s.snap)
 	}
 
 	p := s.st.NumIntervals()
@@ -267,7 +272,7 @@ func (s *searcher) bestMove(curMet mapping.Metrics, done <-chan struct{}) (bool,
 		}
 		mv.apply(s)
 		met, feas := s.score()
-		mv.undo(s)
+		s.st.CopyFrom(s.snap)
 		key := rankKey{idx: idx}
 		idx++
 		if feas {
@@ -334,7 +339,6 @@ func (s *searcher) bestMove(curMet mapping.Metrics, done <-chan struct{}) (bool,
 				break
 			}
 			mv := top[i].mv
-			s.snap.CopyFrom(s.st)
 			if mv.kind == mvSplitSelf {
 				s.setSplitSelfRight(mv.j)
 			}

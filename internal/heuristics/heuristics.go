@@ -153,20 +153,22 @@ func (pr *Problem) evaluate(m *mapping.Mapping) (mapping.Metrics, bool) {
 // contains the provably optimal mapping (Lemma 1 plus the exchange
 // arguments of Theorems 5–6), so the heuristic degrades gracefully into
 // the exact algorithm on the easy classes.
+//
+// Candidates are scored on one EvalState; only the winner becomes a Mapping.
 func SingleIntervalSweep(pr *Problem) (Result, error) {
+	ev, err := pr.evaluator()
+	if err != nil {
+		return Result{}, ErrNotFound
+	}
 	n := pr.Pipe.NumStages()
 	m := pr.Plat.NumProcs()
-	best := Result{}
-	found := false
+	st := ev.NewState()
+	one := mapping.NewSingleInterval(n, []int{0})
+	var bestProcs []int
+	var bestMet mapping.Metrics
 	consider := func(procs []int) {
-		mp := mapping.NewSingleInterval(n, procs)
-		met, ok := pr.evaluate(mp)
-		if !ok || !pr.feasible(met) {
-			return
-		}
-		if !found || pr.better(met, best.Metrics) {
-			best = Result{Mapping: mp, Metrics: met}
-			found = true
+		if met := st.Metrics(); pr.feasible(met) && (bestProcs == nil || pr.better(met, bestMet)) {
+			bestProcs, bestMet = procs, met
 		}
 	}
 	orders := [][]int{
@@ -175,36 +177,42 @@ func SingleIntervalSweep(pr *Problem) (Result, error) {
 		hybridOrder(pr.Plat),
 	}
 	for _, order := range orders {
-		for k := 1; k <= m; k++ {
+		one.Alloc[0][0] = order[0]
+		st.Load(one)
+		consider(order[:1])
+		for k := 2; k <= m; k++ {
+			st.AddReplica(0, order[k-1])
 			consider(order[:k])
 		}
 	}
-	for u := 0; u < m; u++ {
-		consider([]int{u})
+	ids := make([]int, m)
+	for u := range ids {
+		ids[u] = u
+		one.Alloc[0][0] = u
+		st.Load(one)
+		consider(ids[u : u+1])
 	}
-	if !found {
+	if bestProcs == nil {
 		return Result{}, ErrNotFound
 	}
-	return best, nil
+	return Result{Mapping: mapping.NewSingleInterval(n, bestProcs), Metrics: bestMet}, nil
 }
 
 // hybridOrder sorts processors by log-reliability gain per unit of speed
 // loss: processors that are both reliable and fast come first.
 func hybridOrder(pl *platform.Platform) []int {
 	ids := make([]int, pl.NumProcs())
-	for i := range ids {
-		ids[i] = i
-	}
-	score := func(u int) float64 {
+	score := make([]float64, len(ids))
+	for u := range ids {
+		ids[u] = u
 		// -log(fp) rewards reliability; multiplying by speed rewards both.
-		fp := pl.FailProb[u]
-		if fp <= 0 {
-			return math.Inf(1)
+		score[u] = math.Inf(1)
+		if fp := pl.FailProb[u]; fp > 0 {
+			score[u] = -math.Log(fp) * pl.Speed[u]
 		}
-		return -math.Log(fp) * pl.Speed[u]
 	}
 	for i := 1; i < len(ids); i++ {
-		for j := i; j > 0 && score(ids[j]) > score(ids[j-1]); j-- {
+		for j := i; j > 0 && score[ids[j]] > score[ids[j-1]]; j-- {
 			ids[j], ids[j-1] = ids[j-1], ids[j]
 		}
 	}

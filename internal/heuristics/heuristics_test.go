@@ -320,9 +320,10 @@ func TestRandomStateValid(t *testing.T) {
 }
 
 // TestRandomMovePreservesValidity: every applicable random move applied to
-// a valid search state yields a valid mapping, and undoing it restores the
-// previous mapping exactly (the apply/undo round-trip invariant of
-// doc.go).
+// a valid search state yields a valid mapping whose incremental metrics
+// equal a fresh evaluation, and restoring the pre-move snapshot brings
+// back the previous mapping and metrics exactly (the apply, score, restore
+// protocol of doc.go). Kept moves re-take the snapshot, as Anneal does.
 func TestRandomMovePreservesValidity(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -336,22 +337,28 @@ func TestRandomMovePreservesValidity(t *testing.T) {
 			return false
 		}
 		s.st.Load(randomState(rng, pr))
+		s.snap.CopyFrom(s.st)
 		for i := 0; i < 30; i++ {
 			mv, ok := s.randomMove(rng)
 			if !ok {
 				continue
 			}
-			before := s.st.ToMapping().String()
+			before, beforeMet := s.st.ToMapping().String(), s.st.Metrics()
 			mv.apply(s)
-			if s.st.ToMapping().Validate(n, m) != nil {
+			mp := s.st.ToMapping()
+			if mp.Validate(n, m) != nil {
 				return false
 			}
-			undo := rng.Intn(2) == 0
-			if undo {
-				mv.undo(s)
-				if s.st.ToMapping().String() != before {
+			if want, ok := pr.evaluate(mp); !ok || want != s.st.Metrics() {
+				return false
+			}
+			if rng.Intn(2) == 0 {
+				s.st.CopyFrom(s.snap)
+				if s.st.ToMapping().String() != before || s.st.Metrics() != beforeMet {
 					return false
 				}
+			} else {
+				s.snap.CopyFrom(s.st)
 			}
 		}
 		return true

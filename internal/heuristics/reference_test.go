@@ -13,10 +13,12 @@ package heuristics
 
 import (
 	"context"
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
 
+	"repro/internal/bitset"
 	"repro/internal/mapping"
 	"repro/internal/pipeline"
 	"repro/internal/platform"
@@ -134,6 +136,140 @@ func TestAnnealDeltaMatchesClonePath(t *testing.T) {
 	}
 }
 
+// TestRepairDeltaMatchesClonePath is the repair analogue: eviction and
+// every point-move round score bitwise identically to the clone path. The
+// start is a random mapping and the banned set always hits interval 0
+// plus a few random processors, so the repair restaffs or merges before
+// it re-optimizes. Four rounds keep the clone path's cost down at m = 80.
+func TestRepairDeltaMatchesClonePath(t *testing.T) {
+	for _, m := range []int{12, 80} {
+		for seed := int64(0); seed < 6; seed++ {
+			pr, rng := equivInstance(seed*4+int64(m)+2, m)
+			start := randomState(rng, pr)
+			banned := bitset.Make(m)
+			banned.Add(start.Alloc[0][0])
+			for i := 0; i < 1+rng.Intn(3); i++ {
+				banned.Add(rng.Intn(m))
+			}
+			scores := 0
+			uninstall := installCloneCheck(t, &scores)
+			res, err := Repair(context.Background(), pr, start, banned, RepairBudget{Rounds: 4})
+			uninstall()
+			if err != nil {
+				t.Fatalf("m=%d seed=%d: repair: %v", m, seed, err)
+			}
+			if scores == 0 {
+				t.Fatalf("m=%d seed=%d: clone-check hook saw no scores", m, seed)
+			}
+			want, refErr := referenceEvaluate(pr, res.Mapping)
+			if refErr != nil {
+				t.Fatalf("m=%d seed=%d: repair returned invalid mapping: %v", m, seed, refErr)
+			}
+			if res.Metrics != want {
+				t.Errorf("m=%d seed=%d: repair metrics %+v != clone path %+v", m, seed, res.Metrics, want)
+			}
+		}
+	}
+}
+
+// referenceSingleIntervalSweep is the Mapping-based sweep the EvalState
+// sweep replaced: one NewSingleInterval per candidate, each validated and
+// scored through Problem.evaluate, with the hybrid order recomputing its
+// score on every comparison as it used to.
+func referenceSingleIntervalSweep(pr *Problem) (Result, error) {
+	n := pr.Pipe.NumStages()
+	m := pr.Plat.NumProcs()
+	best := Result{}
+	found := false
+	consider := func(procs []int) {
+		mp := mapping.NewSingleInterval(n, procs)
+		met, ok := pr.evaluate(mp)
+		if !ok || !pr.feasible(met) {
+			return
+		}
+		if !found || pr.better(met, best.Metrics) {
+			best = Result{Mapping: mp, Metrics: met}
+			found = true
+		}
+	}
+	orders := [][]int{
+		pr.Plat.ProcsByReliabilityDesc(),
+		pr.Plat.ProcsBySpeedDesc(),
+		referenceHybridOrder(pr.Plat),
+	}
+	for _, order := range orders {
+		for k := 1; k <= m; k++ {
+			consider(order[:k])
+		}
+	}
+	for u := 0; u < m; u++ {
+		consider([]int{u})
+	}
+	if !found {
+		return Result{}, ErrNotFound
+	}
+	return best, nil
+}
+
+func referenceHybridOrder(pl *platform.Platform) []int {
+	ids := make([]int, pl.NumProcs())
+	for i := range ids {
+		ids[i] = i
+	}
+	score := func(u int) float64 {
+		fp := pl.FailProb[u]
+		if fp <= 0 {
+			return math.Inf(1)
+		}
+		return -math.Log(fp) * pl.Speed[u]
+	}
+	for i := 1; i < len(ids); i++ {
+		for j := i; j > 0 && score(ids[j]) > score(ids[j-1]); j-- {
+			ids[j], ids[j-1] = ids[j-1], ids[j]
+		}
+	}
+	return ids
+}
+
+// TestSingleIntervalSweepMatchesReference: the EvalState sweep returns the
+// reference sweep's mapping, Alloc order included, with bitwise-equal
+// metrics, on both platform classes and both goals; an unmeetable bound
+// gives ErrNotFound on both paths.
+func TestSingleIntervalSweepMatchesReference(t *testing.T) {
+	for _, m := range []int{12, 64, 80, 128} {
+		for seed := int64(0); seed < 4; seed++ {
+			pr, rng := equivInstance(seed*4+int64(m)+3, m)
+			minLat := *pr
+			minLat.Goal = MinLatency
+			minLat.Bound = 0.002 + 0.04*rng.Float64() // below every single fp: needs replicas
+			unmeetable := *pr
+			unmeetable.Bound = 0
+			for _, c := range []struct {
+				name string
+				pr   *Problem
+			}{{"minFP", pr}, {"minLatency", &minLat}, {"unmeetable", &unmeetable}} {
+				got, err := SingleIntervalSweep(c.pr)
+				want, refErr := referenceSingleIntervalSweep(c.pr)
+				if (err == nil) != (refErr == nil) || (err != nil && !errors.Is(err, ErrNotFound)) {
+					t.Fatalf("m=%d seed=%d %s: error %v, reference %v", m, seed, c.name, err, refErr)
+				}
+				if c.name == "unmeetable" && !errors.Is(err, ErrNotFound) {
+					t.Fatalf("m=%d seed=%d: unmeetable bound gave %v, want ErrNotFound", m, seed, err)
+				}
+				if err != nil {
+					continue
+				}
+				if got.Mapping.String() != want.Mapping.String() {
+					t.Errorf("m=%d seed=%d %s: mapping %v, reference %v", m, seed, c.name, got.Mapping, want.Mapping)
+				}
+				if got.Metrics != want.Metrics {
+					t.Errorf("m=%d seed=%d %s: metrics %+v, reference %+v", m, seed, c.name, got.Metrics, want.Metrics)
+				}
+			}
+		}
+	}
+}
+
 // TestGreedyPaperOptimaPreserved pins the known optima of the paper's
 // instances through the refactored policy (the bounded structural sweep
 // is exhaustive at these sizes, so the delta rewrite must not change the
@@ -198,7 +334,8 @@ func TestMoveSweepZeroAllocs(t *testing.T) {
 
 // TestAnnealIterationsZeroAlloc verifies the annealing walk allocates only
 // when a mapping is actually recorded: a walk whose archive and best are
-// already settled performs allocation-free iterations.
+// already settled performs allocation-free iterations — draw, apply,
+// score, then restore the snapshot (reject) or re-take it (accept).
 func TestAnnealIterationsZeroAlloc(t *testing.T) {
 	pr, rng := equivInstance(81, 80)
 	s, err := newSearcher(pr)
@@ -206,6 +343,7 @@ func TestAnnealIterationsZeroAlloc(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.st.Load(randomState(rng, pr))
+	s.snap.CopyFrom(s.st)
 	allocs := testing.AllocsPerRun(200, func() {
 		mv, ok := s.randomMove(rng)
 		if !ok {
@@ -213,7 +351,11 @@ func TestAnnealIterationsZeroAlloc(t *testing.T) {
 		}
 		mv.apply(s)
 		_, _ = s.score()
-		mv.undo(s)
+		if rng.Intn(2) == 0 {
+			s.st.CopyFrom(s.snap)
+		} else {
+			s.snap.CopyFrom(s.st)
+		}
 	})
 	if allocs != 0 {
 		t.Errorf("anneal move iteration allocates %.1f/op, want 0", allocs)

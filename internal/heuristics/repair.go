@@ -189,20 +189,17 @@ func repairBetter(pr *Problem, a, b mapping.Metrics) bool {
 func (s *searcher) repairRound(curMet mapping.Metrics, done <-chan struct{}) (bool, mapping.Metrics) {
 	bestMet := curMet
 	improved := false
+	s.snap.CopyFrom(s.st)
 	try := func(mv move) {
 		if fired(done) {
 			return
 		}
 		mv.apply(s)
-		met := s.st.Metrics()
-		if testScoreCheck != nil {
-			testScoreCheck(s.pr, s.st, met)
-		}
-		if repairBetter(s.pr, met, bestMet) {
+		if met, _ := s.score(); repairBetter(s.pr, met, bestMet) {
 			bestMet, improved = met, true
 			s.bestSt.CopyFrom(s.st)
 		}
-		mv.undo(s)
+		s.st.CopyFrom(s.snap)
 	}
 	p := s.st.NumIntervals()
 	free := s.freeProcs()

@@ -5,10 +5,10 @@ import (
 	"repro/internal/mapping"
 )
 
-// searcher is the per-search bundle shared by Greedy and Anneal: the
-// problem, its cached evaluator, the live search state, and reusable
-// scratch (snapshot states, free-processor buffer, split/merge mask rows)
-// sized once so the move sweeps run without heap allocations.
+// searcher is the per-search bundle shared by Greedy, Anneal and Repair:
+// the problem, its cached evaluator, the live search state, and reusable
+// scratch (snapshot states, free-processor buffer, split mask row) sized
+// once so the move sweeps run without heap allocations.
 type searcher struct {
 	pr *Problem
 	ev *mapping.Evaluator
@@ -25,13 +25,14 @@ type searcher struct {
 	// Greedy's per-class bounded structural candidate lists.
 	topSplit, topMerge, topMigrate []rankEntry
 
-	// Scratch replica-set rows for the structural moves. One row per
-	// in-flight move is enough: moves are applied one at a time, and the
-	// solvers keep winners as state snapshots, never as replayable moves.
+	// Scratch replica-set row for the split moves. One row is enough:
+	// moves are applied one at a time, and the solvers keep winners as
+	// state snapshots, never as replayable moves.
 	right bitset.Set
 
-	snap   *mapping.EvalState // pre-move snapshot for saturated scoring
-	bestSt *mapping.EvalState // best successor found during a sweep
+	snap    *mapping.EvalState // the state candidates are restored to (doc.go)
+	bestSt  *mapping.EvalState // best successor found during a sweep
+	satBase *mapping.EvalState // saturate's per-round base, made on first use
 }
 
 func newSearcher(pr *Problem) (*searcher, error) {
@@ -71,8 +72,8 @@ func (s *searcher) freeProcs() []int {
 }
 
 // replicaIDs refills the searcher's id buffer with interval j's replica
-// set in ascending order (a stable snapshot the sweeps can iterate while
-// applying and undoing moves on the same interval).
+// set in ascending order (a stable copy the sweeps can iterate while
+// applying and restoring moves on the same interval).
 func (s *searcher) replicaIDs(j int) {
 	s.ids = s.st.Mask(j).AppendBits(s.ids[:0])
 }
@@ -110,22 +111,21 @@ const (
 	// staffed by the single unused processor u, the right half inherits
 	// the old set (the winning structure of the paper's Figure 5 example).
 	mvSplitNewLeft
-	// mvMerge fuses intervals j and j+1 (replica sets united). Undo data
-	// (the cut and the right half's set) is captured by apply.
+	// mvMerge fuses intervals j and j+1 (replica sets united).
 	mvMerge
 )
 
-// move is one reversible neighborhood step. apply mutates the searcher's
-// state and records whatever undo needs (the merge's cut point and right
-// replica set go into the searcher's scratch row); undo restores the
-// state exactly — see the package invariants in doc.go. A move value is
-// only valid between its apply and the next apply on the same searcher,
-// because the scratch row is shared.
+// move is one neighborhood step. apply mutates the searcher's state in
+// place; nothing is recorded to reverse it. Callers score the moved state
+// and then restore a snapshot taken before the move (EvalState.CopyFrom),
+// see the package invariants in doc.go. An mvSplitSelf move reads the
+// searcher's scratch row, so setSplitSelfRight must run on the pre-move
+// state before each apply.
 type move struct {
 	kind moveKind
 	j    int
 	j2   int // mvMigrate: destination interval
-	cut  int // splits: first stage of the right half; mvMerge: saved by apply
+	cut  int // splits: first stage of the right half
 	u    int
 	u2   int // mvReplace: incoming processor
 }
@@ -153,33 +153,7 @@ func (mv *move) apply(s *searcher) {
 		st.Split(mv.j, mv.cut, s.right) // left transiently empty
 		st.AddReplica(mv.j, mv.u)
 	case mvMerge:
-		mv.cut = st.First(mv.j + 1)
-		s.right.Copy(st.Mask(mv.j + 1))
 		st.Merge(mv.j)
-	}
-}
-
-func (mv *move) undo(s *searcher) {
-	st := s.st
-	switch mv.kind {
-	case mvAdd:
-		st.RemoveReplica(mv.j, mv.u)
-	case mvRemove:
-		st.AddReplica(mv.j, mv.u)
-	case mvReplace:
-		st.ReplaceReplica(mv.j, mv.u2, mv.u)
-	case mvMigrate:
-		st.MoveReplica(mv.j2, mv.j, mv.u)
-	case mvSplitSelf:
-		st.Merge(mv.j)
-	case mvSplitNewRight:
-		st.Merge(mv.j)
-		st.RemoveReplica(mv.j, mv.u)
-	case mvSplitNewLeft:
-		st.RemoveReplica(mv.j, mv.u) // left transiently empty
-		st.Merge(mv.j)
-	case mvMerge:
-		st.Split(mv.j, mv.cut, s.right)
 	}
 }
 

@@ -25,9 +25,10 @@ import (
 //     are sized for n intervals at construction); only ToMapping
 //     allocates;
 //   - the state is a pure function of (ends, masks): any sequence of
-//     mutations that restores the boundary representation restores the
-//     cached terms and metrics exactly, which is what makes apply/undo
-//     move frameworks on top of it sound.
+//     mutations that reaches a boundary representation leaves the cached
+//     terms and metrics a fresh Load of it would compute, bitwise, so a
+//     move applied to a state restored by CopyFrom scores exactly like the
+//     same move applied to the original.
 //
 // Like Eval, the state must describe a valid-by-construction candidate
 // whenever metrics are read: consecutive non-empty intervals covering all
@@ -183,10 +184,41 @@ func (st *EvalState) ToMapping() *Mapping {
 }
 
 // AddReplica enrolls processor u (which must be unused) into interval j.
+// On fully heterogeneous platforms interval j's Eq. (2) term becomes
+// max(old, u's replica term), with no recompute. That is exact: the term
+// is a max over replicas, each replica's value depends only on itself and
+// the successor set (unchanged), and u's value comes from the helper the
+// term loops use. The success factor, the predecessor's term and the input
+// sum are ordered sums or products over the changed set: recomputed.
 func (st *EvalState) AddReplica(j, u int) {
-	st.row(j).Add(u)
+	row := st.row(j)
+	row.Add(u)
 	st.used.Add(u)
-	st.touchMask(j)
+	ev := st.ev
+	if ev.commHom {
+		st.touchMask(j)
+		return
+	}
+	st.succ[j] = ev.SuccessFactorW(row)
+	first, end := st.First(j), st.ends[j]
+	work := ev.p.Work(first, end)
+	var t float64
+	switch {
+	case j == st.p-1:
+		t = ev.finalReplicaTerm(u, work, ev.p.Delta[ev.n])
+	case ev.stride == 1:
+		t = ev.replicaTerm(u, work, ev.p.Delta[end+1], st.words[j+1])
+	default:
+		t = ev.replicaTermW(u, work, ev.p.Delta[end+1], st.row(j+1))
+	}
+	if t > st.term[j] {
+		st.term[j] = t
+	}
+	if j > 0 {
+		st.recomputeTerm(j - 1)
+	} else {
+		st.recomputeInputSum()
+	}
 }
 
 // RemoveReplica withdraws processor u from interval j (caller keeps the

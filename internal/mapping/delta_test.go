@@ -1,6 +1,7 @@
 package mapping
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -17,6 +18,55 @@ func deltaInstance(rng *rand.Rand, n, m int) (*pipeline.Pipeline, *platform.Plat
 		return p, platform.RandomCommHomogeneous(rng, m, 1, 10, 0.05, 0.95, 1+rng.Float64()*2)
 	}
 	return p, platform.RandomFullyHeterogeneous(rng, m, 1, 10, 0.05, 0.95, 1, 20)
+}
+
+// extremeInstance is deltaInstance at the edges of float64. Each speed and
+// bandwidth is 1e300 or 1e-300 with probability ⅓, and rarely (about one
+// link or processor per instance) the smallest subnormal, whose quotients
+// overflow to +Inf terms. Each failure probability is 0 or 1 with
+// probability ½.
+func extremeInstance(rng *rand.Rand, n, m int) (*pipeline.Pipeline, *platform.Platform) {
+	p := pipeline.Random(rng, n, 1, 10, 1, 10)
+	draw := func(lo, hi float64, count int) float64 {
+		if rng.Intn(2*count) == 0 {
+			return math.SmallestNonzeroFloat64
+		}
+		switch rng.Intn(6) {
+		case 0:
+			return 1e300
+		case 1:
+			return 1e-300
+		}
+		return lo + rng.Float64()*(hi-lo)
+	}
+	speeds, fps := make([]float64, m), make([]float64, m)
+	for u := range speeds {
+		speeds[u] = draw(1, 10, m)
+		fps[u] = 0.05 + 0.9*rng.Float64()
+		if rng.Intn(2) == 0 {
+			fps[u] = float64(rng.Intn(2))
+		}
+	}
+	var pl *platform.Platform
+	var err error
+	if rng.Intn(2) == 0 {
+		pl, err = platform.NewCommHomogeneous(speeds, fps, draw(1, 3, 2))
+	} else {
+		b := make([][]float64, m)
+		bIn, bOut := make([]float64, m), make([]float64, m)
+		for u := range b {
+			b[u] = make([]float64, m)
+			for v := range b[u] {
+				b[u][v] = draw(1, 20, m*m)
+			}
+			bIn[u], bOut[u] = draw(1, 20, m), draw(1, 20, m)
+		}
+		pl, err = platform.NewFullyHeterogeneous(speeds, fps, b, bIn, bOut)
+	}
+	if err != nil {
+		panic(err)
+	}
+	return p, pl
 }
 
 // randomValidMapping draws a valid interval mapping with replication.
@@ -175,13 +225,15 @@ func nthBit(s bitset.Set, i int) int {
 // TestEvalStateMatchesBatchEvaluators drives random mutation sequences on
 // random instances across the narrow and wide mask representations and
 // asserts the incrementally maintained metrics stay bitwise identical to
-// the batch evaluators after every mutation.
+// the batch evaluators after every mutation. The extreme draws put +Inf,
+// huge and tiny terms under AddReplica's max-update.
 func TestEvalStateMatchesBatchEvaluators(t *testing.T) {
+	draws := []func(*rand.Rand, int, int) (*pipeline.Pipeline, *platform.Platform){deltaInstance, extremeInstance}
 	for _, m := range []int{8, 64, 80, 128} {
-		for seed := int64(0); seed < 8; seed++ {
-			rng := rand.New(rand.NewSource(seed*1000 + int64(m)))
+		for seed := int64(0); seed < 16; seed++ {
+			rng := rand.New(rand.NewSource(seed/2*1000 + int64(m)))
 			n := 2 + rng.Intn(6)
-			p, pl := deltaInstance(rng, n, m)
+			p, pl := draws[seed%2](rng, n, m)
 			ev, err := NewEvaluator(p, pl)
 			if err != nil {
 				t.Fatal(err)
@@ -198,10 +250,9 @@ func TestEvalStateMatchesBatchEvaluators(t *testing.T) {
 	}
 }
 
-// TestEvalStateUndoRoundTrip checks the apply/undo contract the heuristics
-// move framework builds on: applying a move and its inverse restores the
-// full state — boundary representation, cached terms and metrics —
-// bitwise.
+// TestEvalStateUndoRoundTrip checks that the state is a pure function of
+// (ends, masks): applying a mutation and its inverse restores the full
+// state — boundary representation, cached terms and metrics — bitwise.
 func TestEvalStateUndoRoundTrip(t *testing.T) {
 	for _, m := range []int{8, 80} {
 		for seed := int64(0); seed < 10; seed++ {

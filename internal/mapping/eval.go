@@ -250,12 +250,7 @@ func (e *Evaluator) IntervalEq2Term(first, last int, mask, next uint64) float64 
 	out := e.p.Delta[last+1]
 	worst := math.Inf(-1)
 	for bm := mask; bm != 0; bm &= bm - 1 {
-		u := bits.TrailingZeros64(bm)
-		term := work / e.pl.Speed[u]
-		for nm := next; nm != 0; nm &= nm - 1 {
-			term += out / e.pl.B[u][bits.TrailingZeros64(nm)]
-		}
-		if term > worst {
+		if term := e.replicaTerm(bits.TrailingZeros64(bm), work, out, next); term > worst {
 			worst = term
 		}
 	}
@@ -269,13 +264,28 @@ func (e *Evaluator) IntervalEq2FinalTerm(first, last int, mask uint64) float64 {
 	out := e.p.Delta[e.n]
 	worst := math.Inf(-1)
 	for bm := mask; bm != 0; bm &= bm - 1 {
-		u := bits.TrailingZeros64(bm)
-		term := work/e.pl.Speed[u] + out/e.pl.BOut[u]
-		if term > worst {
+		if term := e.finalReplicaTerm(bits.TrailingZeros64(bm), work, out); term > worst {
 			worst = term
 		}
 	}
 	return worst
+}
+
+// replicaTerm returns replica u's value in a non-final Eq. (2) interval
+// term, W/s_u + Σ_{v∈next} out/b_{u,v} summed in ascending v; the term
+// loops and EvalState.AddReplica share it (replicaTermW is the wide twin).
+func (e *Evaluator) replicaTerm(u int, work, out float64, next uint64) float64 {
+	term := work / e.pl.Speed[u]
+	for nm := next; nm != 0; nm &= nm - 1 {
+		term += out / e.pl.B[u][bits.TrailingZeros64(nm)]
+	}
+	return term
+}
+
+// finalReplicaTerm is replicaTerm for the last interval, whose output goes
+// to P_out: W/s_u + δ_n/b_{u,out}.
+func (e *Evaluator) finalReplicaTerm(u int, work, out float64) float64 {
+	return work/e.pl.Speed[u] + out/e.pl.BOut[u]
 }
 
 // IntervalComputeLB returns a lower bound on the Eq. (2) term of a pending

@@ -136,20 +136,24 @@ func (e *Evaluator) IntervalEq2TermW(first, last int, mask, next bitset.Set) flo
 	for w, word := range mask {
 		base := w * bitset.WordBits
 		for bm := word; bm != 0; bm &= bm - 1 {
-			u := base + bits.TrailingZeros64(bm)
-			term := work / e.pl.Speed[u]
-			for nw, nword := range next {
-				nbase := nw * bitset.WordBits
-				for nm := nword; nm != 0; nm &= nm - 1 {
-					term += out / e.pl.B[u][nbase+bits.TrailingZeros64(nm)]
-				}
-			}
-			if term > worst {
+			if term := e.replicaTermW(base+bits.TrailingZeros64(bm), work, out, next); term > worst {
 				worst = term
 			}
 		}
 	}
 	return worst
+}
+
+// replicaTermW is replicaTerm for a multi-word successor set.
+func (e *Evaluator) replicaTermW(u int, work, out float64, next bitset.Set) float64 {
+	term := work / e.pl.Speed[u]
+	for w, word := range next {
+		base := w * bitset.WordBits
+		for nm := word; nm != 0; nm &= nm - 1 {
+			term += out / e.pl.B[u][base+bits.TrailingZeros64(nm)]
+		}
+	}
+	return term
 }
 
 // IntervalEq2FinalTermW is IntervalEq2FinalTerm for a multi-word replica
@@ -161,9 +165,7 @@ func (e *Evaluator) IntervalEq2FinalTermW(first, last int, mask bitset.Set) floa
 	for w, word := range mask {
 		base := w * bitset.WordBits
 		for bm := word; bm != 0; bm &= bm - 1 {
-			u := base + bits.TrailingZeros64(bm)
-			term := work/e.pl.Speed[u] + out/e.pl.BOut[u]
-			if term > worst {
+			if term := e.finalReplicaTerm(base+bits.TrailingZeros64(bm), work, out); term > worst {
 				worst = term
 			}
 		}
