@@ -620,44 +620,6 @@ func BenchmarkSharedIncumbentM80(b *testing.B) {
 	b.Run("par", func(b *testing.B) { benchWideMinLatency(b, 3, 80, 0) })
 }
 
-// BenchmarkSharedIncumbentMemoM80 is the communication-homogeneous
-// counterpart with a canonical suffix memo attached: processor speeds
-// fold into 3 classes, so the branch-and-bound tail bound is the exact
-// memoized suffix optimum instead of the static relaxation.
-func BenchmarkSharedIncumbentMemoM80(b *testing.B) {
-	rng := rand.New(rand.NewSource(380))
-	p := pipeline.Random(rng, 3, 1, 10, 1, 10)
-	pl := platform.RandomCommHomogeneous(rng, 80, 1, 10, 0.05, 0.95, 2)
-	speeds := [3]float64{2.5, 5, 9}
-	for u := range pl.Speed {
-		pl.Speed[u] = speeds[u%3]
-	}
-	ev, err := mapping.NewEvaluator(p, pl)
-	if err != nil {
-		b.Fatal(err)
-	}
-	sm := exact.NewSuffixMemo(p, pl, 0)
-	if sm == nil {
-		b.Fatal("no suffix memo for the folded platform")
-	}
-	for _, bc := range []struct {
-		name string
-		opts exact.Options
-	}{
-		{"seq", exact.Options{Workers: 1, Eval: ev, SuffixMemo: sm, MaxEnum: 1 << 62}},
-		{"par", exact.Options{Workers: 0, Eval: ev, SuffixMemo: sm, MaxEnum: 1 << 62}},
-	} {
-		b.Run(bc.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := exact.MinLatencyInterval(p, pl, bc.opts); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // heurBenchProblem builds the m-processor fully heterogeneous heuristics
 // problem used by the wide greedy/anneal benchmarks: minimize FP under a
 // latency bound 1.5× the fastest single processor, which is binding

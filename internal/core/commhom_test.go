@@ -62,9 +62,8 @@ func commHomCases(t *testing.T) []commHomCase {
 // open Communication-Homogeneous, failure-heterogeneous class (§4.4).
 // Every cell routes to branch and bound, including those above the exact
 // budget, and each subtest checks one contract on every cell:
-//   - queries_match_oracle: both constrained queries, with and without a
-//     session's suffix memo, route exact, grade ExhaustivelyOptimal and
-//     match an unbounded, sequential, memo-less search;
+//   - queries_match_oracle: both constrained queries route exact, grade
+//     ExhaustivelyOptimal and match an unbounded, sequential search;
 //   - mappings_reproduce_metrics: every answer is a valid mapping that
 //     evaluates to the metrics it reports and meets its bound;
 //   - infeasible: unmeetable bounds give ErrInfeasible;
@@ -83,14 +82,11 @@ func TestCommHomSolveEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: oracle: %v", c.name, err)
 			}
-			for _, opts := range []Options{{}, {SuffixMemo: exact.NewSuffixMemo(c.p, c.pl, 0)}} {
-				name := fmt.Sprintf("%s memo=%t", c.name, opts.SuffixMemo != nil)
-				prs := c.problems()
-				res, err := SolveWithOptions(prs[0], opts)
-				checkCommHomExact(t, name+" minFP", res, err, res.Metrics.FailureProb, wantFP.Metrics.FailureProb)
-				res, err = SolveWithOptions(prs[1], opts)
-				checkCommHomExact(t, name+" minLatency", res, err, res.Metrics.Latency, wantLat.Metrics.Latency)
-			}
+			prs := c.problems()
+			res, err := Solve(prs[0])
+			checkCommHomExact(t, c.name+" minFP", res, err, res.Metrics.FailureProb, wantFP.Metrics.FailureProb)
+			res, err = Solve(prs[1])
+			checkCommHomExact(t, c.name+" minLatency", res, err, res.Metrics.Latency, wantLat.Metrics.Latency)
 		}
 	})
 

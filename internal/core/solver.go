@@ -13,7 +13,11 @@
 //
 // Mono-criterion queries (no constraint) route to Theorem 1 (minimum
 // failure probability, any platform) and Theorem 2 (minimum latency,
-// communication-homogeneous platforms). Latency minimization over
+// communication-homogeneous platforms). Unconstrained minimum latency on
+// fully heterogeneous platforms takes Theorem 4's relaxation: its
+// repaired path is provably optimal when the general optimum is
+// interval-shaped, and otherwise competes with the exact or heuristic
+// search above, the better answer winning. Latency minimization over
 // *general* mappings — Theorem 4's shortest-path algorithm — is exposed
 // separately as MinLatencyGeneral since it leaves the interval-mapping
 // space.
@@ -108,8 +112,8 @@ type Result struct {
 	Certainty Certainty
 	Method    string
 	// Route names the solver family that produced the answer — "poly",
-	// "exact", "heuristic", "beam" or "sweep" — the routing decision
-	// in machine-readable form (Method carries the human-readable detail).
+	// "exact", "heuristic" or "sweep" — the routing decision in
+	// machine-readable form (Method carries the human-readable detail).
 	Route string
 }
 
@@ -145,11 +149,6 @@ type Options struct {
 	// evaluator precomputation across calls. It is forwarded to the exact
 	// solvers, which otherwise rebuild it per call.
 	Eval *mapping.Evaluator
-	// SuffixMemo, when non-nil, is a prebuilt exact.SuffixMemo for the
-	// problem's (pipeline, platform) pair, forwarded to the exact solvers
-	// so warm sessions reuse solved sub-instances across calls. Like Eval,
-	// the caller guarantees it matches the problem instance.
-	SuffixMemo *exact.SuffixMemo
 	// Recorder, when non-nil, receives per-solve telemetry (route attempts
 	// with phase durations, outcome, certainty) and powers deadline-adaptive
 	// routing: on the hard classes, a route whose warm per-class p95 exceeds
@@ -180,9 +179,9 @@ func SolveWithOptions(pr Problem, opts Options) (Result, error) {
 	return SolveCtx(context.Background(), pr, opts)
 }
 
-// SolveCtx is SolveWithOptions under a context: the exact enumeration,
-// the annealing/greedy fallbacks and the beam search all poll ctx and
-// stop early when it is done. A canceled solve returns the best feasible
+// SolveCtx is SolveWithOptions under a context: the exact enumeration
+// and the annealing/greedy fallbacks poll ctx and stop early when it is
+// done. A canceled solve returns the best feasible
 // mapping found so far graded Partial (falling back to a fast
 // single-interval sweep when cancellation struck before the search saw
 // any candidate); the error is non-nil only when no feasible mapping
@@ -298,26 +297,6 @@ func solveMinLatency(ctx context.Context, pr Problem, opts Options, tr *solveTra
 				"Theorem 4 relaxation + path repair", "poly"}
 			err = nil
 		}
-		// Beam search explores interval mappings with singleton replica
-		// sets — a strict subset of the exact enumeration space — so it
-		// can only help when the search above was heuristic or partial.
-		if err != nil || (res.Certainty != ProvablyOptimal && res.Certainty != ExhaustivelyOptimal) {
-			began := tr.begin()
-			beam, beamErr := heuristics.BeamSearchMinLatency(ctx, heuristicProblem(pr, opts), 32)
-			if beam.Mapping != nil {
-				tr.end(telemetry.RouteBeam, began, attemptOutcome(nil, beamErr != nil))
-				if err != nil || beam.Metrics.Latency < res.Metrics.Latency {
-					cert := Heuristic
-					if beamErr != nil { // canceled mid-search: best-so-far
-						cert = Partial
-					}
-					res = Result{beam.Mapping, beam.Metrics, cert, "beam search over interval prefixes", "beam"}
-					err = nil
-				}
-			} else {
-				tr.end(telemetry.RouteBeam, began, telemetry.OutcomeNotFound)
-			}
-		}
 		return res, err
 	}
 	switch {
@@ -410,7 +389,7 @@ func solvePartialFallback(pr Problem, opts Options, tr *solveTrace, cancelErr er
 }
 
 func solveExact(ctx context.Context, pr Problem, opts Options) (Result, error) {
-	exOpts := exact.Options{MaxEnum: int64(opts.exactBudget()) * 2, Workers: opts.Workers, Ctx: ctx, Eval: opts.Eval, Recorder: opts.Recorder, SuffixMemo: opts.SuffixMemo}
+	exOpts := exact.Options{MaxEnum: int64(opts.exactBudget()) * 2, Workers: opts.Workers, Ctx: ctx, Eval: opts.Eval, Recorder: opts.Recorder}
 	var res exact.Result
 	var err error
 	var method string
@@ -590,7 +569,7 @@ func ParetoCtx(ctx context.Context, p *pipeline.Pipeline, pl *platform.Platform,
 	}
 	n, m := p.NumStages(), pl.NumProcs()
 	if !opts.ForceHeuristic && EstimateMappingCount(n, m) <= opts.exactBudget() {
-		results, err := exact.ParetoFront(p, pl, exact.Options{MaxEnum: int64(opts.exactBudget()) * 2, Workers: opts.Workers, Ctx: ctx, Eval: opts.Eval, SuffixMemo: opts.SuffixMemo})
+		results, err := exact.ParetoFront(p, pl, exact.Options{MaxEnum: int64(opts.exactBudget()) * 2, Workers: opts.Workers, Ctx: ctx, Eval: opts.Eval})
 		if err == nil || (errors.Is(err, exact.ErrCanceled) && len(results) > 0) {
 			front := &frontier.Front{}
 			for _, r := range results {

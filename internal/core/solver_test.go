@@ -9,8 +9,10 @@ import (
 
 	"repro/internal/exact"
 	"repro/internal/heuristics"
+	"repro/internal/mapping"
 	"repro/internal/pipeline"
 	"repro/internal/platform"
+	"repro/internal/poly"
 	"repro/internal/workload"
 )
 
@@ -356,6 +358,49 @@ func TestSolveBoundsFallbackPath(t *testing.T) {
 	}
 	if math.Abs(res.Metrics.Latency-ex.Metrics.Latency) > 1e-9 {
 		t.Errorf("solver latency %g, exhaustive %g", res.Metrics.Latency, ex.Metrics.Latency)
+	}
+}
+
+// TestMinLatencyNonTightRelaxation: unconstrained min-latency on Fully
+// Heterogeneous instances past the exact gate whose Theorem 4 relaxation
+// is not interval-shaped. The router keeps the better of the repaired
+// relaxation and the heuristic search, so the answer comes from one of
+// those two routes, is graded Heuristic, lies inside Theorem 4's
+// bracket and evaluates to the metrics it reports. On seeds 1721 and
+// 2911 beam search beats both routes, so a router that fell through to
+// it would fail the route check.
+func TestMinLatencyNonTightRelaxation(t *testing.T) {
+	for _, seed := range []int64{232, 289, 1721, 2911} {
+		rng := rand.New(rand.NewSource(seed))
+		n, m := 8+rng.Intn(25), 48+rng.Intn(81)
+		inst := workload.Random(rng, platform.FullyHeterogeneous, n, m)
+		bounds, err := poly.IntervalLatencyBounds(inst.Pipeline, inst.Platform)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if bounds.Tight {
+			t.Fatalf("seed %d (n=%d, m=%d): relaxation is tight, want a non-tight instance", seed, n, m)
+		}
+		res, err := Solve(Problem{Pipeline: inst.Pipeline, Platform: inst.Platform, Objective: MinimizeLatency})
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if res.Route != "poly" && res.Route != "heuristic" {
+			t.Errorf("seed %d: route %q, want poly or heuristic", seed, res.Route)
+		}
+		if res.Certainty != Heuristic {
+			t.Errorf("seed %d: certainty %v, want heuristic", seed, res.Certainty)
+		}
+		if lat := res.Metrics.Latency; lat < bounds.Lower || lat > bounds.Upper.Metrics.Latency {
+			t.Errorf("seed %d: latency %.12g outside Theorem 4 bracket [%.12g, %.12g]", seed, lat, bounds.Lower, bounds.Upper.Metrics.Latency)
+		}
+		met, err := mapping.Evaluate(inst.Pipeline, inst.Platform, res.Mapping)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if !closeRel(met.Latency, res.Metrics.Latency) || !closeRel(met.FailureProb, res.Metrics.FailureProb) {
+			t.Errorf("seed %d: mapping evaluates to %+v, result reports %+v", seed, met, res.Metrics)
+		}
 	}
 }
 

@@ -13,11 +13,11 @@ import (
 	"repro/internal/platform"
 )
 
-// This file pins the shared-incumbent determinism contract of ISSUE 10:
-// the returned mapping AND metrics must be bitwise-identical for every
-// worker count — with and without a (live, unfired) cancellation context,
-// with and without a suffix memo — because incumbent pruning is strict and
-// equal-metric candidates resolve by task order, never by scheduling.
+// This file pins the shared-incumbent determinism contract: the returned
+// mapping AND metrics must be bitwise-identical for every worker count —
+// with and without a (live, unfired) cancellation context — because
+// incumbent pruning is strict and equal-metric candidates resolve by task
+// order, never by scheduling.
 // The tests run under -race in CI, where stale bound reads and racing
 // offer calls are exercised for real.
 
@@ -121,8 +121,9 @@ func TestSharedIncumbentDeterminism(t *testing.T) {
 }
 
 // quantizedCommHom builds a communication-homogeneous platform whose
-// speeds fold into exactly `classes` values, so a SuffixMemo exists even
-// at wide processor counts.
+// speeds fold into exactly `classes` values, so the processors of one
+// class tie on every Eq. (1) cost and the engine's task-order tie-break
+// decides the answer, at wide processor counts too.
 func quantizedCommHom(rng *rand.Rand, m, classes int) *platform.Platform {
 	pl := platform.RandomCommHomogeneous(rng, m, 1, 10, 0.05, 0.95, 2)
 	speeds := make([]float64, classes)
@@ -139,11 +140,11 @@ func quantizedCommHom(rng *rand.Rand, m, classes int) *platform.Platform {
 // narrow search, both m=64 boundaries and the wide stride-word search —
 // MinLatencyInterval must match the unpruned slice reference's optimum
 // bitwise for every worker count, on fully heterogeneous and on
-// memo-carrying communication-homogeneous platforms. The reference
+// speed-quantized communication-homogeneous platforms. The reference
 // breaks latency ties differently, so the objective value is compared
 // against it while the mapping itself is pinned engine-vs-engine: every
-// worker count and the memo-on arm must reproduce the sequential
-// engine's answer bit for bit.
+// worker count must reproduce the sequential engine's answer bit for
+// bit.
 func TestSolverEquivalenceWide(t *testing.T) {
 	for _, m := range []int{8, 64, 80, 128} {
 		n := 3
@@ -168,10 +169,6 @@ func TestSolverEquivalenceWide(t *testing.T) {
 		}
 
 		hom := quantizedCommHom(rng, m, 3)
-		sm := NewSuffixMemo(p, hom, 0)
-		if sm == nil {
-			t.Fatalf("m=%d: quantized comm-hom platform has no memo", m)
-		}
 		ref, err = refMinLatency(p, hom, Options{})
 		if err != nil {
 			t.Fatal(err)
@@ -183,59 +180,6 @@ func TestSolverEquivalenceWide(t *testing.T) {
 		for _, workers := range workerCounts() {
 			got, gotErr := MinLatencyInterval(p, hom, Options{Workers: workers})
 			checkBitwiseSame(t, "commHom", base, baseErr, got, gotErr)
-			got, gotErr = MinLatencyInterval(p, hom, Options{Workers: workers, SuffixMemo: sm})
-			checkBitwiseSame(t, "commHom+memo", base, baseErr, got, gotErr)
-		}
-	}
-}
-
-// TestSuffixMemoPreservesSolverOutputs: attaching a memo must not change
-// any solver's answer by a single bit — memoized tail bounds sharpen
-// pruning but pruning stays strict.
-func TestSuffixMemoPreservesSolverOutputs(t *testing.T) {
-	for seed := int64(0); seed < 40; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		n := 1 + rng.Intn(5)
-		m := 1 + rng.Intn(5)
-		p := pipeline.Random(rng, n, 1, 10, 0, 10)
-		pl := platform.RandomCommHomogeneous(rng, m, 1, 10, 0.05, 0.95, 1+rng.Float64()*4)
-		sm := NewSuffixMemo(p, pl, 0)
-		if sm == nil {
-			t.Fatalf("seed %d: no memo", seed)
-		}
-		L := 1 + rng.Float64()*40
-		F := rng.Float64()
-		type solver struct {
-			name string
-			run  func(opts Options) (Result, error)
-		}
-		solvers := []solver{
-			{"MinLatencyInterval", func(o Options) (Result, error) { return MinLatencyInterval(p, pl, o) }},
-			{"MinFPUnderLatency", func(o Options) (Result, error) { return MinFPUnderLatency(p, pl, L, o) }},
-			{"MinLatencyUnderFP", func(o Options) (Result, error) { return MinLatencyUnderFP(p, pl, F, o) }},
-		}
-		for _, sv := range solvers {
-			for _, workers := range []int{1, 4} {
-				base, baseErr := sv.run(Options{Workers: workers})
-				got, gotErr := sv.run(Options{Workers: workers, SuffixMemo: sm})
-				checkBitwiseSame(t, sv.name+" memo", base, baseErr, got, gotErr)
-			}
-		}
-		baseFront, err := ParetoFront(p, pl, Options{Workers: 4})
-		if err != nil {
-			t.Fatal(err)
-		}
-		memoFront, err := ParetoFront(p, pl, Options{Workers: 4, SuffixMemo: sm})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(baseFront) != len(memoFront) {
-			t.Fatalf("seed %d: memo front size %d, baseline %d", seed, len(memoFront), len(baseFront))
-		}
-		for i := range baseFront {
-			if baseFront[i].Metrics != memoFront[i].Metrics {
-				t.Fatalf("seed %d: memo front[%d] = %+v, baseline %+v", seed, i, memoFront[i].Metrics, baseFront[i].Metrics)
-			}
 		}
 	}
 }

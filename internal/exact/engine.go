@@ -79,7 +79,6 @@ type engine struct {
 	overBudget atomic.Bool
 	canceled   atomic.Bool
 	rec        *telemetry.Recorder // nil: no telemetry
-	memo       *SuffixMemo         // nil: TailLatencyLB only (see Options.SuffixMemo)
 
 	nextTask   atomic.Int64
 	totalTasks int64
@@ -95,22 +94,18 @@ type engine struct {
 type searchStats struct {
 	nodes      atomic.Int64 // candidate nodes scored (batch siblings + pushes)
 	prunes     atomic.Int64 // subtrees cut by the shared bound / constraint
-	memoHits   atomic.Int64 // tail bounds served by the suffix memo
-	memoMisses atomic.Int64 // comm-hom tail bounds that fell back to TailLatencyLB
 	batchCalls atomic.Int64 // EvaluateMany block calls
 	batchCands atomic.Int64 // siblings scored across those blocks
 }
 
 // localStats is the per-worker face of searchStats.
 type localStats struct {
-	nodes, prunes, memoHits, memoMisses, batchCalls, batchCands int64
+	nodes, prunes, batchCalls, batchCands int64
 }
 
 func (g *engine) flushStats(l *localStats) {
 	g.stats.nodes.Add(l.nodes)
 	g.stats.prunes.Add(l.prunes)
-	g.stats.memoHits.Add(l.memoHits)
-	g.stats.memoMisses.Add(l.memoMisses)
 	g.stats.batchCalls.Add(l.batchCalls)
 	g.stats.batchCands.Add(l.batchCands)
 }
@@ -131,11 +126,6 @@ func newEngine(ev *mapping.Evaluator, n, m int, opts Options) (*engine, error) {
 	}
 	if ev != nil {
 		g.commHom = ev.CommHom()
-	}
-	// The suffix memo sharpens the comm-hom tail bound only; it must
-	// describe the same instance (caller contract, like Options.Eval).
-	if sm := opts.SuffixMemo; sm != nil && ev != nil && g.commHom && sm.n == n && sm.m == m {
-		g.memo = sm
 	}
 	// The narrow (uint64-register) search covers m ≤ 64; with replication
 	// its task indices pack end·(2^m−1)+subset into an int64, so m ≤ 62.
@@ -186,8 +176,6 @@ func (g *engine) run(workers int, newWorker func(w int) (pruneFunc, visitFunc)) 
 			g.rec.Counter("exact_enumerated_total").Add(g.counter.Load())
 			g.rec.Counter("exact_nodes_total").Add(g.stats.nodes.Load())
 			g.rec.Counter("exact_incumbent_prunes_total").Add(g.stats.prunes.Load())
-			g.rec.Counter("exact_memo_hits_total").Add(g.stats.memoHits.Load())
-			g.rec.Counter("exact_memo_misses_total").Add(g.stats.memoMisses.Load())
 			g.rec.Counter("exact_batch_calls_total").Add(g.stats.batchCalls.Load())
 			g.rec.Counter("exact_batch_candidates_total").Add(g.stats.batchCands.Load())
 			g.rec.Observe("exact_search_duration", time.Since(started))
@@ -266,10 +254,6 @@ func (g *engine) worker(prune pruneFunc, visit visitFunc) {
 	if g.ev != nil && !g.replication {
 		s.sib = make([]mapping.Sibling, g.m)
 	}
-	if g.memo != nil {
-		s.memoIdx = make([]int64, g.n+1)
-		s.memoIdx[0] = g.memo.FullIdx()
-	}
 	defer g.flushStats(&s.localStats)
 	for !g.abort.Load() {
 		t := g.nextTask.Add(1) - 1
@@ -312,10 +296,6 @@ type search struct {
 	// single Evaluator.EvaluateMany call (m entries, allocated once per
 	// worker, so the per-node path stays allocation-free).
 	sib []mapping.Sibling
-	// memoIdx[d] is the canonical free-multiset key after d intervals
-	// (suffix-memo engines only), maintained incrementally: child key =
-	// parent key − Σ weight(replica).
-	memoIdx []int64
 	localStats
 	// lat[d] is the charged latency after d intervals: on comm-hom
 	// platforms the full Eq. (1) terms of intervals 0..d-1; on fully
@@ -346,7 +326,7 @@ func (s *search) push(d, first, end int, sub uint64) bool {
 		commIn, compute := ev.IntervalEq1Cost(first, end, sub)
 		newLat = s.lat[d] + commIn
 		newLat += compute
-		lb = newLat + s.pushTail(d, end+1, sub)
+		lb = newLat + ev.TailLatencyLB(end+1)
 	} else {
 		if d == 0 {
 			newLat = ev.InputSum(sub)
@@ -357,7 +337,7 @@ func (s *search) push(d, first, end int, sub uint64) bool {
 			}
 			newLat = s.lat[d] + ev.IntervalEq2Term(prevFirst, s.ends[d-1], s.masks[d-1], sub)
 		}
-		lb = newLat + ev.IntervalComputeLB(first, end, sub) + s.pushTail(d, end+1, sub)
+		lb = newLat + ev.IntervalComputeLB(first, end, sub) + ev.TailLatencyLB(end+1)
 	}
 	s.lat[d+1] = newLat
 	if s.prune != nil && s.prune(lb, 1-s.succ[d+1]) {
@@ -365,30 +345,6 @@ func (s *search) push(d, first, end int, sub uint64) bool {
 		return false
 	}
 	return true
-}
-
-// pushTail returns the tail bound on stages [start, n) for the subtree
-// rooted at the depth-d interval on replica set sub, maintaining the
-// suffix-memo key when a memo is attached and falling back to the
-// evaluator's static TailLatencyLB otherwise.
-func (s *search) pushTail(d, start int, sub uint64) float64 {
-	g := s.eng
-	if g.memo == nil {
-		if g.commHom {
-			s.memoMisses++
-		}
-		return g.ev.TailLatencyLB(start)
-	}
-	child := s.memoIdx[d]
-	for bm := sub; bm != 0; bm &= bm - 1 {
-		child -= g.memo.weight[bits.TrailingZeros64(bm)]
-	}
-	s.memoIdx[d+1] = child
-	if start >= g.n {
-		return g.ev.TailLatencyLB(start) // exact final-output term
-	}
-	s.memoHits++
-	return g.memo.Lookup(start, child)
 }
 
 // rec extends the partial mapping (stages [0, start) assigned on the
@@ -474,25 +430,10 @@ func (s *search) rec(start int, used uint64, depth int) bool {
 			}
 			continue
 		}
-		var tail float64
-		if g.memo == nil {
-			tail = ev.TailLatencyLB(end + 1)
-			if g.commHom {
-				s.memoMisses += int64(nb)
-			}
-		}
+		tail := ev.TailLatencyLB(end + 1)
 		for i := 0; i < nb; i++ {
 			sb := &s.sib[i]
-			var lb float64
-			if g.memo != nil {
-				child := s.memoIdx[depth] - g.memo.weight[sb.Proc]
-				s.memoIdx[depth+1] = child
-				s.memoHits++
-				lb = sb.LB + g.memo.Lookup(end+1, child)
-			} else {
-				lb = sb.LB + tail
-			}
-			if s.prune != nil && s.prune(lb, 1-sb.Succ) {
+			if s.prune != nil && s.prune(sb.LB+tail, 1-sb.Succ) {
 				s.prunes++
 				continue
 			}

@@ -1,8 +1,6 @@
 package exact
 
 import (
-	"math/bits"
-
 	"repro/internal/bitset"
 	"repro/internal/mapping"
 )
@@ -46,8 +44,6 @@ type searchWide struct {
 	// prevProc[d] is interval d's sole replica on non-replication levels,
 	// tracked so the batch prefix never has to scan mask rows for it.
 	prevProc []int
-	// memoIdx mirrors search.memoIdx (suffix-memo engines only).
-	memoIdx []int64
 	localStats
 	// lat and succ mirror search.lat / search.succ (see engine.go).
 	lat  []float64
@@ -91,10 +87,6 @@ func (g *engine) workerWide(prune pruneFunc, visit visitFunc) {
 	if g.ev != nil && !g.replication {
 		s.sib = make([]mapping.Sibling, g.m)
 		s.prevProc = make([]int, g.n)
-	}
-	if g.memo != nil {
-		s.memoIdx = make([]int64, g.n+1)
-		s.memoIdx[0] = g.memo.FullIdx()
 	}
 	defer g.flushStats(&s.localStats)
 	firstSub := bitset.Set(s.sub[:W]) // depth-0 subset scratch
@@ -178,7 +170,7 @@ func (s *searchWide) push(d, first, end int, sub bitset.Set) bool {
 		commIn, compute := ev.IntervalEq1CostW(first, end, sub)
 		newLat = s.lat[d] + commIn
 		newLat += compute
-		lb = newLat + s.pushTail(d, end+1, sub)
+		lb = newLat + ev.TailLatencyLB(end+1)
 	} else {
 		if d == 0 {
 			newLat = ev.InputSumW(sub)
@@ -189,7 +181,7 @@ func (s *searchWide) push(d, first, end int, sub bitset.Set) bool {
 			}
 			newLat = s.lat[d] + ev.IntervalEq2TermW(prevFirst, s.ends[d-1], s.maskRow(d-1), sub)
 		}
-		lb = newLat + ev.IntervalComputeLBW(first, end, sub) + s.pushTail(d, end+1, sub)
+		lb = newLat + ev.IntervalComputeLBW(first, end, sub) + ev.TailLatencyLB(end+1)
 	}
 	s.lat[d+1] = newLat
 	if s.prune != nil && s.prune(lb, 1-s.succ[d+1]) {
@@ -197,32 +189,6 @@ func (s *searchWide) push(d, first, end int, sub bitset.Set) bool {
 		return false
 	}
 	return true
-}
-
-// pushTail is the wide twin of search.pushTail: the tail bound on stages
-// [start, n) below the depth-d interval on replica set sub, served by the
-// suffix memo when one is attached.
-func (s *searchWide) pushTail(d, start int, sub bitset.Set) float64 {
-	g := s.eng
-	if g.memo == nil {
-		if g.commHom {
-			s.memoMisses++
-		}
-		return g.ev.TailLatencyLB(start)
-	}
-	child := s.memoIdx[d]
-	for w, word := range sub {
-		wbase := w * bitset.WordBits
-		for bm := word; bm != 0; bm &= bm - 1 {
-			child -= g.memo.weight[wbase+bits.TrailingZeros64(bm)]
-		}
-	}
-	s.memoIdx[d+1] = child
-	if start >= g.n {
-		return g.ev.TailLatencyLB(start) // exact final-output term
-	}
-	s.memoHits++
-	return g.memo.Lookup(start, child)
 }
 
 // rec extends the partial mapping (stages [0, start) assigned, depth
@@ -305,25 +271,10 @@ func (s *searchWide) rec(start, depth int) bool {
 			}
 			continue
 		}
-		var tail float64
-		if g.memo == nil {
-			tail = ev.TailLatencyLB(end + 1)
-			if g.commHom {
-				s.memoMisses += int64(nb)
-			}
-		}
+		tail := ev.TailLatencyLB(end + 1)
 		for i := 0; i < nb; i++ {
 			sb := &s.sib[i]
-			var lb float64
-			if g.memo != nil {
-				child := s.memoIdx[depth] - g.memo.weight[sb.Proc]
-				s.memoIdx[depth+1] = child
-				s.memoHits++
-				lb = sb.LB + g.memo.Lookup(end+1, child)
-			} else {
-				lb = sb.LB + tail
-			}
-			if s.prune != nil && s.prune(lb, 1-sb.Succ) {
+			if s.prune != nil && s.prune(sb.LB+tail, 1-sb.Succ) {
 				s.prunes++
 				continue
 			}

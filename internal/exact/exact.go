@@ -32,24 +32,14 @@
 // preserving the single-candidate association order bitwise (see
 // internal/mapping/evalmany.go for the contract).
 //
-// Suffix memoization: Options.SuffixMemo attaches a canonical cache of
-// exactly solved sub-instances keyed by (first free stage, free-processor
-// multiset folded by speed class). On communication-homogeneous platforms
-// the branch-and-bound tail bound then uses exact suffix optima instead
-// of a static relaxation. A memoized bound is always ≥ the static
-// TailLatencyLB and always a true lower bound — under replication too,
-// which can only increase Eq. (1) latency — so the strict-better pruning
-// discipline is preserved and results stay bitwise those of a memo-less
-// run.
-//
 // Invariants the tests enforce: complete-candidate metrics are bitwise
 // identical to the slice-based mapping.Evaluate on both search paths;
 // batch-scored siblings are bitwise identical to the single-candidate
 // push arithmetic; the enumeration inner loop performs zero heap
 // allocations per visited node; solver outputs (mapping and metrics) are
-// bitwise identical for every worker count, with or without a suffix
-// memo; and canceling Options.Ctx aborts within one sibling block,
-// returning the best incumbent found so far.
+// bitwise identical for every worker count; and canceling Options.Ctx
+// aborts within one sibling block, returning the best incumbent found so
+// far.
 package exact
 
 import (
@@ -115,16 +105,6 @@ type Options struct {
 	// enumeration inner loop is untouched either way — recording happens
 	// once per run, outside the hot path.
 	Recorder *telemetry.Recorder
-	// SuffixMemo, when non-nil, is a canonical suffix cache built by
-	// NewSuffixMemo for the same (pipeline, platform) pair, sharpening the
-	// communication-homogeneous tail bound; like Eval it exists so
-	// long-lived sessions can reuse solved sub-instances across calls.
-	// The caller is responsible for the pair actually matching the solver
-	// arguments; memos built for a different instance shape are ignored.
-	// Memoized bounds never relax pruning below the strict-better
-	// discipline, so results are bitwise those of a memo-less run (see the
-	// package comment).
-	SuffixMemo *SuffixMemo
 
 	// forceWide (tests only) runs the multi-word wide search even on
 	// platforms the narrow uint64 search covers, so the wide path can be

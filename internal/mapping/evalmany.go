@@ -60,8 +60,8 @@ type Sibling struct {
 	Lat  float64 // charged latency including this interval (lat[Depth+1])
 	Succ float64 // success product including this interval (succ[Depth+1])
 	// LB is the latency floor of every completion before the tail bound:
-	// callers add their tail term (TailLatencyLB or a suffix-memo bound)
-	// to obtain the branch-and-bound pruning bound. On
+	// callers add TailLatencyLB of the next stage to obtain the
+	// branch-and-bound pruning bound. On
 	// communication-homogeneous platforms LB == Lat (the interval's
 	// compute cost is already charged); on fully heterogeneous platforms
 	// LB = Lat + W/s_Proc (the pending interval's compute lower bound).

@@ -24,8 +24,6 @@ const (
 	RouteExact
 	// RouteHeuristic: greedy local improvement + simulated annealing.
 	RouteHeuristic
-	// RouteBeam: beam search over interval prefixes.
-	RouteBeam
 	// RouteSweep: the single-interval sweep fallback after cancellation.
 	RouteSweep
 	// RouteRepair: the failure-reactive warm-restart repair.
@@ -35,7 +33,7 @@ const (
 )
 
 var routeNames = [numRoutes]string{
-	"none", "poly", "exact", "heuristic", "beam", "sweep", "repair",
+	"none", "poly", "exact", "heuristic", "sweep", "repair",
 }
 
 func (r Route) String() string {
@@ -152,7 +150,8 @@ func (c Class) String() string {
 }
 
 // MaxAttempts bounds the route attempts one SolveObservation carries;
-// a solve tries at most {poly|dp, exact, heuristic, beam, sweep}.
+// a solve tries at most two ({exact, heuristic} or {exact, sweep}), and
+// the spare slots keep a later route from dropping attempts.
 const MaxAttempts = 6
 
 // Attempt is one timed route attempt within a solve.

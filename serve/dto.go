@@ -99,7 +99,7 @@ type SolveResult struct {
 	// Method names the algorithm that produced the mapping.
 	Method string `json:"method,omitempty"`
 	// Route names the solver route that produced the answer ("poly",
-	// "exact", "heuristic", "beam", "sweep"). Unlike Method (a
+	// "exact", "heuristic", "sweep"). Unlike Method (a
 	// human-readable algorithm description), Route is a stable enum key
 	// matching the per-class latency profiles in /v1/stats and /metrics.
 	Route string `json:"route,omitempty"`
@@ -167,9 +167,9 @@ type Stats struct {
 	Translations    int64 `json:"translations"`    // mappings relabeled through a non-identity permutation
 
 	// Engine holds the exact-search counters (prefix "exact_"): nodes
-	// scored, incumbent prunes, suffix-memo hits/misses, batch-evaluation
-	// calls and candidates, runs and enumerated mappings — the same series
-	// /metrics exports. Absent until the first exact solve.
+	// scored, incumbent prunes, batch-evaluation calls and candidates,
+	// runs and enumerated mappings — the same series /metrics exports.
+	// Absent until the first exact solve.
 	Engine map[string]int64 `json:"engine,omitempty"`
 
 	// RouteSkips counts, per route, the adaptive router's decisions to

@@ -118,13 +118,19 @@ func TestBatchSolveEndToEnd(t *testing.T) {
 		t.Errorf("result 2 = %+v, want an infeasibility error", out.Results[2])
 	}
 
-	// Identical instances across the batch share one warm session.
+	// Identical instances across the batch share one warm session. The
+	// items fan out concurrently, so two of them may both miss and
+	// coalesce onto one build: the hit/miss split depends on scheduling,
+	// the single session and the lookup count do not.
 	stats := decodeBody[Stats](t, mustGet(t, srv, "/v1/stats"))
 	if stats.Requests != 3 {
 		t.Errorf("requests = %d, want 3", stats.Requests)
 	}
-	if stats.CacheMisses != 1 || stats.CacheHits != 2 {
-		t.Errorf("cache hits/misses = %d/%d, want 2/1 (one warm session reused)", stats.CacheHits, stats.CacheMisses)
+	if stats.CacheSize != 1 {
+		t.Errorf("cache size = %d, want 1 (one warm session shared by all items)", stats.CacheSize)
+	}
+	if stats.CacheHits+stats.CacheMisses != 3 || stats.CacheMisses < 1 {
+		t.Errorf("cache hits/misses = %d/%d, want 3 lookups with at least one miss", stats.CacheHits, stats.CacheMisses)
 	}
 }
 
@@ -133,8 +139,8 @@ func TestBatchSolveEndToEnd(t *testing.T) {
 // heterogeneous instance skips the poly route and lands in the
 // branch-and-bound, which registers the whole counter family on its
 // first run. The replication solver behind this route scores candidates
-// one at a time, so the batch and memo series are asserted present
-// (registered at zero) rather than incremented — the batch path's >=1
+// one at a time, so the batch series are asserted present (registered
+// at zero) rather than incremented — the batch path's >=1
 // coverage lives in the engine and benchmark suites.
 func TestStatsEngineCounters(t *testing.T) {
 	srv := httptest.NewServer(New(Config{}))
@@ -156,7 +162,7 @@ func TestStatsEngineCounters(t *testing.T) {
 			t.Errorf("engine counters = %v, want %s >= 1", stats.Engine, name)
 		}
 	}
-	for _, name := range []string{"exact_batch_calls_total", "exact_batch_candidates_total", "exact_incumbent_prunes_total", "exact_memo_hits_total", "exact_memo_misses_total"} {
+	for _, name := range []string{"exact_batch_calls_total", "exact_batch_candidates_total", "exact_incumbent_prunes_total"} {
 		if _, ok := stats.Engine[name]; !ok {
 			t.Errorf("engine counters = %v, want the %s series present", stats.Engine, name)
 		}

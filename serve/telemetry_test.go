@@ -114,7 +114,7 @@ func TestSolveResponseRouteField(t *testing.T) {
 		t.Fatal(res.Error)
 	}
 	switch res.Route {
-	case "poly", "exact", "heuristic", "beam", "sweep":
+	case "poly", "exact", "heuristic", "sweep":
 	default:
 		t.Fatalf("route = %q, want a solver route name", res.Route)
 	}

@@ -44,14 +44,6 @@ type Session struct {
 	canonOnce sync.Once
 	canonVal  *CanonicalInstance
 	canonErr  error
-
-	// Suffix memo for the exact searches, built lazily on the first solve
-	// that can use one (communication-homogeneous platforms within the
-	// size cap — nil otherwise). Its table fills on demand and persists
-	// for the session's lifetime, so warm traffic against the same
-	// instance reuses solved sub-instances across calls.
-	memoOnce sync.Once
-	memoVal  *exact.SuffixMemo
 }
 
 // sessionConfig carries the options applied at NewSession time.
@@ -197,15 +189,6 @@ func (s *Session) callCtx(ctx context.Context) (context.Context, context.CancelF
 	return ctx, func() {}
 }
 
-// suffixMemo returns the session's lazily built suffix memo (nil when the
-// instance does not admit one).
-func (s *Session) suffixMemo() *exact.SuffixMemo {
-	s.memoOnce.Do(func() {
-		s.memoVal = exact.NewSuffixMemo(s.pipe, s.plat, 0)
-	})
-	return s.memoVal
-}
-
 // coreOptions materializes the session configuration as solver options.
 func (s *Session) coreOptions() SolveOptions {
 	return SolveOptions{
@@ -214,7 +197,6 @@ func (s *Session) coreOptions() SolveOptions {
 		Anneal:          s.cfg.anneal,
 		ForceHeuristic:  s.cfg.forceHeuristic,
 		Eval:            s.ev,
-		SuffixMemo:      s.suffixMemo(),
 		Recorder:        s.cfg.recorder,
 		MinRouteSamples: s.cfg.minRouteSamples,
 	}
@@ -223,7 +205,7 @@ func (s *Session) coreOptions() SolveOptions {
 // exactOptions materializes the session configuration for the exact /
 // throughput enumerations under ctx.
 func (s *Session) exactOptions(ctx context.Context) exact.Options {
-	return exact.Options{Workers: s.cfg.workers, Ctx: ctx, Eval: s.ev, SuffixMemo: s.suffixMemo(), Recorder: s.cfg.recorder}
+	return exact.Options{Workers: s.cfg.workers, Ctx: ctx, Eval: s.ev, Recorder: s.cfg.recorder}
 }
 
 // SolveRequest states one bi-criteria query against the session's
