@@ -63,7 +63,8 @@ type (
 	// RouteSnapshot is one (instance class, route) latency profile cell
 	// exported by Recorder.SolveStats.
 	RouteSnapshot = telemetry.RouteSnapshot
-	// AnnealConfig tunes the simulated-annealing heuristic.
+	// AnnealConfig tunes the simulated-annealing archive of heuristic
+	// Pareto fronts.
 	AnnealConfig = heuristics.AnnealConfig
 	// Front is a Pareto front over (latency, failure probability).
 	Front = frontier.Front

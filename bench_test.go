@@ -738,9 +738,9 @@ func BenchmarkSingleIntervalSweepM128(b *testing.B) {
 }
 
 // BenchmarkWideBeamSearch: the scalable wide-platform heuristic —
-// session beam search over multi-word used-sets at m = 128 (the greedy +
-// annealing Solve route runs at this width too since the delta refactor;
-// see BenchmarkGreedyM80).
+// session beam search over multi-word used-sets at m = 128 (the greedy
+// Solve route runs at this width too since the delta refactor; see
+// BenchmarkGreedyM80).
 func BenchmarkWideBeamSearch(b *testing.B) {
 	p, pl := wideBenchInstance(b, 8, 128)
 	s, err := NewSession(p, pl)

@@ -28,8 +28,8 @@ import (
 // failure probabilities (products of powers of two round nowhere), or
 // minLatency optima (singleton allocs, so no label-ordered reductions at
 // all) — and restricted to provably/exhaustively graded routes, because
-// the heuristic route's annealing trajectory is label-dependent by
-// construction.
+// the heuristic route's greedy trajectory (candidates enumerated and ties
+// broken in processor-id order) is label-dependent by construction.
 
 // pow2FailProbs draws failure probabilities of the form 2^-k, k ∈ 1..4.
 func pow2FailProbs(rng *rand.Rand, m int) []float64 {

@@ -21,8 +21,9 @@
 //     (minimum latency on CommHom), Theorem 4 (minimum-latency general
 //     mapping by layered-graph shortest path), and the four bi-criteria
 //     Algorithms 1–4 of Theorems 5 and 6;
-//   - exact exponential solvers and greedy/annealing heuristics for the
-//     classes the paper proves NP-hard (Theorem 7) or leaves open;
+//   - exact exponential solvers and a greedy heuristic for the classes
+//     the paper proves NP-hard (Theorem 7) or leaves open, plus an
+//     annealing archive for their heuristic Pareto fronts;
 //   - executable NP-hardness gadgets (TSP for Theorem 3, 2-PARTITION for
 //     Theorem 7) with exact oracles that verify the reductions;
 //   - a discrete-event simulator of the platform (one-port communications,
@@ -60,8 +61,9 @@
 // one search node of cancellation. A canceled Solve does not fail — it
 // returns the best feasible mapping found so far graded repro.Partial (a
 // Certainty distinct from ProvablyOptimal / ExhaustivelyOptimal /
-// Heuristic), falling back to a microsecond single-interval sweep when
-// cancellation struck before the search saw any candidate. Completed
+// Heuristic), falling back to greedy's seed (the better of the
+// single-interval sweep and full replication) when cancellation struck
+// before the search saw any candidate. Completed
 // calls are deterministic for a fixed configuration, including the worker
 // count. Sentinel errors flow through the session layer wrapped with %w:
 // test them with errors.Is(err, repro.ErrInfeasible) (proven) and

@@ -8,21 +8,11 @@ import (
 	"repro/internal/telemetry"
 )
 
-// DefaultMinRouteSamples is the per-(class, route) sample count the
-// adaptive router requires before it trusts a latency profile over the
-// structural gates. Below it a route's p95 is noise, and acting on noise
-// would flap between routes during warm-up.
-const DefaultMinRouteSamples = 20
-
-func (o Options) minRouteSamples() int64 {
-	if o.MinRouteSamples < 0 {
-		return 0 // adaptive gating disabled
-	}
-	if o.MinRouteSamples == 0 {
-		return DefaultMinRouteSamples
-	}
-	return int64(o.MinRouteSamples)
-}
+// minRouteSamples is the per-(class, route) sample count the adaptive
+// router requires before it trusts a latency profile over the structural
+// gates. Below it a route's p95 is noise, and acting on noise would flap
+// between routes during warm-up.
+const minRouteSamples = 20
 
 // solveTrace accumulates one solve's telemetry — the instance class, the
 // timed route attempts, and the final outcome — and answers the adaptive
@@ -31,12 +21,11 @@ func (o Options) minRouteSamples() int64 {
 // every method a no-op, so the instrumented paths cost one pointer test
 // when telemetry is off.
 type solveTrace struct {
-	rec        *telemetry.Recorder
-	class      telemetry.Class
-	obs        telemetry.SolveObservation
-	start      time.Time
-	deadline   time.Time // zero when the context carries no deadline
-	minSamples int64
+	rec      *telemetry.Recorder
+	class    telemetry.Class
+	obs      telemetry.SolveObservation
+	start    time.Time
+	deadline time.Time // zero when the context carries no deadline
 }
 
 // startTrace opens a trace for one solve; returns nil when telemetry is
@@ -51,10 +40,9 @@ func startTrace(ctx context.Context, pr Problem, opts Options) *solveTrace {
 	}
 	_, commHom := pr.Platform.CommHomogeneous()
 	tr := &solveTrace{
-		rec:        opts.Recorder,
-		class:      telemetry.ClassOf(pr.Pipeline.NumStages(), pr.Platform.NumProcs(), commHom, obj),
-		start:      time.Now(),
-		minSamples: opts.minRouteSamples(),
+		rec:   opts.Recorder,
+		class: telemetry.ClassOf(pr.Pipeline.NumStages(), pr.Platform.NumProcs(), commHom, obj),
+		start: time.Now(),
 	}
 	if d, ok := ctx.Deadline(); ok {
 		tr.deadline = d
@@ -82,15 +70,15 @@ func (t *solveTrace) end(route telemetry.Route, began time.Time, out telemetry.O
 // fits reports whether the route's warm p95 latency for this instance
 // class fits the remaining deadline budget. It answers true — deferring
 // entirely to the structural gates, i.e. pre-telemetry behavior — when
-// the trace is nil, the context has no deadline, adaptive routing is
-// disabled, or the profile is cold (fewer than MinRouteSamples). A false
-// answer is counted on the recorder's per-route skip counter.
+// the trace is nil, the context has no deadline, or the profile is cold
+// (fewer than minRouteSamples). A false answer is counted on the
+// recorder's per-route skip counter.
 func (t *solveTrace) fits(route telemetry.Route) bool {
-	if t == nil || t.deadline.IsZero() || t.minSamples <= 0 {
+	if t == nil || t.deadline.IsZero() {
 		return true
 	}
 	p95, n := t.rec.RouteQuantile(t.class, route, 0.95)
-	if n < t.minSamples {
+	if n < minRouteSamples {
 		return true
 	}
 	if p95 <= time.Until(t.deadline) {

@@ -60,7 +60,7 @@ func (pr Problem) class() telemetry.Class {
 func TestAdaptiveRouterSkipsBlownRoute(t *testing.T) {
 	pr := hardHetInstance(t)
 	rec := telemetry.NewRecorder()
-	seedRoute(rec, pr.class(), telemetry.RouteExact, DefaultMinRouteSamples+5, 10*time.Second)
+	seedRoute(rec, pr.class(), telemetry.RouteExact, minRouteSamples+5, 10*time.Second)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancel()
@@ -88,7 +88,7 @@ func TestAdaptiveRouterSkipsBlownRoute(t *testing.T) {
 func TestAdaptiveRouterGenerousDeadline(t *testing.T) {
 	pr := hardHetInstance(t)
 	rec := telemetry.NewRecorder()
-	seedRoute(rec, pr.class(), telemetry.RouteExact, DefaultMinRouteSamples+5, 10*time.Second)
+	seedRoute(rec, pr.class(), telemetry.RouteExact, minRouteSamples+5, 10*time.Second)
 
 	ctx, cancel := context.WithTimeout(context.Background(), time.Hour)
 	defer cancel()
@@ -104,13 +104,13 @@ func TestAdaptiveRouterGenerousDeadline(t *testing.T) {
 	}
 }
 
-// TestAdaptiveRouterColdProfileFallsBackToStructure: below MinRouteSamples
+// TestAdaptiveRouterColdProfileFallsBackToStructure: below minRouteSamples
 // the profile must be ignored — structural gates route to exact even
 // under a deadline the (sparse) samples would reject.
 func TestAdaptiveRouterColdProfileFallsBackToStructure(t *testing.T) {
 	pr := hardHetInstance(t)
 	rec := telemetry.NewRecorder()
-	seedRoute(rec, pr.class(), telemetry.RouteExact, DefaultMinRouteSamples-1, 10*time.Second)
+	seedRoute(rec, pr.class(), telemetry.RouteExact, minRouteSamples-1, 10*time.Second)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancel()
@@ -120,24 +120,6 @@ func TestAdaptiveRouterColdProfileFallsBackToStructure(t *testing.T) {
 	}
 	if res.Route != "exact" || res.Certainty != ExhaustivelyOptimal {
 		t.Fatalf("route = %q certainty = %v, want exact (cold profile → structural gates)", res.Route, res.Certainty)
-	}
-}
-
-// TestAdaptiveRouterDisabled: MinRouteSamples < 0 turns adaptive routing
-// off even with a warm profile.
-func TestAdaptiveRouterDisabled(t *testing.T) {
-	pr := hardHetInstance(t)
-	rec := telemetry.NewRecorder()
-	seedRoute(rec, pr.class(), telemetry.RouteExact, 100, 10*time.Second)
-
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-	defer cancel()
-	res, err := SolveCtx(ctx, pr, Options{Recorder: rec, MinRouteSamples: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Route != "exact" {
-		t.Fatalf("route = %q, want exact (adaptive routing disabled)", res.Route)
 	}
 }
 

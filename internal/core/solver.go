@@ -7,9 +7,9 @@
 //	Fully Homogeneous           Algorithm 1 / Algorithm 2   provably optimal
 //	CommHom + FailureHom        Algorithm 3 / Algorithm 4   provably optimal
 //	CommHom + FailureHet        exact search (small) or     exhaustive /
-//	(open problem, §4.4)        greedy + annealing          heuristic
+//	(open problem, §4.4)        greedy                      heuristic
 //	Fully Heterogeneous         exact search (small) or     exhaustive /
-//	(NP-hard, Theorem 7)        greedy + annealing          heuristic
+//	(NP-hard, Theorem 7)        greedy                      heuristic
 //
 // Mono-criterion queries (no constraint) route to Theorem 1 (minimum
 // failure probability, any platform) and Theorem 2 (minimum latency,
@@ -112,7 +112,7 @@ type Result struct {
 	Certainty Certainty
 	Method    string
 	// Route names the solver family that produced the answer — "poly",
-	// "exact", "heuristic" or "sweep" — the routing decision in
+	// "exact" or "heuristic" — the routing decision in
 	// machine-readable form (Method carries the human-readable detail).
 	Route string
 }
@@ -140,7 +140,8 @@ type Options struct {
 	// (0 = GOMAXPROCS, 1 = sequential). Forwarded to exact.Options.Workers;
 	// results are identical for every worker count.
 	Workers int
-	// Anneal configures the annealing fallback.
+	// Anneal configures the annealing archive of the heuristic Pareto
+	// front (Pareto only; Solve never anneals).
 	Anneal heuristics.AnnealConfig
 	// ForceHeuristic skips exact enumeration even on small instances.
 	ForceHeuristic bool
@@ -157,11 +158,6 @@ type Options struct {
 	// certain to be truncated to a Partial answer. Nil keeps the purely
 	// structural routing and adds no overhead.
 	Recorder *telemetry.Recorder
-	// MinRouteSamples is the per-(class, route) sample count required
-	// before the adaptive router trusts a latency profile (0 = the default
-	// DefaultMinRouteSamples, negative = disable adaptive routing). Cold
-	// profiles always fall back to the structural gates.
-	MinRouteSamples int
 }
 
 func (o Options) exactBudget() float64 {
@@ -180,10 +176,9 @@ func SolveWithOptions(pr Problem, opts Options) (Result, error) {
 }
 
 // SolveCtx is SolveWithOptions under a context: the exact enumeration
-// and the annealing/greedy fallbacks poll ctx and stop early when it is
-// done. A canceled solve returns the best feasible
-// mapping found so far graded Partial (falling back to a fast
-// single-interval sweep when cancellation struck before the search saw
+// and the greedy fallback poll ctx and stop early when it is done. A
+// canceled solve returns the best feasible mapping found so far graded
+// Partial (greedy's seed when cancellation struck before the search saw
 // any candidate); the error is non-nil only when no feasible mapping
 // could be produced at all. Uncanceled solves are deterministic and
 // behave exactly like SolveWithOptions.
@@ -335,10 +330,10 @@ const commHomExactProcs = 16
 // solveHard handles the open and NP-hard classes: exact branch and bound
 // when the instance is small enough (communication-homogeneous platforms
 // with m ≤ commHomExactProcs, or an estimated mapping count within the
-// exact budget), and greedy + annealing otherwise. Cancellation during
-// the exact search yields the incumbent graded Partial; when the context
-// fired before any candidate was seen, a fast single-interval sweep
-// provides the best-effort answer.
+// exact budget), and greedy otherwise. Cancellation during the exact
+// search yields the incumbent graded Partial; when the context fired
+// before any candidate was seen, greedy serves its seed (the better of
+// the single-interval sweep and full replication) graded Partial.
 //
 // With a warm telemetry profile, each structural gate is additionally
 // conditioned on tr.fits: a route whose per-class p95 latency exceeds the
@@ -346,12 +341,9 @@ const commHomExactProcs = 16
 // complete (if weaker-certainty) answer instead of a truncated Partial.
 func solveHard(ctx context.Context, pr Problem, opts Options, tr *solveTrace) (Result, error) {
 	n, m := pr.Pipeline.NumStages(), pr.Platform.NumProcs()
-	// An already-done context must not start a new search phase. Serve
-	// the sweep-based best-effort answer immediately.
-	if ctx.Err() != nil {
-		return solvePartialFallback(pr, opts, tr, fmt.Errorf("%w: %w", exact.ErrCanceled, context.Cause(ctx)))
-	}
-	if !opts.ForceHeuristic {
+	// An already-done context must not start the exact search; greedy
+	// then returns its seed without searching.
+	if !opts.ForceHeuristic && ctx.Err() == nil {
 		_, commHom := pr.Platform.CommHomogeneous()
 		if (commHom && m <= commHomExactProcs || EstimateMappingCount(n, m) <= opts.exactBudget()) && tr.fits(telemetry.RouteExact) {
 			began := tr.begin()
@@ -360,32 +352,16 @@ func solveHard(ctx context.Context, pr Problem, opts Options, tr *solveTrace) (R
 				tr.end(telemetry.RouteExact, began, attemptOutcome(err, res.Certainty == Partial))
 				return res, err
 			}
+			// Canceled before any incumbent, or failed for another
+			// reason: fall through to greedy.
+			out := telemetry.OutcomeError
 			if errors.Is(err, exact.ErrCanceled) {
-				tr.end(telemetry.RouteExact, began, telemetry.OutcomePartial)
-				return solvePartialFallback(pr, opts, tr, err)
+				out = telemetry.OutcomePartial
 			}
-			// Enumeration failed for another reason: fall through.
-			tr.end(telemetry.RouteExact, began, telemetry.OutcomeError)
+			tr.end(telemetry.RouteExact, began, out)
 		}
 	}
 	return solveHeuristic(ctx, pr, opts, tr)
-}
-
-// solvePartialFallback produces a best-effort answer after a cancellation
-// that left the exact search without any incumbent: the single-interval
-// sweep costs microseconds, honors the constraint, and on the easy
-// platform classes even contains the true optimum. cancelErr wraps the
-// context's cause; it is propagated (together with ErrNotFound) when even
-// the sweep sees no feasible mapping.
-func solvePartialFallback(pr Problem, opts Options, tr *solveTrace, cancelErr error) (Result, error) {
-	hp := heuristicProblem(pr, opts)
-	began := tr.begin()
-	if sweep, err := heuristics.SingleIntervalSweep(hp); err == nil {
-		tr.end(telemetry.RouteSweep, began, telemetry.OutcomePartial)
-		return Result{sweep.Mapping, sweep.Metrics, Partial, "single-interval sweep (canceled before search)", "sweep"}, nil
-	}
-	tr.end(telemetry.RouteSweep, began, telemetry.OutcomeNotFound)
-	return Result{}, fmt.Errorf("%w: %w", ErrNotFound, cancelErr)
 }
 
 func solveExact(ctx context.Context, pr Problem, opts Options) (Result, error) {
@@ -438,52 +414,27 @@ func heuristicProblem(pr Problem, opts Options) *heuristics.Problem {
 	return hp
 }
 
+// solveHeuristic runs greedy local improvement. Under a done context
+// greedy returns its seed without searching, so the same call serves the
+// canceled-solve fallback; its answer is then graded Partial.
 func solveHeuristic(ctx context.Context, pr Problem, opts Options, tr *solveTrace) (Result, error) {
-	hp := heuristicProblem(pr, opts)
-	best := Result{}
-	found := false
 	began := tr.begin()
-	// The ctx-aware searches return their best-so-far result alongside a
-	// non-nil error when canceled; any mapping they produced is usable.
-	if g, err := heuristics.Greedy(ctx, hp); g.Mapping != nil {
-		cert := Heuristic
-		if err != nil {
-			cert = Partial
-		}
-		best = Result{g.Mapping, g.Metrics, cert, "greedy local improvement", "heuristic"}
-		found = true
-	}
-	if a, err := heuristics.Anneal(ctx, hp, opts.Anneal); a.Mapping != nil {
-		if !found || better(pr, a.Metrics, best.Metrics) {
-			cert := Heuristic
-			if err != nil {
-				cert = Partial
-			}
-			best = Result{a.Mapping, a.Metrics, cert, "simulated annealing", "heuristic"}
-			found = true
-		}
-	}
-	if !found {
+	// Greedy returns its best-so-far mapping alongside a non-nil error
+	// when canceled; that mapping is usable.
+	g, err := heuristics.Greedy(ctx, heuristicProblem(pr, opts))
+	if g.Mapping == nil {
 		tr.end(telemetry.RouteHeuristic, began, telemetry.OutcomeNotFound)
 		if cause := context.Cause(ctx); cause != nil {
 			return Result{}, fmt.Errorf("%w: %w", ErrNotFound, cause)
 		}
-		return Result{}, fmt.Errorf("greedy + annealing: %w", ErrNotFound)
+		return Result{}, fmt.Errorf("greedy: %w", ErrNotFound)
 	}
-	// Even when one component finished cleanly, a done context means the
-	// search pipeline as a whole was truncated: the answer is best-effort.
-	if ctx.Err() != nil {
-		best.Certainty = Partial
+	cert := Heuristic
+	if err != nil || ctx.Err() != nil {
+		cert = Partial
 	}
-	tr.end(telemetry.RouteHeuristic, began, attemptOutcome(nil, best.Certainty == Partial))
-	return best, nil
-}
-
-func better(pr Problem, a, b mapping.Metrics) bool {
-	if pr.Objective == MinimizeFailureProb {
-		return a.FailureProb < b.FailureProb
-	}
-	return a.Latency < b.Latency
+	tr.end(telemetry.RouteHeuristic, began, attemptOutcome(nil, cert == Partial))
+	return Result{g.Mapping, g.Metrics, cert, "greedy local improvement", "heuristic"}, nil
 }
 
 // MinLatencyGeneral exposes Theorem 4: the latency-optimal general

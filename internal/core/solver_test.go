@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"math"
 	"math/rand"
@@ -13,6 +14,7 @@ import (
 	"repro/internal/pipeline"
 	"repro/internal/platform"
 	"repro/internal/poly"
+	"repro/internal/telemetry"
 	"repro/internal/workload"
 )
 
@@ -175,7 +177,7 @@ func TestSolveHeuristicNotFound(t *testing.T) {
 		Platform:   pl,
 		Objective:  MinimizeFailureProb,
 		MaxLatency: 0.5, // below any achievable latency
-	}, Options{ForceHeuristic: true, Anneal: heuristics.AnnealConfig{Iters: 200, Restarts: 1, Seed: 1}})
+	}, Options{ForceHeuristic: true})
 	if !errors.Is(err, ErrNotFound) {
 		t.Errorf("err = %v, want ErrNotFound", err)
 	}
@@ -447,5 +449,65 @@ func TestSolveMoreStagesThanProcessors(t *testing.T) {
 	// At most m intervals can exist.
 	if res2.Mapping.NumIntervals() > 3 {
 		t.Errorf("%d intervals with m=3", res2.Mapping.NumIntervals())
+	}
+}
+
+// TestHeuristicRouteIsGreedy: past the exact gate the solve route is
+// greedy alone. Wide Fully-Het minFP answers are bitwise those of
+// heuristics.Greedy on the same problem, and the recorder sees one greedy
+// run and no annealing. A pre-canceled solve is served by greedy's seed:
+// route heuristic, graded Partial, a valid mapping no worse than the
+// single-interval sweep's.
+func TestHeuristicRouteIsGreedy(t *testing.T) {
+	for _, seed := range []int64{3, 17, 41} {
+		rng := rand.New(rand.NewSource(seed))
+		n, m := 8+rng.Intn(25), 48+rng.Intn(81)
+		inst := workload.Random(rng, platform.FullyHeterogeneous, n, m)
+		fastest := mapping.NewSingleInterval(n, []int{inst.Platform.FastestProc()})
+		base, err := mapping.Evaluate(inst.Pipeline, inst.Platform, fastest)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pr := Problem{Pipeline: inst.Pipeline, Platform: inst.Platform, Objective: MinimizeFailureProb, MaxLatency: 1.5 * base.Latency}
+		hp := &heuristics.Problem{Pipe: inst.Pipeline, Plat: inst.Platform, Goal: heuristics.MinFP, Bound: pr.MaxLatency}
+
+		rec := telemetry.NewRecorder()
+		res, err := SolveCtx(context.Background(), pr, Options{Recorder: rec})
+		if err != nil {
+			t.Fatalf("seed %d (n=%d, m=%d): %v", seed, n, m, err)
+		}
+		want, err := heuristics.Greedy(context.Background(), hp)
+		if err != nil {
+			t.Fatalf("seed %d: greedy: %v", seed, err)
+		}
+		if res.Route != "heuristic" || res.Certainty != Heuristic {
+			t.Errorf("seed %d: route %q certainty %v, want heuristic/Heuristic", seed, res.Route, res.Certainty)
+		}
+		if res.Metrics != want.Metrics || res.Mapping.String() != want.Mapping.String() {
+			t.Errorf("seed %d: solve gave %v %+v, greedy gives %v %+v", seed, res.Mapping, res.Metrics, want.Mapping, want.Metrics)
+		}
+		runs := rec.CounterValues("heuristic_")
+		if runs["heuristic_anneal_runs_total"] != 0 || runs["heuristic_greedy_runs_total"] != 1 {
+			t.Errorf("seed %d: heuristic runs %v, want greedy 1 and anneal 0", seed, runs)
+		}
+
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		res, err = SolveCtx(ctx, pr, Options{})
+		if err != nil {
+			t.Fatalf("seed %d: canceled solve: %v", seed, err)
+		}
+		if res.Route != "heuristic" || res.Certainty != Partial {
+			t.Errorf("seed %d: canceled solve route %q certainty %v, want heuristic/Partial", seed, res.Route, res.Certainty)
+		}
+		if err := res.Mapping.Validate(n, m); err != nil {
+			t.Errorf("seed %d: canceled solve mapping invalid: %v", seed, err)
+		}
+		if met, err := mapping.Evaluate(inst.Pipeline, inst.Platform, res.Mapping); err != nil || met.Latency > pr.MaxLatency*(1+1e-9) {
+			t.Errorf("seed %d: canceled solve mapping evaluates to %+v (%v), bound %g", seed, met, err, pr.MaxLatency)
+		}
+		if sweep, err := heuristics.SingleIntervalSweep(hp); err == nil && res.Metrics.FailureProb > sweep.Metrics.FailureProb {
+			t.Errorf("seed %d: canceled solve FP %g, worse than the sweep's %g", seed, res.Metrics.FailureProb, sweep.Metrics.FailureProb)
+		}
 	}
 }

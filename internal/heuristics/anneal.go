@@ -47,7 +47,8 @@ func (c AnnealConfig) withDefaults() AnnealConfig {
 // Anneal runs repair-based simulated annealing over the space of interval
 // mappings. Infeasible states are admitted during the walk (with a large
 // penalty) so the search can cross infeasible ridges; only feasible states
-// are recorded. HillClimb is the InitTemp→0 special case.
+// are recorded. The solve route does not anneal; ParetoSearch runs it to
+// fill its trade-off archive.
 //
 // The walk runs on the shared incremental search state: each drawn move is
 // applied in place and scored through the cached per-interval terms; a
@@ -156,15 +157,6 @@ restarts:
 		return Result{}, ErrNotFound
 	}
 	return best, nil
-}
-
-// HillClimb is Anneal at zero temperature: only strictly improving moves
-// are accepted. It keeps the restarts/iterations of cfg.
-func HillClimb(ctx context.Context, pr *Problem, cfg AnnealConfig) (Result, error) {
-	cfg = cfg.withDefaults()
-	cfg.InitTemp = 1e-300 // effectively zero: exp(-Δ/T) vanishes for any Δ>0
-	cfg.Cooling = 0.999999
-	return Anneal(ctx, pr, cfg)
 }
 
 func accept(rng *rand.Rand, cur, next, temp float64) bool {

@@ -12,8 +12,8 @@
 //     mapping and repeatedly apply the best replica addition/removal,
 //     split, or merge;
 //   - Anneal: simulated annealing over the full interval-mapping search
-//     space with repair-based neighborhood moves, with hill-climbing as
-//     the zero-temperature special case.
+//     space with repair-based neighborhood moves. The solve route runs
+//     Greedy alone; Anneal fills ParetoSearch's trade-off archive.
 //
 // All solvers return the best feasible mapping found; ErrNotFound means
 // the search saw no feasible mapping, which (heuristics being incomplete)

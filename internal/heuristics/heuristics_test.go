@@ -226,21 +226,6 @@ func TestGreedyMatchesExactOften(t *testing.T) {
 	}
 }
 
-func TestHillClimbFeasibleAndValid(t *testing.T) {
-	p, pl := fig5()
-	pr := &Problem{Pipe: p, Plat: pl, Goal: MinFP, Bound: 30}
-	res, err := HillClimb(context.Background(), pr, AnnealConfig{Seed: 7, Iters: 1500, Restarts: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := res.Mapping.Validate(2, 11); err != nil {
-		t.Fatalf("invalid mapping: %v", err)
-	}
-	if !leqTol(res.Metrics.Latency, 30) {
-		t.Errorf("latency %g exceeds 30", res.Metrics.Latency)
-	}
-}
-
 func TestAnnealMinLatencyGoal(t *testing.T) {
 	p, pl := fig34()
 	pr := &Problem{Pipe: p, Plat: pl, Goal: MinLatency, Bound: 1}

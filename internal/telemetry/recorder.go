@@ -22,10 +22,8 @@ const (
 	RoutePoly
 	// RouteExact: the pruned branch-and-bound enumeration.
 	RouteExact
-	// RouteHeuristic: greedy local improvement + simulated annealing.
+	// RouteHeuristic: greedy local improvement.
 	RouteHeuristic
-	// RouteSweep: the single-interval sweep fallback after cancellation.
-	RouteSweep
 	// RouteRepair: the failure-reactive warm-restart repair.
 	RouteRepair
 
@@ -33,7 +31,7 @@ const (
 )
 
 var routeNames = [numRoutes]string{
-	"none", "poly", "exact", "heuristic", "sweep", "repair",
+	"none", "poly", "exact", "heuristic", "repair",
 }
 
 func (r Route) String() string {
@@ -150,8 +148,8 @@ func (c Class) String() string {
 }
 
 // MaxAttempts bounds the route attempts one SolveObservation carries;
-// a solve tries at most two ({exact, heuristic} or {exact, sweep}), and
-// the spare slots keep a later route from dropping attempts.
+// a solve tries at most two ({exact, heuristic}), and the spare slots
+// keep a later route from dropping attempts.
 const MaxAttempts = 6
 
 // Attempt is one timed route attempt within a solve.

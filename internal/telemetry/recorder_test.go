@@ -86,7 +86,7 @@ func TestRecorderRouteProfile(t *testing.T) {
 		t.Fatalf("p95 = %v, want ≈50ms", p95)
 	}
 	// Unseen cells and nil recorders answer (0, 0).
-	if _, n := rec.RouteQuantile(class, RouteSweep, 0.95); n != 0 {
+	if _, n := rec.RouteQuantile(class, RouteRepair, 0.95); n != 0 {
 		t.Fatal("unseen cell should have 0 samples")
 	}
 	var nilRec *Recorder
@@ -144,8 +144,8 @@ func TestRecorderSkipCounter(t *testing.T) {
 	if got := rec.RouteSkips(RouteExact); got != 2 {
 		t.Fatalf("skips = %d, want 2", got)
 	}
-	if got := rec.RouteSkips(RouteSweep); got != 0 {
-		t.Fatalf("sweep skips = %d, want 0", got)
+	if got := rec.RouteSkips(RouteRepair); got != 0 {
+		t.Fatalf("repair skips = %d, want 0", got)
 	}
 }
 

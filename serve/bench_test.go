@@ -14,7 +14,7 @@ import (
 // benchWideInstance builds the wide constrained instance the solution
 // cache is designed to amortize: 60 stages on 80 fully heterogeneous
 // processors, minFailureProb under a binding latency bound, which routes
-// to the greedy/annealing heuristic (milliseconds per cold solve).
+// to the greedy heuristic (milliseconds per cold solve).
 func benchWideInstance(b *testing.B) (*pipeline.Pipeline, *platform.Platform) {
 	b.Helper()
 	n, m := 60, 80

@@ -99,7 +99,7 @@ type SolveResult struct {
 	// Method names the algorithm that produced the mapping.
 	Method string `json:"method,omitempty"`
 	// Route names the solver route that produced the answer ("poly",
-	// "exact", "heuristic", "sweep"). Unlike Method (a
+	// "exact", "heuristic"). Unlike Method (a
 	// human-readable algorithm description), Route is a stable enum key
 	// matching the per-class latency profiles in /v1/stats and /metrics.
 	Route string `json:"route,omitempty"`

@@ -201,7 +201,7 @@ func TestSessionCacheReuseAcrossRequests(t *testing.T) {
 
 // hardInstanceDoc renders a fully heterogeneous 100×150 instance as a
 // solve request with the given deadline. The instance is big enough that
-// neither the exact enumeration nor the greedy/annealing fallback can
+// neither the exact enumeration nor the greedy fallback can
 // finish within a 1ms deadline (even allowing for coarse timer
 // granularity), so the solver must return a best-effort mapping marked
 // partial instead of blocking. The latency bound is binding (full

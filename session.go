@@ -48,15 +48,13 @@ type Session struct {
 
 // sessionConfig carries the options applied at NewSession time.
 type sessionConfig struct {
-	workers         int
-	exactBudget     float64
-	deadline        time.Duration
-	seed            int64
-	anneal          AnnealConfig
-	annealSet       bool
-	forceHeuristic  bool
-	recorder        *Recorder
-	minRouteSamples int
+	workers        int
+	exactBudget    float64
+	deadline       time.Duration
+	seed           int64
+	anneal         AnnealConfig
+	forceHeuristic bool
+	recorder       *Recorder
 }
 
 // SessionOption is a functional option for NewSession.
@@ -88,17 +86,18 @@ func WithDeadline(d time.Duration) SessionOption {
 }
 
 // WithSeed sets the seed for every stochastic component — the annealing
-// fallback and the Monte-Carlo campaigns — making session results
-// reproducible end to end (default 1).
+// archive of Pareto's heuristic front and the Monte-Carlo campaigns —
+// making session results reproducible end to end (default 1). Solve is
+// deterministic without it: its heuristic route is greedy.
 func WithSeed(seed int64) SessionOption {
 	return func(c *sessionConfig) { c.seed = seed }
 }
 
-// WithAnneal overrides the simulated-annealing configuration used by the
-// heuristic fallback of Solve and Pareto. Its Seed, when zero, is filled
-// from WithSeed.
+// WithAnneal overrides the simulated-annealing configuration of Pareto's
+// heuristic front (Pareto only; Solve never anneals). Its Seed, when
+// zero, is filled from WithSeed.
 func WithAnneal(cfg AnnealConfig) SessionOption {
-	return func(c *sessionConfig) { c.anneal = cfg; c.annealSet = true }
+	return func(c *sessionConfig) { c.anneal = cfg }
 }
 
 // WithForceHeuristic makes Solve and Pareto skip exact enumeration even
@@ -117,14 +116,6 @@ func WithForceHeuristic(force bool) SessionOption {
 // zero overhead.
 func WithRecorder(rec *Recorder) SessionOption {
 	return func(c *sessionConfig) { c.recorder = rec }
-}
-
-// WithMinRouteSamples overrides how many per-(class, route) samples the
-// adaptive router requires before trusting a latency profile (0 = the
-// default, see core.DefaultMinRouteSamples; negative disables adaptive
-// routing while keeping telemetry collection).
-func WithMinRouteSamples(n int) SessionOption {
-	return func(c *sessionConfig) { c.minRouteSamples = n }
 }
 
 // NewSession validates the instance, builds the cached evaluator state,
@@ -192,13 +183,12 @@ func (s *Session) callCtx(ctx context.Context) (context.Context, context.CancelF
 // coreOptions materializes the session configuration as solver options.
 func (s *Session) coreOptions() SolveOptions {
 	return SolveOptions{
-		ExactBudget:     s.cfg.exactBudget,
-		Workers:         s.cfg.workers,
-		Anneal:          s.cfg.anneal,
-		ForceHeuristic:  s.cfg.forceHeuristic,
-		Eval:            s.ev,
-		Recorder:        s.cfg.recorder,
-		MinRouteSamples: s.cfg.minRouteSamples,
+		ExactBudget:    s.cfg.exactBudget,
+		Workers:        s.cfg.workers,
+		Anneal:         s.cfg.anneal,
+		ForceHeuristic: s.cfg.forceHeuristic,
+		Eval:           s.ev,
+		Recorder:       s.cfg.recorder,
 	}
 }
 

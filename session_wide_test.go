@@ -60,11 +60,7 @@ func TestSessionWidePlatformSolve(t *testing.T) {
 	plat := hetPlatform(t, 66)
 	var ref repro.Result
 	for i, workers := range []int{1, 4} {
-		// A short annealing schedule keeps the heuristic route fast; the
-		// point here is wide-platform plumbing and worker determinism,
-		// not solution quality.
-		s, err := repro.NewSession(pipe, plat, repro.WithWorkers(workers), repro.WithSeed(3),
-			repro.WithAnneal(repro.AnnealConfig{Iters: 200, Restarts: 2}))
+		s, err := repro.NewSession(pipe, plat, repro.WithWorkers(workers), repro.WithSeed(3))
 		if err != nil {
 			t.Fatal(err)
 		}
