@@ -1,30 +1,41 @@
-// Package jsonread decodes the numeric wire formats of the model types —
-// objects whose members are arrays of numbers ([]float64) or arrays of
-// such arrays ([][]float64) — in one pass over the document, with no
-// reflection and no separate validation pass. Each number is checked
-// against the JSON number grammar and converted in the same scan when its
-// decimal form is exact in float64 arithmetic, else by
-// strconv.ParseFloat; either way the value is the correctly rounded one.
+// Package jsonread decodes the wire formats of the model types and the
+// service's request envelopes in one pass over the document, with no
+// reflection and no separate validation pass. A caller walks its own
+// schema with the Decoder's readers, each of which reads the value at the
+// current position: objects (Object, matched against a key list), arrays
+// of any element (Array), arrays of numbers (Floats) and arrays of such
+// arrays (Matrix), strings, float64 and integer numbers, and bools; End
+// then requires that nothing but whitespace follows the top-level value.
+// Each number is checked against the JSON number grammar and converted in
+// the same scan when its decimal form is exact in float64 arithmetic, else
+// by strconv.ParseFloat; either way the value is the correctly rounded
+// one.
 //
 // For every input it accepts and rejects exactly what encoding/json does
-// when it decodes the same bytes into a struct with those fields, and it
-// produces bitwise-equal values:
+// when it decodes the same bytes into Go values of the matching types, and
+// it produces equal values:
 //
 //   - member keys are unescaped and matched case-insensitively, as
 //     bytes.EqualFold matches them (so the Kelvin sign matches "k" and the
 //     long s matches "s");
 //   - members with unknown keys are skipped, but their values must still
 //     be valid JSON, nested at most 10000 levels deep;
-//   - null yields a nil slice; a null element of a number array leaves its
-//     slot as it was — zero, unless an earlier member with the same key
-//     wrote it;
-//   - a repeated key decodes again over the slice the earlier member left,
-//     as encoding/json does, so the last member wins except where the
-//     null-element rule above reads the earlier one's values;
-//   - a number out of float64 range, such as 1e400, is an error.
+//   - a value of the wrong type, such as a string for a number, is an
+//     error;
+//   - null leaves a string, number or bool as it was and yields a nil
+//     slice; a null element of a number array leaves its slot as it was —
+//     zero, unless an earlier member with the same key wrote it;
+//   - a repeated key decodes again over what the earlier member left:
+//     a slice decodes over its backing array, as encoding/json does, so
+//     the last member wins except where null elements read the earlier
+//     one's values;
+//   - strings unquote as encoding/json unquotes them: escaped surrogates
+//     that do not pair, and bytes that are not UTF-8, become U+FFFD;
+//   - integers reject fractions, exponents and values out of range, and a
+//     number out of float64 range, such as 1e400, is an error.
 //
-// The model packages' differential fuzz tests hold the decoder to
-// encoding/json on arbitrary bytes.
+// Differential fuzz tests in the model packages and in serve hold the
+// decoder to encoding/json on arbitrary bytes.
 package jsonread
 
 import (
@@ -37,7 +48,7 @@ import (
 	"unicode/utf8"
 )
 
-// maxDepth is encoding/json's nesting limit; the top-level object counts
+// maxDepth is encoding/json's nesting limit; the top-level value counts
 // as the first level.
 const maxDepth = 10000
 
@@ -45,39 +56,53 @@ const maxDepth = 10000
 // number never parses to NaN, so the mark cannot collide with a value.
 var nullMark = math.NaN()
 
-// Decoder reads one JSON document. It is not safe for concurrent use.
+// Decoder reads one JSON document. It is not safe for concurrent use,
+// and after a reader returns an error it must not be used again.
 type Decoder struct {
-	data []byte
-	pos  int
-	vals []float64 // number scratch, reused by every array
-	key  []byte    // unescaped-key scratch
+	data  []byte
+	pos   int
+	depth int       // containers open around the current position
+	vals  []float64 // number scratch, reused by every array
+	key   []byte    // unescaped-key scratch
 }
 
 // NewDecoder returns a decoder over data.
 func NewDecoder(data []byte) *Decoder { return &Decoder{data: data} }
 
-// Object decodes the document as one object, or null (which has no
-// members), followed by nothing but whitespace. For each member whose key
-// matches names[i] it calls field(i), which must consume the member's
-// value with Floats or Matrix; other members are validated and skipped.
-func (d *Decoder) Object(names []string, field func(i int) error) error {
-	switch d.next() {
-	case 'n':
-		if err := d.literal("null"); err != nil {
-			return err
-		}
-	case '{':
-		d.pos++
-		if err := d.members(names, field); err != nil {
-			return err
-		}
-	default:
-		return d.errAt("looking for an object")
-	}
+// End reports an error unless only whitespace follows the value read last.
+func (d *Decoder) End() error {
 	if d.next(); d.pos != len(d.data) {
 		return d.errAt("after top-level value")
 	}
 	return nil
+}
+
+// Null consumes a null at the current position and reports whether there
+// was one.
+func (d *Decoder) Null() bool {
+	if d.next() == 'n' && bytes.HasPrefix(d.data[d.pos:], []byte("null")) {
+		d.pos += len("null")
+		return true
+	}
+	return false
+}
+
+// Object decodes the object at the current position, or null (which has
+// no members). For each member whose key matches names[i] it calls
+// field(i), which must consume the member's value with one of the
+// Decoder's readers; other members are validated and skipped.
+func (d *Decoder) Object(names []string, field func(i int) error) error {
+	switch d.next() {
+	case 'n':
+		return d.literal("null")
+	case '{':
+		d.pos++
+		d.depth++
+		err := d.members(names, field)
+		d.depth--
+		return err
+	}
+	return d.errAt("looking for an object")
 }
 
 func (d *Decoder) members(names []string, field func(i int) error) error {
@@ -197,34 +222,38 @@ func overlay(prev, vals []float64) []float64 {
 	return out[:len(vals)]
 }
 
-// Matrix decodes an array of number arrays, or null, over prev with the
-// semantics of Floats: row i decodes over the row prev's backing array
-// holds at i, and a null row is nil.
-func (d *Decoder) Matrix(prev [][]float64) ([][]float64, error) {
+// Array decodes the array at the current position, or null, over prev —
+// the slice an earlier member with the same key left, nil for the first —
+// the way encoding/json decodes into a slice: elem decodes element i over
+// the value prev's backing array holds at i (the zero value past its
+// capacity), and must consume exactly one value. [] yields an empty slice
+// that drops prev's backing array, and null a nil slice. prev itself is
+// never written.
+func Array[T any](d *Decoder, prev []T, elem func(*T) error) ([]T, error) {
 	switch d.next() {
 	case 'n':
 		return nil, d.literal("null")
 	case '[':
 		d.pos++
 	default:
-		return nil, d.errAt("looking for an array of arrays")
+		return nil, d.errAt("looking for an array")
 	}
 	if d.next() == ']' {
 		d.pos++
-		return [][]float64{}, nil
+		return []T{}, nil
 	}
-	old := prev[:cap(prev)]
-	var rows [][]float64
+	d.depth++
+	out := append([]T(nil), prev[:cap(prev)]...)
+	n := 0
 	for {
-		var slot []float64
-		if len(rows) < len(old) {
-			slot = old[len(rows)]
+		if n == len(out) {
+			var zero T
+			out = append(out, zero)
 		}
-		row, err := d.Floats(slot)
-		if err != nil {
+		if err := elem(&out[n]); err != nil {
 			return nil, err
 		}
-		rows = append(rows, row)
+		n++
 		switch d.next() {
 		case ',':
 			d.pos++
@@ -236,12 +265,83 @@ func (d *Decoder) Matrix(prev [][]float64) ([][]float64, error) {
 		}
 		break
 	}
-	out := make([][]float64, max(len(rows), len(old)))
-	copy(out, rows)
-	if len(old) > len(rows) {
-		copy(out[len(rows):], old[len(rows):])
+	d.depth--
+	return out[:n], nil
+}
+
+// Matrix decodes an array of number arrays, or null, over prev with the
+// semantics of Array and Floats: row i decodes over the row prev's backing
+// array holds at i, and a null row is nil.
+func (d *Decoder) Matrix(prev [][]float64) ([][]float64, error) {
+	return Array(d, prev, func(row *[]float64) (err error) {
+		*row, err = d.Floats(*row)
+		return err
+	})
+}
+
+// String decodes a string, or null, which leaves prev.
+func (d *Decoder) String(prev string) (string, error) {
+	switch d.next() {
+	case 'n':
+		return prev, d.literal("null")
+	case '"':
+	default:
+		return prev, d.errAt("looking for a string")
 	}
-	return out[:len(rows)], nil
+	raw, escaped, err := d.str()
+	if err != nil {
+		return prev, err
+	}
+	if !escaped && utf8.Valid(raw) {
+		return string(raw), nil
+	}
+	return string(unescapeString(nil, raw)), nil
+}
+
+// Float decodes a number into a float64, or null, which leaves prev.
+func (d *Decoder) Float(prev float64) (float64, error) {
+	switch c := d.next(); {
+	case c == 'n':
+		return prev, d.literal("null")
+	case c == '-' || isDigit(c):
+		return d.number()
+	}
+	return prev, d.errAt("looking for a number")
+}
+
+// Int decodes a number into a bitSize-bit signed integer, or null, which
+// leaves prev. A fraction, an exponent or a value out of range is an
+// error, even when the value is integral.
+func (d *Decoder) Int(prev int64, bitSize int) (int64, error) {
+	switch c := d.next(); {
+	case c == 'n':
+		return prev, d.literal("null")
+	case c != '-' && !isDigit(c):
+		return prev, d.errAt("looking for an integer")
+	}
+	start := d.pos
+	if _, _, err := d.scanNumber(); err != nil {
+		return prev, err
+	}
+	lit := d.data[start:d.pos]
+	n, err := strconv.ParseInt(string(lit), 10, bitSize)
+	if err != nil {
+		return prev, fmt.Errorf("json: number %s at offset %d does not fit a %d-bit integer", lit, start, bitSize)
+	}
+	return n, nil
+}
+
+// Bool decodes true or false, or null, which leaves prev.
+func (d *Decoder) Bool(prev bool) (bool, error) {
+	switch d.next() {
+	case 'n':
+		return prev, d.literal("null")
+	case 't':
+		return true, d.literal("true")
+	case 'f':
+		return false, d.literal("false")
+	}
+	return prev, d.errAt("looking for a bool")
 }
 
 // Exact returns s with capacity equal to its length, copying only when a
@@ -471,12 +571,19 @@ func u4(s []byte) rune {
 }
 
 // unescapeString appends the decoded contents of a validated string
-// literal to dst. Escaped surrogates combine when they form a valid pair
-// and become U+FFFD otherwise, as in encoding/json.
+// literal to dst. Escaped surrogates combine when they form a valid pair,
+// and become U+FFFD otherwise; each byte that is not part of a UTF-8
+// sequence becomes U+FFFD too, as in encoding/json.
 func unescapeString(dst, s []byte) []byte {
 	for i := 0; i < len(s); {
-		if s[i] != '\\' {
-			dst = append(dst, s[i])
+		switch c := s[i]; {
+		case c >= utf8.RuneSelf:
+			r, size := utf8.DecodeRune(s[i:])
+			dst = utf8.AppendRune(dst, r)
+			i += size
+			continue
+		case c != '\\':
+			dst = append(dst, c)
 			i++
 			continue
 		}
@@ -513,8 +620,8 @@ func unescapeString(dst, s []byte) []byte {
 }
 
 // skip validates and consumes one value of any type without converting
-// it. The value sits in the top-level object, so its containers count
-// from the second nesting level on.
+// it. The value sits inside d.depth open containers, so its own count
+// from the next nesting level on.
 func (d *Decoder) skip() error {
 	var stack []byte // open containers, '{' or '['
 	for {
@@ -522,7 +629,7 @@ func (d *Decoder) skip() error {
 		switch c := d.next(); c {
 		case '{', '[':
 			d.pos++
-			if 1+len(stack)+1 > maxDepth {
+			if d.depth+len(stack)+1 > maxDepth {
 				return fmt.Errorf("json: exceeded max depth at offset %d", d.pos-1)
 			}
 			stack = append(stack, c)

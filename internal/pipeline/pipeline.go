@@ -204,15 +204,25 @@ func (p *Pipeline) MarshalJSON() ([]byte, error) {
 	return json.Marshal(jsonPipeline{W: p.W, Delta: p.Delta})
 }
 
-// jsonFields lists jsonPipeline's keys in UnmarshalJSON's field order.
+// jsonFields lists jsonPipeline's keys in DecodeJSON's field order.
 var jsonFields = []string{"w", "delta"}
 
 // UnmarshalJSON decodes and validates a pipeline in one pass over data,
 // accepting exactly the documents encoding/json would decode into the
 // wire format (see package jsonread). Decoded slices are exactly sized.
 func (p *Pipeline) UnmarshalJSON(data []byte) error {
-	var w, delta []float64
 	d := jsonread.NewDecoder(data)
+	if err := p.DecodeJSON(d); err != nil {
+		return err
+	}
+	return d.End()
+}
+
+// DecodeJSON decodes and validates a pipeline from the object (or null)
+// at d's position, as UnmarshalJSON does for a whole document, so a
+// request that embeds a pipeline decodes in the same pass.
+func (p *Pipeline) DecodeJSON(d *jsonread.Decoder) error {
+	var w, delta []float64
 	err := d.Object(jsonFields, func(field int) (err error) {
 		if field == 0 {
 			w, err = d.Floats(w)

@@ -308,15 +308,25 @@ func (pl *Platform) MarshalJSON() ([]byte, error) {
 	return json.Marshal(jsonPlatform{pl.Speed, pl.FailProb, pl.B, pl.BIn, pl.BOut})
 }
 
-// jsonFields lists jsonPlatform's keys in UnmarshalJSON's field order.
+// jsonFields lists jsonPlatform's keys in DecodeJSON's field order.
 var jsonFields = []string{"speed", "failProb", "b", "bIn", "bOut"}
 
 // UnmarshalJSON decodes and validates a platform in one pass over data,
 // accepting exactly the documents encoding/json would decode into the
 // wire format (see package jsonread). Decoded slices are exactly sized.
 func (pl *Platform) UnmarshalJSON(data []byte) error {
-	var jp Platform
 	d := jsonread.NewDecoder(data)
+	if err := pl.DecodeJSON(d); err != nil {
+		return err
+	}
+	return d.End()
+}
+
+// DecodeJSON decodes and validates a platform from the object (or null)
+// at d's position, as UnmarshalJSON does for a whole document, so a
+// request that embeds a platform decodes in the same pass.
+func (pl *Platform) DecodeJSON(d *jsonread.Decoder) error {
+	var jp Platform
 	err := d.Object(jsonFields, func(field int) (err error) {
 		switch field {
 		case 0:

@@ -2,10 +2,10 @@ package serve
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"strconv"
 	"time"
@@ -14,15 +14,15 @@ import (
 )
 
 // admit is the overload-admission middleware wrapped around every POST
-// path. It reads the size-capped body and decodes it — once, with
-// json.Unmarshal, so bytes after the top-level value are an error —
-// into the endpoint's request type T, and only then asks the limiter for
-// a slot: a body past the cap gets a structured 413 and a malformed one a
-// 400, both without taking a slot or waiting in the queue. The admission
-// deadline is the request's own deadlineMillis when deadlineMillis
-// reports one (> 0), else the service default; the limiter bounds
-// concurrent requests, queues a bounded overflow, and sheds what cannot
-// be served in time. Sheds are answered before any solver work happens,
+// path. It reads the size-capped body and decodes it — once, with the
+// endpoint's decode function, which rejects bytes after the top-level
+// value — into the endpoint's request type T, and only then asks the
+// limiter for a slot: a body past the cap gets a structured 413 and a
+// malformed one a 400, both without taking a slot or waiting in the
+// queue. The admission deadline is the request's own deadlineMillis when
+// deadlineMillis reports one (> 0), else the service default; the
+// limiter bounds concurrent requests, queues a bounded overflow, and
+// sheds what cannot be served in time. Sheds are answered before any solver work happens,
 // with a structured body and a Retry-After header:
 //
 //	429 {"error": ..., "retryAfterMillis": ...}  — queue at capacity,
@@ -33,7 +33,7 @@ import (
 //
 // Admitted requests hold their slot until the handler returns (streams
 // for their whole life), so the slot count is a true concurrency bound.
-func admit[T any](s *Service, what string, deadlineMillis func(*T) int64, next func(http.ResponseWriter, *http.Request, *T)) http.HandlerFunc {
+func admit[T any](s *Service, what string, decode func([]byte, *T) error, deadlineMillis func(*T) int64, next func(http.ResponseWriter, *http.Request, *T)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
 		if err != nil {
@@ -49,7 +49,7 @@ func admit[T any](s *Service, what string, deadlineMillis func(*T) int64, next f
 			return
 		}
 		req := new(T)
-		if err := json.Unmarshal(body, req); err != nil {
+		if err := decode(body, req); err != nil {
 			writeJSON(w, http.StatusBadRequest, errorBody{Error: fmt.Sprintf("decoding %s: %v", what, err)})
 			return
 		}
@@ -57,7 +57,7 @@ func admit[T any](s *Service, what string, deadlineMillis func(*T) int64, next f
 		deadline := s.cfg.DefaultDeadline
 		if deadlineMillis != nil {
 			if ms := deadlineMillis(req); ms > 0 {
-				deadline = time.Duration(ms) * time.Millisecond
+				deadline = millis(ms)
 			}
 		}
 		actx := r.Context()
@@ -75,6 +75,21 @@ func admit[T any](s *Service, what string, deadlineMillis func(*T) int64, next f
 		defer release()
 		next(w, r, req)
 	}
+}
+
+// millis converts a request's millisecond count to a Duration, saturating
+// at the Duration range (about ±292 years) instead of wrapping: a wrapped
+// product can be a tiny or negative deadline, e.g. 18446744073710 ms
+// (about 584 years) would become about 0.45 ms.
+func millis(ms int64) time.Duration {
+	const perMs = int64(time.Millisecond)
+	switch {
+	case ms > math.MaxInt64/perMs:
+		return math.MaxInt64
+	case ms < math.MinInt64/perMs:
+		return math.MinInt64
+	}
+	return time.Duration(ms * perMs)
 }
 
 // writeShed maps a limiter refusal to its HTTP shape and counts it.

@@ -121,9 +121,9 @@ func BenchmarkCachedPermutedSolve(b *testing.B) {
 }
 
 // BenchmarkDecodeSolveSpec measures the serve path's body decode — the
-// one json.Unmarshal of a solve request into SolveSpec that admission
-// runs — on fully heterogeneous instances, whose O(m²) bandwidth matrix
-// dominates the body. MB/s is over the body bytes.
+// one-pass decodeSolveSpec that admission runs on a solve request — on
+// fully heterogeneous instances, whose O(m²) bandwidth matrix dominates
+// the body. MB/s is over the body bytes.
 func BenchmarkDecodeSolveSpec(b *testing.B) {
 	for _, m := range []int{16, 80, 128} {
 		rng := rand.New(rand.NewSource(int64(m)))
@@ -141,7 +141,7 @@ func BenchmarkDecodeSolveSpec(b *testing.B) {
 			b.ReportAllocs()
 			for b.Loop() {
 				var spec SolveSpec
-				if err := json.Unmarshal(body, &spec); err != nil {
+				if err := decodeSolveSpec(body, &spec); err != nil {
 					b.Fatal(err)
 				}
 			}

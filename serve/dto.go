@@ -22,11 +22,12 @@
 //	GET  /metrics          Prometheus text exposition of the same telemetry
 //
 // Serve-tier robustness: request bodies are capped (structured 413 past
-// MaxBodyBytes) and decoded once, before admission: one json.Unmarshal
-// into the endpoint's request type, whose Pipeline and Platform decode
-// their O(m²) numbers in a single pass and validate them. Malformed
-// bodies, bytes after the request object and invalid instances get a
-// 400 without taking an admission slot. Handler panics are recovered
+// MaxBodyBytes) and decoded once, before admission, into the endpoint's
+// request type. Solve and batch bodies decode in a single pass with
+// internal/jsonread — envelope, Pipeline and Platform with their O(m²)
+// numbers, validated as they are read — and remap-stream bodies with
+// encoding/json. Malformed bodies, bytes after the request object and
+// invalid instances get a 400 without taking an admission slot. Handler panics are recovered
 // into structured 500s (and counted in /v1/stats), and the re-mapping
 // stream degrades in-band — every record carries either a repair or an
 // error, never a dropped status line.

@@ -6,11 +6,14 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
+	"repro/internal/platform"
 	"repro/internal/workload"
 )
 
@@ -341,5 +344,45 @@ func TestTrailingBytesAfterBody(t *testing.T) {
 		if resp.StatusCode != http.StatusOK {
 			t.Errorf("%s with a trailing newline: status = %d, want 200", path, resp.StatusCode)
 		}
+	}
+}
+
+// TestHugeDeadlineNotTruncated sends a deadline of about 584 years, whose
+// nanosecond count overflows int64: it must act as a deadline that never
+// fires, not wrap to a sub-millisecond one that cancels the solve.
+func TestHugeDeadlineNotTruncated(t *testing.T) {
+	const maxMs = math.MaxInt64 / int64(time.Millisecond)
+	for ms, want := range map[int64]time.Duration{
+		1:               time.Millisecond,
+		maxMs:           time.Duration(maxMs) * time.Millisecond,
+		maxMs + 1:       math.MaxInt64,
+		18446744073710:  math.MaxInt64,
+		-18446744073710: math.MinInt64,
+	} {
+		if got := millis(ms); got != want {
+			t.Errorf("millis(%d) = %v, want %v", ms, got, want)
+		}
+	}
+
+	srv := httptest.NewServer(New(Config{}))
+	defer srv.Close()
+	inst := workload.Random(rand.New(rand.NewSource(3)), platform.CommHomogeneous, 5, 12)
+	doc, err := json.Marshal(SolveSpec{
+		Pipeline:       inst.Pipeline,
+		Platform:       inst.Platform,
+		Objective:      "minFailureProb",
+		MaxLatency:     1000,
+		DeadlineMillis: 18446744073710,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp := postJSON(t, srv, "/v1/solve", doc)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status = %d, want 200", resp.StatusCode)
+	}
+	res := decodeBody[SolveResult](t, resp)
+	if res.Partial || res.Certainty != "exhaustively optimal" {
+		t.Errorf("certainty %q, partial %v: want an exhaustively optimal answer, as with no deadline", res.Certainty, res.Partial)
 	}
 }

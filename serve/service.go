@@ -161,10 +161,10 @@ func New(cfg Config) *Service {
 	s.solutionHits = s.rec.Counter("serve_solution_hits_total")
 	s.solutionMisses = s.rec.Counter("serve_solution_misses_total")
 	s.translations = s.rec.Counter("serve_translations_total")
-	s.mux.HandleFunc("POST /v1/solve", admit(s, "solve request",
+	s.mux.HandleFunc("POST /v1/solve", admit(s, "solve request", decodeSolveSpec,
 		func(spec *SolveSpec) int64 { return spec.DeadlineMillis }, s.handleSolve))
-	s.mux.HandleFunc("POST /v1/solve/batch", admit(s, "batch request", nil, s.handleBatch))
-	s.mux.HandleFunc("POST /v1/remap/stream", admit(s, "remap request",
+	s.mux.HandleFunc("POST /v1/solve/batch", admit(s, "batch request", decodeBatchRequest, nil, s.handleBatch))
+	s.mux.HandleFunc("POST /v1/remap/stream", admit(s, "remap request", decodeRemapSpec,
 		func(spec *RemapSpec) int64 { return spec.DeadlineMillis }, s.handleRemapStream))
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /v1/stats", s.handleStats)
@@ -405,7 +405,7 @@ func (s *Service) solveOne(ctx context.Context, spec SolveSpec) SolveResult {
 
 	deadline := s.cfg.DefaultDeadline
 	if spec.DeadlineMillis > 0 {
-		deadline = time.Duration(spec.DeadlineMillis) * time.Millisecond
+		deadline = millis(spec.DeadlineMillis)
 	}
 	if deadline > 0 {
 		var cancel context.CancelFunc

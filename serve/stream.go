@@ -152,7 +152,7 @@ func (s *Service) handleRemapStream(w http.ResponseWriter, r *http.Request, spec
 	ctx := r.Context()
 	deadline := s.cfg.DefaultDeadline
 	if spec.DeadlineMillis > 0 {
-		deadline = time.Duration(spec.DeadlineMillis) * time.Millisecond
+		deadline = millis(spec.DeadlineMillis)
 	}
 	if deadline > 0 {
 		var cancel context.CancelFunc
@@ -196,7 +196,7 @@ func (s *Service) handleRemapStream(w http.ResponseWriter, r *http.Request, spec
 		Objective:   objective,
 		MaxLatency:  spec.MaxLatency,
 		MaxFailProb: spec.MaxFailProb,
-		Deadline:    time.Duration(spec.RepairDeadlineMillis) * time.Millisecond,
+		Deadline:    millis(spec.RepairDeadlineMillis),
 		ExactBudget: spec.ExactBudget,
 		Workers:     spec.Workers,
 	}
