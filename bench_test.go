@@ -10,6 +10,7 @@ package repro
 import (
 	"context"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"repro/internal/bench"
@@ -699,6 +700,50 @@ func BenchmarkSessionRemapM80(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := s.Remap(ctx, g.Mapping, failed, cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkRemapCampaign times one whole /v1/remap/stream-shaped
+// campaign through Session.RunReactive: the m = 80 full-het instance
+// deployed as 4 intervals × 3 replicas on its 12 fastest processors,
+// minimizing FP under 1.5× that mapping's latency, while the 16 fastest
+// processors crash one by one and then recover in the same order (32
+// events, most of them warm repairs).
+func BenchmarkRemapCampaign(b *testing.B) {
+	const n = 12
+	p, pl := wideBenchInstance(b, n, 80)
+	s, err := NewSession(p, pl)
+	if err != nil {
+		b.Fatal(err)
+	}
+	fastest := pl.ProcsBySpeedDesc()
+	start := &mapping.Mapping{}
+	for j := 0; j < 4; j++ {
+		start.Intervals = append(start.Intervals, mapping.Interval{First: j * n / 4, Last: (j+1)*n/4 - 1})
+		procs := append([]int(nil), fastest[3*j:3*j+3]...)
+		sort.Ints(procs)
+		start.Alloc = append(start.Alloc, procs)
+	}
+	met, err := mapping.Evaluate(p, pl, start)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var schedule FaultSchedule
+	for k, u := range fastest[:16] {
+		schedule = append(schedule, FaultEvent{Time: float64(k + 1), Proc: u, Kind: FaultCrash})
+	}
+	for k, u := range fastest[:16] {
+		schedule = append(schedule, FaultEvent{Time: float64(17 + k), Proc: u, Kind: FaultRecover})
+	}
+	schedule = schedule.Renumber()
+	cfg := RemapConfig{Objective: MinimizeFailureProb, MaxLatency: 1.5 * met.Latency}
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := s.RunReactive(ctx, start, schedule, cfg, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

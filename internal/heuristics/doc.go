@@ -40,6 +40,17 @@
 //     a memcpy of p rows and terms. Anneal keeps the snapshot at the
 //     current walk state: a rejected move restores it, an accepted one
 //     re-takes it;
+//   - Repair's point-move sweep previews each candidate's failure
+//     probability before applying it (EvalState.SuccessFactorWith and
+//     FailureProbWith: a product over replica sets, while scoring pays
+//     the Eq. (1)/(2) term recomputes). Once the incumbent is feasible, a
+//     candidate whose FP alone makes it lose under repairBetter — above
+//     the incumbent's FP when minimizing FP, above the bound when
+//     minimizing latency — is skipped with no apply, score or restore.
+//     The preview equals the FP the scored state would read, bitwise, so
+//     only losing candidates are skipped and the sweep commits the same
+//     winner as scoring them all: the repair trajectory is unchanged.
+//     Greedy and Anneal apply and score every candidate;
 //   - every score read from the state is bitwise identical to the legacy
 //     clone path (Mapping.Clone + slice mapping.Evaluate of the
 //     ascending-id materialization), which is what keeps the delta

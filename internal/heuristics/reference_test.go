@@ -16,6 +16,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/bitset"
@@ -359,5 +360,201 @@ func TestAnnealIterationsZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("anneal move iteration allocates %.1f/op, want 0", allocs)
+	}
+}
+
+// referenceRepair is Repair before the FP preview: every point move of
+// every round is applied and scored, none is ruled out on its failure
+// probability first. It is the reference the preview is proven against.
+func referenceRepair(pr *Problem, start *mapping.Mapping, banned bitset.Set, budget RepairBudget) (Result, error) {
+	s, err := newSearcher(pr)
+	if err != nil {
+		return Result{}, err
+	}
+	s.banned = banned
+	s.st.Load(start)
+	if err := s.evict(); err != nil {
+		return Result{}, err
+	}
+	met, _ := s.score()
+	for r := 0; r < budget.rounds(); r++ {
+		improved, next := referenceRepairRound(s, met)
+		if !improved {
+			break
+		}
+		met = next
+	}
+	return s.result(met), nil
+}
+
+// referenceRepairRound is the full point-move sweep: apply, score and
+// restore every add, remove, replace and migrate candidate, keeping the
+// first best under repairBetter.
+func referenceRepairRound(s *searcher, curMet mapping.Metrics) (bool, mapping.Metrics) {
+	bestMet := curMet
+	improved := false
+	s.snap.CopyFrom(s.st)
+	try := func(mv move) {
+		mv.apply(s)
+		if met, _ := s.score(); repairBetter(s.pr, met, bestMet) {
+			bestMet, improved = met, true
+			s.bestSt.CopyFrom(s.st)
+		}
+		s.st.CopyFrom(s.snap)
+	}
+	p := s.st.NumIntervals()
+	free := s.freeProcs()
+	for j := 0; j < p; j++ {
+		for _, u := range free {
+			try(move{kind: mvAdd, j: j, u: u})
+		}
+	}
+	for j := 0; j < p; j++ {
+		if s.st.Replication(j) < 2 {
+			continue
+		}
+		s.replicaIDs(j)
+		for _, u := range s.ids {
+			try(move{kind: mvRemove, j: j, u: u})
+		}
+	}
+	for j := 0; j < p; j++ {
+		s.replicaIDs(j)
+		for _, u := range s.ids {
+			for _, u2 := range free {
+				try(move{kind: mvReplace, j: j, u: u, u2: u2})
+			}
+		}
+	}
+	for j := 0; j < p; j++ {
+		if s.st.Replication(j) < 2 {
+			continue
+		}
+		s.replicaIDs(j)
+		for _, u := range s.ids {
+			for j2 := 0; j2 < p; j2++ {
+				if j2 != j {
+					try(move{kind: mvMigrate, j: j, j2: j2, u: u})
+				}
+			}
+		}
+	}
+	if improved {
+		s.st.CopyFrom(s.bestSt)
+	}
+	return improved, bestMet
+}
+
+// evictedMetrics returns the metrics of start once Repair's eviction has
+// run under banned (before any improvement round).
+func evictedMetrics(t *testing.T, pr *Problem, start *mapping.Mapping, banned bitset.Set) mapping.Metrics {
+	t.Helper()
+	s, err := newSearcher(pr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.banned = banned
+	s.st.Load(start)
+	if err := s.evict(); err != nil {
+		t.Fatal(err)
+	}
+	return s.st.Metrics()
+}
+
+// TestRepairPreviewEquivalence: the repair sweep that skips candidates on
+// their previewed FP returns the same mapping and bitwise-equal metrics as
+// the full sweep, on both platform classes, both goals, and a start that
+// eviction leaves feasible as well as one it pushes over the bound. The
+// preview must also have skipped candidates for each goal, or the test
+// proves nothing.
+func TestRepairPreviewEquivalence(t *testing.T) {
+	scored := map[Goal][2]int{} // goal → {preview sweep, full sweep}
+	for _, m := range []int{12, 64, 80, 128} {
+		for k := int64(0); k < 2; k++ {
+			base, rng := equivInstance(int64(m)*10+k, m) // k = 0: Comm-Hom, 1: Fully-Het
+			start := randomState(rng, base)
+			banned := bitset.Make(m)
+			banned.Add(start.Alloc[0][0])
+			banned.Add(rng.Intn(m))
+			for _, goal := range []Goal{MinFP, MinLatency} {
+				pr := *base
+				pr.Goal = goal
+				ev := evictedMetrics(t, &pr, start, banned)
+				for _, feasible := range []bool{true, false} {
+					switch {
+					case goal == MinFP && feasible:
+						pr.Bound = ev.Latency * 1.1
+					case goal == MinFP:
+						pr.Bound = ev.Latency * 0.9
+					case feasible:
+						pr.Bound = ev.FailureProb + 0.1*(1-ev.FailureProb)
+					default:
+						pr.Bound = ev.FailureProb*0.9 - 2e-12 // past feasible()'s 1e-12 slack
+					}
+					if pr.feasible(ev) != feasible {
+						t.Fatalf("m=%d k=%d goal=%v: evicted start %+v feasible=%v under bound %g, want %v",
+							m, k, goal, ev, !feasible, pr.Bound, feasible)
+					}
+					n := scored[goal]
+					testScoreCheck = func(*Problem, *mapping.EvalState, mapping.Metrics) { n[0]++ }
+					got, err := Repair(context.Background(), &pr, start, banned, RepairBudget{})
+					testScoreCheck = func(*Problem, *mapping.EvalState, mapping.Metrics) { n[1]++ }
+					want, refErr := referenceRepair(&pr, start, banned, RepairBudget{})
+					testScoreCheck = nil
+					scored[goal] = n
+					if err != nil || refErr != nil {
+						t.Fatalf("m=%d k=%d goal=%v feasible=%v: repair %v, reference %v", m, k, goal, feasible, err, refErr)
+					}
+					if !reflect.DeepEqual(got.Mapping, want.Mapping) || got.Metrics != want.Metrics {
+						t.Errorf("m=%d k=%d goal=%v feasible=%v: repair %v %+v, full sweep %v %+v",
+							m, k, goal, feasible, got.Mapping, got.Metrics, want.Mapping, want.Metrics)
+					}
+				}
+			}
+		}
+	}
+	for goal, n := range scored {
+		if n[0] >= n[1] {
+			t.Errorf("goal %v: preview sweep scored %d candidates, full sweep %d: nothing was skipped", goal, n[0], n[1])
+		}
+		t.Logf("goal %v: scored %d of the full sweep's %d candidates", goal, n[0], n[1])
+	}
+}
+
+// TestRepairRoundZeroAllocs pins the zero-allocation contract of the
+// repair sweep at a local optimum under a feasible incumbent, where every
+// candidate is previewed and most are skipped unapplied.
+func TestRepairRoundZeroAllocs(t *testing.T) {
+	for _, m := range []int{12, 80} {
+		pr, _ := equivInstance(int64(m)+1, m) // odd offset: fully heterogeneous
+		g, err := Greedy(context.Background(), pr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := newSearcher(pr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.banned = bitset.Make(m)
+		s.banned.Add(g.Mapping.Alloc[0][0])
+		s.st.Load(g.Mapping)
+		if err := s.evict(); err != nil {
+			t.Fatal(err)
+		}
+		cur, _ := s.score()
+		for {
+			improved, next := s.repairRound(cur, nil)
+			if !improved {
+				break
+			}
+			cur = next
+		}
+		if !pr.feasible(cur) {
+			t.Fatalf("m=%d: repaired state %+v is infeasible; the preview would never run", m, cur)
+		}
+		allocs := testing.AllocsPerRun(10, func() { s.repairRound(cur, nil) })
+		if allocs != 0 {
+			t.Errorf("m=%d: repair sweep allocates %.1f/op, want 0", m, allocs)
+		}
 	}
 }

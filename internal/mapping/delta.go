@@ -174,6 +174,50 @@ func (st *EvalState) FailureProb() float64 {
 	return 1 - success
 }
 
+// SuccessFactorWith returns the success factor interval j would have with
+// replica rm withdrawn and the unused processor add enrolled (−1 skips
+// either), leaving the state unchanged: it toggles the two bits of row j,
+// runs SuccessFactorW over the row's ascending bit order — the product
+// every mutator caches — and toggles them back. Zero allocations.
+func (st *EvalState) SuccessFactorWith(j, rm, add int) float64 {
+	row := st.row(j)
+	if rm >= 0 {
+		row.Remove(rm)
+	}
+	if add >= 0 {
+		row.Add(add)
+	}
+	f := st.ev.SuccessFactorW(row)
+	if add >= 0 {
+		row.Remove(add)
+	}
+	if rm >= 0 {
+		row.Add(rm)
+	}
+	return f
+}
+
+// FailureProbWith returns the failure probability the state would have
+// with interval j's success factor replaced by sj and, when j2 ≥ 0,
+// interval j2's by sj2. It multiplies in FailureProb's interval order, so
+// with factors from SuccessFactorWith it previews a replica move's FP
+// bitwise equal to what apply-then-FailureProb reads. The state is
+// unchanged; zero allocations.
+func (st *EvalState) FailureProbWith(j int, sj float64, j2 int, sj2 float64) float64 {
+	success := 1.0
+	for i := 0; i < st.p; i++ {
+		switch i {
+		case j:
+			success *= sj
+		case j2:
+			success *= sj2
+		default:
+			success *= st.succ[i]
+		}
+	}
+	return 1 - success
+}
+
 // ToMapping materializes the state as a regular *Mapping with ascending
 // replica ids (this allocates; call it only for states worth keeping).
 func (st *EvalState) ToMapping() *Mapping {

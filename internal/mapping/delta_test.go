@@ -354,7 +354,8 @@ func assertStatesEqual(t *testing.T, a, b *EvalState) {
 }
 
 // TestEvalStateZeroAllocs pins the zero-allocation contract of the
-// mutators and the metric accumulation on both mask representations.
+// mutators, the FP preview reads and the metric accumulation on both mask
+// representations.
 func TestEvalStateZeroAllocs(t *testing.T) {
 	for _, m := range []int{12, 80} {
 		rng := rand.New(rand.NewSource(int64(m)))
@@ -374,6 +375,8 @@ func TestEvalStateZeroAllocs(t *testing.T) {
 			st.AddReplica(0, u)
 			_ = st.Metrics()
 			st.RemoveReplica(0, u)
+			last := st.NumIntervals() - 1
+			_ = st.FailureProbWith(0, st.SuccessFactorWith(0, st.Mask(0).NextOne(0), u), last, st.SuccessFactorWith(last, -1, u))
 			if st.End(0)-st.First(0)+1 >= 2 && st.Replication(0) >= 2 {
 				right.Zero()
 				right.Add(st.Mask(0).NextOne(0))
@@ -400,4 +403,68 @@ func freeFixed(st *EvalState, m int) int {
 		}
 	}
 	return -1
+}
+
+// TestEvalStateFailureProbPreview: for every add, remove, replace and
+// migrate move on random states at stride 1 and stride > 1, on both
+// platform classes, the FP previewed by SuccessFactorWith and
+// FailureProbWith equals what FailureProb reads after applying the move,
+// bitwise, and the previews leave the state unchanged.
+func TestEvalStateFailureProbPreview(t *testing.T) {
+	draws := []func(*rand.Rand, int, int) (*pipeline.Pipeline, *platform.Platform){deltaInstance, extremeInstance}
+	for _, m := range []int{8, 64, 80, 128} {
+		for seed := int64(0); seed < 8; seed++ {
+			rng := rand.New(rand.NewSource(seed*31 + int64(m)))
+			n := 2 + rng.Intn(6)
+			p, pl := draws[seed%2](rng, n, m)
+			ev, err := NewEvaluator(p, pl)
+			if err != nil {
+				t.Fatal(err)
+			}
+			st, before, moved := ev.NewState(), ev.NewState(), ev.NewState()
+			st.Load(randomValidMapping(rng, n, m))
+			before.CopyFrom(st)
+			check := func(what string, preview float64, apply func(*EvalState)) {
+				t.Helper()
+				assertStatesEqual(t, before, st)
+				moved.CopyFrom(st)
+				apply(moved)
+				if got := moved.FailureProb(); preview != got {
+					t.Fatalf("m=%d seed=%d %s: previewed FP %v, applied %v", m, seed, what, preview, got)
+				}
+			}
+			free := make([]int, 0, m)
+			for u := 0; u < m; u++ {
+				if !st.Used().Test(u) {
+					free = append(free, u)
+				}
+			}
+			for j := 0; j < st.NumIntervals(); j++ {
+				for _, u := range free {
+					check("add", st.FailureProbWith(j, st.SuccessFactorWith(j, -1, u), -1, 0),
+						func(s *EvalState) { s.AddReplica(j, u) })
+				}
+				replicas := st.Mask(j).AppendBits(nil)
+				for _, u := range replicas {
+					for _, u2 := range free {
+						check("replace", st.FailureProbWith(j, st.SuccessFactorWith(j, u, u2), -1, 0),
+							func(s *EvalState) { s.ReplaceReplica(j, u, u2) })
+					}
+					if len(replicas) < 2 {
+						continue
+					}
+					check("remove", st.FailureProbWith(j, st.SuccessFactorWith(j, u, -1), -1, 0),
+						func(s *EvalState) { s.RemoveReplica(j, u) })
+					for j2 := 0; j2 < st.NumIntervals(); j2++ {
+						if j2 == j {
+							continue
+						}
+						check("migrate", st.FailureProbWith(j, st.SuccessFactorWith(j, u, -1), j2, st.SuccessFactorWith(j2, -1, u)),
+							func(s *EvalState) { s.MoveReplica(j, j2, u) })
+					}
+				}
+			}
+			assertStatesEqual(t, before, st)
+		}
+	}
 }

@@ -44,7 +44,8 @@ type RemapSpec struct {
 	// Events is the fault schedule to replay, in time order.
 	Events repro.FaultSchedule `json:"events,omitempty"`
 	// RandomEvents, when Events is empty, generates a seeded stochastic
-	// campaign of this many crash/recovery events instead.
+	// campaign of this many crash/recovery events instead (at most
+	// 65,536; more is a 400).
 	RandomEvents int `json:"randomEvents,omitempty"`
 	// RepairDeadlineMillis caps each per-event repair (0 = the
 	// controller default, 50ms). Repairs past it degrade to the best
@@ -101,6 +102,13 @@ type RemapEvent struct {
 	Error string `json:"error,omitempty"`
 }
 
+// maxRandomEvents caps RandomEvents. The schedule is allocated up front,
+// so an unchecked count could ask for gigabytes before the first event;
+// 65,536 events is far fewer than the explicit events a default 8 MiB
+// body can carry (over 400,000 at about 20 bytes each), so the cap admits
+// no campaign a client could not already send by hand.
+const maxRandomEvents = 1 << 16
+
 func (s *Service) handleRemapStream(w http.ResponseWriter, r *http.Request, spec *RemapSpec) {
 	s.requests.Inc()
 	if spec.Pipeline == nil || spec.Platform == nil {
@@ -132,6 +140,10 @@ func (s *Service) handleRemapStream(w http.ResponseWriter, r *http.Request, spec
 	if len(schedule) == 0 {
 		if spec.RandomEvents <= 0 {
 			writeJSON(w, http.StatusBadRequest, errorBody{Error: "request needs \"events\" or a positive \"randomEvents\""})
+			return
+		}
+		if spec.RandomEvents > maxRandomEvents {
+			writeJSON(w, http.StatusBadRequest, errorBody{Error: fmt.Sprintf("\"randomEvents\" is capped at %d", maxRandomEvents)})
 			return
 		}
 		if m < 2 {

@@ -167,6 +167,31 @@ func TestRemapStreamBadRequests(t *testing.T) {
 	}
 }
 
+// TestRemapStreamRandomEventsCapped: a random campaign longer than
+// maxRandomEvents is rejected with a structured 400 before its schedule is
+// allocated (an unchecked 2^60 used to panic in makeslice and surface as a
+// recovered 500).
+func TestRemapStreamRandomEventsCapped(t *testing.T) {
+	srv := httptest.NewServer(New(Config{}))
+	defer srv.Close()
+	for _, n := range []int{1 << 60, maxRandomEvents + 1} {
+		resp, err := srv.Client().Post(srv.URL+"/v1/remap/stream", "application/json",
+			bytes.NewReader(fig5RemapSpec(t, fmt.Sprintf(`, "randomEvents": %d`, n))))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var body errorBody
+		decErr := json.NewDecoder(resp.Body).Decode(&body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("randomEvents %d: status = %d (%+v), want 400", n, resp.StatusCode, body)
+		}
+		if decErr != nil || !strings.Contains(body.Error, "randomEvents") {
+			t.Errorf("randomEvents %d: 400 body = %+v (%v), want an error naming randomEvents", n, body, decErr)
+		}
+	}
+}
+
 func TestOversizedBodyReturnsStructured413(t *testing.T) {
 	srv := httptest.NewServer(New(Config{MaxBodyBytes: 256}))
 	defer srv.Close()
