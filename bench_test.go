@@ -653,6 +653,22 @@ func BenchmarkGreedyM80(b *testing.B) {
 	}
 }
 
+// BenchmarkGreedyM128 times greedy on a wide-cold-shaped solve: n = 24
+// stages on m = 128 fully heterogeneous processors, minimizing FP under
+// 1.5× the fastest single processor's latency. At this width most
+// candidates lose on a preview (FP, or an addition's latency floor) and
+// are skipped unapplied.
+func BenchmarkGreedyM128(b *testing.B) {
+	pr := heurBenchProblem(b, 24, 128)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := heuristics.Greedy(context.Background(), pr); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkRepairM80 times the warm-restart repair after one crash in the
 // m = 80 deployment — the reactive controller's hot path: load the
 // deployed mapping into the incremental state, evict the dead replica,

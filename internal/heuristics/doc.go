@@ -49,8 +49,20 @@
 //     minimizing latency — is skipped with no apply, score or restore.
 //     The preview equals the FP the scored state would read, bitwise, so
 //     only losing candidates are skipped and the sweep commits the same
-//     winner as scoring them all: the repair trajectory is unchanged.
-//     Greedy and Anneal apply and score every candidate;
+//     winner as scoring them all: the repair trajectory is unchanged;
+//   - Greedy previews every candidate the same way, in all three phases.
+//     A point move (saturate, bestMove's raw sweep) is skipped when its
+//     FP cannot be feasible and better than the sweep's best, or, for an
+//     addition under MinFP, when EvalState.LatencyFloorWithAdd — a lower
+//     bound on the latency after the move (Eq. (2)'s max-update for the
+//     interval, the predecessor's outgoing sum left as it is) — already
+//     breaks the bound. A structural offer (split-new moves through
+//     EvalState.FailureProbWithSplit, migrations) is skipped when its FP
+//     cannot rank it ahead of the last, feasible entry of a full
+//     candidate list. The previews equal, or bound from below, the
+//     metrics the scored state would read, bitwise, so every ranking and
+//     every winner — and the answer — is the one scoring all candidates
+//     gives. Anneal applies and scores every move it draws;
 //   - every score read from the state is bitwise identical to the legacy
 //     clone path (Mapping.Clone + slice mapping.Evaluate of the
 //     ascending-id materialization), which is what keeps the delta

@@ -51,9 +51,11 @@ const (
 // The saturated lookahead is bounded to the per-class raw-best structural
 // candidates per round (topKSplit/topKMerge/topKMigrate).
 //
-// All candidates are scored through the problem's shared incremental
+// Candidates are scored through the problem's shared incremental
 // mapping.EvalState (apply, score, restore the pre-sweep snapshot; no
-// Mapping.Clone, zero allocations in the sweeps). Cancellation is polled
+// Mapping.Clone, zero allocations in the sweeps), after a preview of their
+// FP (and an addition's latency floor) has shown they can still win; see
+// pointMoveLoses and offerLoses. Cancellation is polled
 // per candidate: a canceled search returns the best feasible mapping
 // reached so far alongside an error wrapping the context's cause.
 func Greedy(ctx context.Context, pr *Problem) (Result, error) {
@@ -149,6 +151,9 @@ func (s *searcher) saturate(done <-chan struct{}) mapping.Metrics {
 		var bestMv move
 		s.satBase.CopyFrom(s.st)
 		try := func(mv move) {
+			if s.pointMoveLoses(&mv, bestMet) {
+				return
+			}
 			mv.apply(s)
 			if met, feas := s.score(); feas && s.pr.better(met, bestMet) {
 				bestMet, bestMv, improved = met, mv, true
@@ -182,6 +187,72 @@ func (s *searcher) saturate(done <-chan struct{}) mapping.Metrics {
 	}
 }
 
+// gate names the preview that kept a greedy candidate from being applied.
+type gate uint8
+
+const (
+	gateFP    gate = iota // a point move's previewed FP
+	gateFloor             // an addition's latency floor
+	gateOffer             // a structural offer's previewed FP against its full list
+)
+
+// testSkip, when non-nil (tests only), is told the gate and the move kind
+// of every candidate greedy skips, so the equivalence suite can show each
+// gate fires.
+var testSkip func(gate, moveKind)
+
+// skipped reports mv's skip by gate g to the test hook and returns true.
+func skipped(g gate, mv *move) bool {
+	if testSkip != nil {
+		testSkip(g, mv.kind)
+	}
+	return true
+}
+
+// pointMoveLoses reports, without applying mv, that the point move cannot
+// be what saturate and bestMove keep: a feasible candidate better than
+// best, whether or not best itself is feasible. Its previewed FP rules it
+// out when above fpCap; an addition under MinFP is also ruled out when its
+// latency floor already breaks the bound. The FP preview equals, and the
+// floor bounds from below, the metrics apply-then-score would read,
+// bitwise, so only losing candidates are skipped and the sweeps keep the
+// winners they would find by scoring every candidate.
+func (s *searcher) pointMoveLoses(mv *move, best mapping.Metrics) bool {
+	if s.previewFP(mv) > s.pr.fpCap(best) {
+		return skipped(gateFP, mv)
+	}
+	return s.pr.Goal == MinFP && mv.kind == mvAdd &&
+		!leqTol(s.st.LatencyFloorWithAdd(mv.j, mv.u), s.pr.Bound) && skipped(gateFloor, mv)
+}
+
+// offerLoses reports, without applying mv, that a structural candidate
+// cannot enter the full list top: its last entry is feasible, so only a
+// feasible candidate with a strictly smaller value ranks ahead of it (a
+// later candidate loses the enumeration-order tie). Under MinFP that takes
+// a previewed FP below the entry's; under MinLatency, an FP within the
+// bound. Split-new moves read the FP bestMove tabulated per (j, u) in
+// splitFP, migrations previewFP; merges and self-splits are not previewed.
+func (s *searcher) offerLoses(mv *move, top []rankEntry, quota int) bool {
+	if len(top) < quota || top[len(top)-1].key.infeasible {
+		return false
+	}
+	var fp float64
+	switch mv.kind {
+	case mvSplitNewRight:
+		fp = s.splitFP[mv.u][0]
+	case mvSplitNewLeft:
+		fp = s.splitFP[mv.u][1]
+	case mvMigrate:
+		fp = s.previewFP(mv)
+	default:
+		return false
+	}
+	if s.pr.Goal == MinFP {
+		return fp >= top[len(top)-1].key.val && skipped(gateOffer, mv)
+	}
+	return fp > s.pr.Bound+1e-12 && skipped(gateOffer, mv)
+}
+
 // rankKey orders structural candidates for the saturated lookahead:
 // feasible before infeasible, then by the value (the objective for
 // feasible candidates, the constraint violation for infeasible ones),
@@ -209,9 +280,12 @@ type rankEntry struct {
 }
 
 // bestMove evaluates the candidate moves from the current state — point
-// moves raw, the structuralTopK raw-best structural moves after
-// saturation — and commits the best strictly improving feasible
-// successor, returning its metrics. When done fires mid-round the
+// moves raw, the per-class raw-best structural moves
+// (topKSplit/topKMerge/topKMigrate) after saturation — and commits the
+// best strictly improving feasible successor, returning its metrics.
+// Candidates are previewed before they are applied: a point move that
+// pointMoveLoses rules out, and a structural offer that offerLoses keeps
+// out of a full list, are skipped unapplied. When done fires mid-round the
 // remaining candidates are skipped, so cancellation latency is one
 // candidate evaluation.
 func (s *searcher) bestMove(curMet mapping.Metrics, done <-chan struct{}) (bool, mapping.Metrics) {
@@ -219,7 +293,7 @@ func (s *searcher) bestMove(curMet mapping.Metrics, done <-chan struct{}) (bool,
 	improved := false
 	s.snap.CopyFrom(s.st)
 	tryRaw := func(mv move) {
-		if fired(done) {
+		if fired(done) || s.pointMoveLoses(&mv, bestMet) {
 			return
 		}
 		mv.apply(s)
@@ -232,6 +306,9 @@ func (s *searcher) bestMove(curMet mapping.Metrics, done <-chan struct{}) (bool,
 
 	p := s.st.NumIntervals()
 	free := s.freeProcs()
+	if s.splitFP == nil {
+		s.splitFP = make([][2]float64, s.m)
+	}
 
 	// Phase 1 — point moves, scored raw.
 	for j := 0; j < p; j++ {
@@ -267,14 +344,17 @@ func (s *searcher) bestMove(curMet mapping.Metrics, done <-chan struct{}) (bool,
 		if fired(done) {
 			return
 		}
+		key := rankKey{idx: idx}
+		idx++
+		if s.offerLoses(&mv, *top, quota) {
+			return
+		}
 		if mv.kind == mvSplitSelf {
 			s.setSplitSelfRight(mv.j)
 		}
 		mv.apply(s)
 		met, feas := s.score()
 		s.st.CopyFrom(s.snap)
-		key := rankKey{idx: idx}
-		idx++
 		if feas {
 			key.val = s.pr.objective(met)
 		} else {
@@ -302,6 +382,11 @@ func (s *searcher) bestMove(curMet mapping.Metrics, done <-chan struct{}) (bool,
 	for j := 0; j < p; j++ {
 		first, end := s.st.First(j), s.st.End(j)
 		canSelf := s.st.Replication(j) >= 2
+		if end > first {
+			for _, u := range free {
+				s.splitFP[u] = [2]float64{s.st.FailureProbWithSplit(j, u, false), s.st.FailureProbWithSplit(j, u, true)}
+			}
+		}
 		for cut := first + 1; cut <= end; cut++ {
 			for _, u := range free {
 				offer(move{kind: mvSplitNewRight, j: j, cut: cut, u: u}, &topSplit, topKSplit)

@@ -14,6 +14,7 @@ package heuristics
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -555,6 +556,323 @@ func TestRepairRoundZeroAllocs(t *testing.T) {
 		allocs := testing.AllocsPerRun(10, func() { s.repairRound(cur, nil) })
 		if allocs != 0 {
 			t.Errorf("m=%d: repair sweep allocates %.1f/op, want 0", m, allocs)
+		}
+	}
+}
+
+// referenceSaturate is saturate scoring every replica-count adjustment.
+func referenceSaturate(s *searcher) mapping.Metrics {
+	if s.satBase == nil {
+		s.satBase = s.ev.NewState()
+	}
+	curMet, _ := s.score()
+	for {
+		improved := false
+		bestMet := curMet
+		var bestMv move
+		s.satBase.CopyFrom(s.st)
+		try := func(mv move) {
+			mv.apply(s)
+			if met, feas := s.score(); feas && s.pr.better(met, bestMet) {
+				bestMet, bestMv, improved = met, mv, true
+			}
+			s.st.CopyFrom(s.satBase)
+		}
+		p := s.st.NumIntervals()
+		if s.pr.Goal == MinFP {
+			free := s.freeProcs()
+			for j := 0; j < p; j++ {
+				for _, u := range free {
+					try(move{kind: mvAdd, j: j, u: u})
+				}
+			}
+		} else {
+			for j := 0; j < p; j++ {
+				if s.st.Replication(j) < 2 {
+					continue
+				}
+				s.replicaIDs(j)
+				for _, u := range s.ids {
+					try(move{kind: mvRemove, j: j, u: u})
+				}
+			}
+		}
+		if !improved {
+			return curMet
+		}
+		bestMv.apply(s)
+		curMet = bestMet
+	}
+}
+
+// referenceBestMove is bestMove applying and scoring every point move and
+// every structural offer.
+func referenceBestMove(s *searcher, curMet mapping.Metrics) (bool, mapping.Metrics) {
+	bestMet := curMet
+	improved := false
+	s.snap.CopyFrom(s.st)
+	tryRaw := func(mv move) {
+		mv.apply(s)
+		if met, feas := s.score(); feas && s.pr.better(met, bestMet) {
+			bestMet, improved = met, true
+			s.bestSt.CopyFrom(s.st)
+		}
+		s.st.CopyFrom(s.snap)
+	}
+	p := s.st.NumIntervals()
+	free := s.freeProcs()
+	for j := 0; j < p; j++ {
+		for _, u := range free {
+			tryRaw(move{kind: mvAdd, j: j, u: u})
+		}
+	}
+	for j := 0; j < p; j++ {
+		if s.st.Replication(j) < 2 {
+			continue
+		}
+		s.replicaIDs(j)
+		for _, u := range s.ids {
+			tryRaw(move{kind: mvRemove, j: j, u: u})
+		}
+	}
+	for j := 0; j < p; j++ {
+		s.replicaIDs(j)
+		for _, u := range s.ids {
+			for _, u2 := range free {
+				tryRaw(move{kind: mvReplace, j: j, u: u, u2: u2})
+			}
+		}
+	}
+	topSplit := s.topSplit[:0]
+	topMerge := s.topMerge[:0]
+	topMigrate := s.topMigrate[:0]
+	idx := 0
+	offer := func(mv move, top *[]rankEntry, quota int) {
+		if mv.kind == mvSplitSelf {
+			s.setSplitSelfRight(mv.j)
+		}
+		mv.apply(s)
+		met, feas := s.score()
+		s.st.CopyFrom(s.snap)
+		key := rankKey{idx: idx}
+		idx++
+		if feas {
+			key.val = s.pr.objective(met)
+		} else {
+			key.infeasible = true
+			key.val = s.pr.violation(met)
+		}
+		if len(*top) == quota && !key.less((*top)[len(*top)-1].key) {
+			return
+		}
+		if len(*top) < quota {
+			*top = append(*top, rankEntry{})
+		}
+		i := len(*top) - 1
+		for i > 0 && key.less((*top)[i-1].key) {
+			(*top)[i] = (*top)[i-1]
+			i--
+		}
+		(*top)[i] = rankEntry{key: key, mv: mv}
+	}
+	for j := 0; j < p; j++ {
+		first, end := s.st.First(j), s.st.End(j)
+		canSelf := s.st.Replication(j) >= 2
+		for cut := first + 1; cut <= end; cut++ {
+			for _, u := range free {
+				offer(move{kind: mvSplitNewRight, j: j, cut: cut, u: u}, &topSplit, topKSplit)
+				offer(move{kind: mvSplitNewLeft, j: j, cut: cut, u: u}, &topSplit, topKSplit)
+			}
+			if canSelf {
+				offer(move{kind: mvSplitSelf, j: j, cut: cut}, &topSplit, topKSplit)
+			}
+		}
+	}
+	for j := 0; j+1 < p; j++ {
+		offer(move{kind: mvMerge, j: j}, &topMerge, topKMerge)
+	}
+	for j := 0; j < p; j++ {
+		if s.st.Replication(j) < 2 {
+			continue
+		}
+		s.replicaIDs(j)
+		for _, u := range s.ids {
+			for j2 := 0; j2 < p; j2++ {
+				if j2 != j {
+					offer(move{kind: mvMigrate, j: j, j2: j2, u: u}, &topMigrate, topKMigrate)
+				}
+			}
+		}
+	}
+	s.topSplit, s.topMerge, s.topMigrate = topSplit, topMerge, topMigrate
+	for _, top := range [][]rankEntry{topSplit, topMerge, topMigrate} {
+		for i := range top {
+			mv := top[i].mv
+			if mv.kind == mvSplitSelf {
+				s.setSplitSelfRight(mv.j)
+			}
+			mv.apply(s)
+			met := referenceSaturate(s)
+			if s.pr.feasible(met) && s.pr.better(met, bestMet) {
+				bestMet, improved = met, true
+				s.bestSt.CopyFrom(s.st)
+			}
+			s.st.CopyFrom(s.snap)
+		}
+	}
+	if improved {
+		s.st.CopyFrom(s.bestSt)
+	}
+	return improved, bestMet
+}
+
+// previewInstance draws an n-stage instance on m processors,
+// communication-homogeneous or fully heterogeneous, with the Problem's
+// goal and bound left unset.
+func previewInstance(seed int64, n, m int, commHom bool) *Problem {
+	rng := rand.New(rand.NewSource(seed))
+	p := pipeline.Random(rng, n, 1, 8, 1, 8)
+	var pl *platform.Platform
+	if commHom {
+		pl = platform.RandomCommHomogeneous(rng, m, 1, 10, 0.05, 0.95, 1+rng.Float64()*2)
+	} else {
+		pl = platform.RandomFullyHeterogeneous(rng, m, 1, 10, 0.05, 0.95, 1, 20)
+	}
+	return &Problem{Pipe: p, Plat: pl}
+}
+
+// referenceGreedy is Greedy before the candidate previews: every point
+// move and every structural offer of every round is applied and scored
+// (referenceSaturate, referenceBestMove). A previewing searcher follows it
+// round by round from the same seed, and the test fails on the first round
+// whose saturated metrics, verdict or structural candidate lists differ: a
+// preview that keeps a candidate out of a list it would have entered shows
+// up there even when the round's winner survives it.
+//
+// The walk starts from start, or from Greedy's seed when start is nil.
+func referenceGreedy(t *testing.T, pr *Problem, start *mapping.Mapping, what string) (Result, error) {
+	t.Helper()
+	if start == nil {
+		best, err := seed(pr)
+		if err != nil {
+			return Result{}, err
+		}
+		start = best.Mapping
+	}
+	a, err := newSearcher(pr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := newSearcher(pr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.st.Load(start)
+	b.st.Load(start)
+	check := testScoreCheck
+	testScoreCheck = nil // only the reference's scores are counted
+	ma := a.saturate(nil)
+	testScoreCheck = check
+	mb := referenceSaturate(b)
+	for round := 0; ; round++ {
+		testScoreCheck = nil
+		ia, na := a.bestMove(ma, nil)
+		testScoreCheck = check
+		ib, nb := referenceBestMove(b, mb)
+		if ma != mb || ia != ib || na != nb ||
+			!reflect.DeepEqual(a.topSplit, b.topSplit) ||
+			!reflect.DeepEqual(a.topMerge, b.topMerge) ||
+			!reflect.DeepEqual(a.topMigrate, b.topMigrate) {
+			t.Fatalf("%s round %d: previewing round (%v, %+v, lists %v %v %v) != reference (%v, %+v, lists %v %v %v)",
+				what, round, ia, na, a.topSplit, a.topMerge, a.topMigrate, ib, nb, b.topSplit, b.topMerge, b.topMigrate)
+		}
+		if !ib {
+			return b.result(mb), nil
+		}
+		ma, mb = na, nb
+	}
+}
+
+// TestGreedyPreviewEquivalence: Greedy, which skips the candidates its
+// previews rule out, returns the same mapping and bitwise-equal metrics
+// as referenceGreedy, which scores them all, on both platform classes,
+// both goals, and bounds from tight to slack, at widths up to m = 128;
+// run in lockstep, every round also ranks the same structural candidates.
+// The lockstep walk also starts from a random mapping, whose replica-rich
+// multi-interval states make migrations rank (Greedy's own trajectory
+// rarely fills the migration list with feasible candidates). Each gate —
+// a point move's FP, an addition's latency floor, a structural offer's FP
+// for each previewed kind — must have skipped candidates, or the test
+// proves nothing about it.
+func TestGreedyPreviewEquivalence(t *testing.T) {
+	shapes := []struct{ n, m int }{{3, 8}, {6, 12}, {8, 24}, {5, 64}, {10, 64}, {12, 80}, {20, 80}, {8, 128}, {24, 128}}
+	var skips [3]int
+	var offerSkips [mvMerge + 1]int
+	scored := [2]int{} // {Greedy, reference}
+	solved := 0
+	for i, sh := range shapes {
+		for k := int64(0); k < 2; k++ {
+			base := previewInstance(int64(100*i)+int64(sh.m)+k, sh.n, sh.m, k%2 == 0)
+			rng := rand.New(rand.NewSource(k))
+			fastest := mapping.NewSingleInterval(sh.n, []int{base.Plat.FastestProc()})
+			ref, err := mapping.Evaluate(base.Pipe, base.Plat, fastest)
+			if err != nil {
+				t.Fatal(err)
+			}
+			minFP := 1.0
+			for _, fp := range base.Plat.FailProb {
+				minFP = math.Min(minFP, fp)
+			}
+			for _, goal := range []Goal{MinFP, MinLatency} {
+				for _, slack := range []float64{0.02, 0.5, 2} { // tight → slack
+					pr := *base
+					pr.Goal = goal
+					if goal == MinFP {
+						pr.Bound = ref.Latency * (1 + slack)
+					} else {
+						pr.Bound = minFP * slack / 4
+					}
+					what := fmt.Sprintf("n=%d m=%d k=%d goal=%v slack=%g", sh.n, sh.m, k, goal, slack)
+					testSkip = func(g gate, kind moveKind) {
+						skips[g]++
+						if g == gateOffer {
+							offerSkips[kind]++
+						}
+					}
+					testScoreCheck = func(*Problem, *mapping.EvalState, mapping.Metrics) { scored[0]++ }
+					got, err := Greedy(context.Background(), &pr)
+					testScoreCheck = func(*Problem, *mapping.EvalState, mapping.Metrics) { scored[1]++ }
+					want, refErr := referenceGreedy(t, &pr, nil, what)
+					testScoreCheck = nil
+					if (err == nil) != (refErr == nil) {
+						t.Fatalf("%s: greedy %v, reference %v", what, err, refErr)
+					}
+					if err == nil {
+						solved++
+						if !reflect.DeepEqual(got.Mapping, want.Mapping) || got.Metrics != want.Metrics {
+							t.Errorf("%s: greedy %v %+v, reference %v %+v", what, got.Mapping, got.Metrics, want.Mapping, want.Metrics)
+						}
+					}
+					referenceGreedy(t, &pr, randomState(rng, &pr), what+" random start")
+					testSkip = nil
+				}
+			}
+		}
+	}
+	t.Logf("%d solves; Greedy scored %d of the reference's %d candidates; skipped by FP %d, floor %d, offer %d (split-new %d, migrate %d)",
+		solved, scored[0], scored[1], skips[gateFP], skips[gateFloor], skips[gateOffer],
+		offerSkips[mvSplitNewRight]+offerSkips[mvSplitNewLeft], offerSkips[mvMigrate])
+	if solved == 0 {
+		t.Fatal("no instance was solved")
+	}
+	for g, name := range []string{"FP", "floor", "offer"} {
+		if skips[g] == 0 {
+			t.Errorf("the %s gate skipped no candidate", name)
+		}
+	}
+	for _, kind := range []moveKind{mvSplitNewRight, mvSplitNewLeft, mvMigrate} {
+		if offerSkips[kind] == 0 {
+			t.Errorf("the offer gate skipped no move of kind %d", kind)
 		}
 	}
 }

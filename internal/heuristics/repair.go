@@ -182,37 +182,16 @@ func repairBetter(pr *Problem, a, b mapping.Metrics) bool {
 	return pr.better(a, b)
 }
 
-// fpCap returns the failure probability above which a candidate loses to
-// best under repairBetter whatever its latency, with ok=false when FP alone
-// rules nothing out (best infeasible). Under MinFP a strictly larger FP
-// loses (an equal one falls through to the latency tie-break); under
-// MinLatency an FP over the bound makes the candidate infeasible.
-func (pr *Problem) fpCap(best mapping.Metrics) (fpMax float64, ok bool) {
-	if !pr.feasible(best) {
-		return 0, false
-	}
+// fpCap returns the failure probability above which a candidate cannot be
+// both feasible and better than best, whatever its latency: under MinFP a
+// strictly larger FP loses (an equal one falls through to the latency
+// tie-break); under MinLatency an FP over the bound is infeasible. Once
+// best is feasible, such a candidate also loses under repairBetter.
+func (pr *Problem) fpCap(best mapping.Metrics) float64 {
 	if pr.Goal == MinFP {
-		return best.FailureProb, true
+		return best.FailureProb
 	}
-	return pr.Bound + 1e-12, true
-}
-
-// previewFP returns the failure probability the point move mv would give
-// the current state, without applying it (EvalState.FailureProbWith: the
-// value apply-then-score would read, bitwise).
-func (s *searcher) previewFP(mv *move) float64 {
-	st := s.st
-	switch mv.kind {
-	case mvAdd:
-		return st.FailureProbWith(mv.j, st.SuccessFactorWith(mv.j, -1, mv.u), -1, 0)
-	case mvRemove:
-		return st.FailureProbWith(mv.j, st.SuccessFactorWith(mv.j, mv.u, -1), -1, 0)
-	case mvReplace:
-		return st.FailureProbWith(mv.j, st.SuccessFactorWith(mv.j, mv.u, mv.u2), -1, 0)
-	default: // mvMigrate
-		return st.FailureProbWith(mv.j, st.SuccessFactorWith(mv.j, mv.u, -1),
-			mv.j2, st.SuccessFactorWith(mv.j2, -1, mv.u))
-	}
+	return pr.Bound + 1e-12
 }
 
 // repairRound sweeps the point-move neighborhood (add, remove, replace,
@@ -228,7 +207,7 @@ func (s *searcher) previewFP(mv *move) float64 {
 func (s *searcher) repairRound(curMet mapping.Metrics, done <-chan struct{}) (bool, mapping.Metrics) {
 	bestMet := curMet
 	improved := false
-	fpMax, capped := s.pr.fpCap(bestMet)
+	fpMax, capped := s.pr.fpCap(bestMet), s.pr.feasible(bestMet)
 	s.snap.CopyFrom(s.st)
 	try := func(mv move) {
 		if fired(done) || capped && s.previewFP(&mv) > fpMax {
@@ -237,7 +216,7 @@ func (s *searcher) repairRound(curMet mapping.Metrics, done <-chan struct{}) (bo
 		mv.apply(s)
 		if met, _ := s.score(); repairBetter(s.pr, met, bestMet) {
 			bestMet, improved = met, true
-			fpMax, capped = s.pr.fpCap(bestMet)
+			fpMax, capped = s.pr.fpCap(bestMet), s.pr.feasible(bestMet)
 			s.bestSt.CopyFrom(s.st)
 		}
 		s.st.CopyFrom(s.snap)

@@ -24,6 +24,10 @@ type searcher struct {
 	banned bitset.Set
 	// Greedy's per-class bounded structural candidate lists.
 	topSplit, topMerge, topMigrate []rankEntry
+	// splitFP[u] holds the FPs of splitting the current interval with u
+	// staffing the new right ([0]) or left ([1]) half; Greedy's offers
+	// read it for every cut. Made on first use, like satBase.
+	splitFP [][2]float64
 
 	// Scratch replica-set row for the split moves. One row is enough:
 	// moves are applied one at a time, and the solvers keep winners as
@@ -41,6 +45,10 @@ func newSearcher(pr *Problem) (*searcher, error) {
 		return nil, err
 	}
 	m := ev.NumProcs()
+	// The three candidate lists share one backing array, each capped at
+	// its quota so appends never spill into the next.
+	const s1, s2 = topKSplit, topKSplit + topKMerge
+	tops := make([]rankEntry, s2+topKMigrate)
 	return &searcher{
 		pr:         pr,
 		ev:         ev,
@@ -48,9 +56,9 @@ func newSearcher(pr *Problem) (*searcher, error) {
 		m:          m,
 		free:       make([]int, 0, m),
 		ids:        make([]int, 0, m),
-		topSplit:   make([]rankEntry, 0, topKSplit),
-		topMerge:   make([]rankEntry, 0, topKMerge),
-		topMigrate: make([]rankEntry, 0, topKMigrate),
+		topSplit:   tops[:0:s1],
+		topMerge:   tops[s1:s1:s2],
+		topMigrate: tops[s2:s2],
 		right:      bitset.Make(m),
 		snap:       ev.NewState(),
 		bestSt:     ev.NewState(),
@@ -154,6 +162,24 @@ func (mv *move) apply(s *searcher) {
 		st.AddReplica(mv.j, mv.u)
 	case mvMerge:
 		st.Merge(mv.j)
+	}
+}
+
+// previewFP returns the failure probability the point move mv would give
+// the current state, without applying it (EvalState.FailureProbWith: the
+// value apply-then-score would read, bitwise).
+func (s *searcher) previewFP(mv *move) float64 {
+	st := s.st
+	switch mv.kind {
+	case mvAdd:
+		return st.FailureProbWith(mv.j, st.SuccessFactorWith(mv.j, -1, mv.u), -1, 0)
+	case mvRemove:
+		return st.FailureProbWith(mv.j, st.SuccessFactorWith(mv.j, mv.u, -1), -1, 0)
+	case mvReplace:
+		return st.FailureProbWith(mv.j, st.SuccessFactorWith(mv.j, mv.u, mv.u2), -1, 0)
+	default: // mvMigrate
+		return st.FailureProbWith(mv.j, st.SuccessFactorWith(mv.j, mv.u, -1),
+			mv.j2, st.SuccessFactorWith(mv.j2, -1, mv.u))
 	}
 }
 

@@ -244,8 +244,20 @@ func (st *EvalState) AddReplica(j, u int) {
 		return
 	}
 	st.succ[j] = ev.SuccessFactorW(row)
-	first, end := st.First(j), st.ends[j]
-	work := ev.p.Work(first, end)
+	st.term[j] = st.termWithAdd(j, u)
+	if j > 0 {
+		st.recomputeTerm(j - 1)
+	} else {
+		st.recomputeInputSum()
+	}
+}
+
+// termWithAdd returns interval j's Eq. (2) term with processor u enrolled:
+// the max-update of the cached term with u's replica term.
+func (st *EvalState) termWithAdd(j, u int) float64 {
+	ev := st.ev
+	end := st.ends[j]
+	work := ev.p.Work(st.First(j), end)
 	var t float64
 	switch {
 	case j == st.p-1:
@@ -256,13 +268,87 @@ func (st *EvalState) AddReplica(j, u int) {
 		t = ev.replicaTermW(u, work, ev.p.Delta[end+1], st.row(j+1))
 	}
 	if t > st.term[j] {
-		st.term[j] = t
+		return t
 	}
-	if j > 0 {
-		st.recomputeTerm(j - 1)
-	} else {
-		st.recomputeInputSum()
+	return st.term[j]
+}
+
+// LatencyFloorWithAdd returns a lower bound on the latency the state would
+// read after AddReplica(j, u), leaving the state unchanged; zero
+// allocations. It takes interval j's terms as AddReplica derives them and
+// the input sum from interval 0's row with u toggled in, but keeps the
+// predecessor's Eq. (2) term: that term's outgoing sum only gains the
+// non-negative addend δ/b toward u, and rounded addition is monotone, so
+// every addend — and the sum, accumulated in Latency's order — is at most
+// what apply-then-Latency reads, bitwise. The bound is exact on
+// communication-homogeneous platforms and when j = 0.
+func (st *EvalState) LatencyFloorWithAdd(j, u int) float64 {
+	ev := st.ev
+	row := st.row(j)
+	if ev.commHom {
+		row.Add(u)
+		var commIn, compute float64
+		if ev.stride == 1 {
+			commIn, compute = ev.IntervalEq1Cost(st.First(j), st.ends[j], st.words[j])
+		} else {
+			commIn, compute = ev.IntervalEq1CostW(st.First(j), st.ends[j], row)
+		}
+		row.Remove(u)
+		total := 0.0
+		for i := 0; i < st.p; i++ {
+			if i == j {
+				total += commIn
+				total += compute
+			} else {
+				total += st.commIn[i]
+				total += st.compute[i]
+			}
+		}
+		total += ev.lbTail[ev.n]
+		return total
 	}
+	total := st.inputSum
+	if j == 0 {
+		row.Add(u)
+		if ev.stride == 1 {
+			total = ev.InputSum(st.words[0])
+		} else {
+			total = ev.InputSumW(row)
+		}
+		row.Remove(u)
+	}
+	tj := st.termWithAdd(j, u)
+	for i := 0; i < st.p; i++ {
+		if i == j {
+			total += tj
+		} else {
+			total += st.term[i]
+		}
+	}
+	return total
+}
+
+// FailureProbWithSplit returns the failure probability the state would
+// have after interval j is split and the new half is staffed by the unused
+// processor u alone, left of the old replica set when left is true and
+// right of it otherwise (the split-new moves). The state is unchanged;
+// zero allocations. Neither half's factor depends on the cut: the old set
+// keeps interval j's cached factor and the new half gets 1 − fp_u, which
+// is SuccessFactorW of {u}. Both are multiplied in FailureProb's interval
+// order, so the preview equals what apply-then-FailureProb reads, bitwise.
+func (st *EvalState) FailureProbWithSplit(j, u int, left bool) float64 {
+	su := 1 - st.ev.pl.FailProb[u]
+	success := 1.0
+	for i := 0; i < st.p; i++ {
+		if i == j && left {
+			success *= su
+		}
+		success *= st.succ[i]
+		if i == j && !left {
+			success *= su
+		}
+	}
+	return 1 - success
 }
 
 // RemoveReplica withdraws processor u from interval j (caller keeps the

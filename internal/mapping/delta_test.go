@@ -354,8 +354,8 @@ func assertStatesEqual(t *testing.T, a, b *EvalState) {
 }
 
 // TestEvalStateZeroAllocs pins the zero-allocation contract of the
-// mutators, the FP preview reads and the metric accumulation on both mask
-// representations.
+// mutators, the FP and latency-floor preview reads and the metric
+// accumulation on both mask representations.
 func TestEvalStateZeroAllocs(t *testing.T) {
 	for _, m := range []int{12, 80} {
 		rng := rand.New(rand.NewSource(int64(m)))
@@ -377,6 +377,9 @@ func TestEvalStateZeroAllocs(t *testing.T) {
 			st.RemoveReplica(0, u)
 			last := st.NumIntervals() - 1
 			_ = st.FailureProbWith(0, st.SuccessFactorWith(0, st.Mask(0).NextOne(0), u), last, st.SuccessFactorWith(last, -1, u))
+			_ = st.FailureProbWithSplit(last, u, true)
+			_ = st.LatencyFloorWithAdd(0, u)
+			_ = st.LatencyFloorWithAdd(last, u)
 			if st.End(0)-st.First(0)+1 >= 2 && st.Replication(0) >= 2 {
 				right.Zero()
 				right.Add(st.Mask(0).NextOne(0))
@@ -409,7 +412,9 @@ func freeFixed(st *EvalState, m int) int {
 // migrate move on random states at stride 1 and stride > 1, on both
 // platform classes, the FP previewed by SuccessFactorWith and
 // FailureProbWith equals what FailureProb reads after applying the move,
-// bitwise, and the previews leave the state unchanged.
+// bitwise, and so does FailureProbWithSplit for every split that staffs a
+// new half, left or right, with one unused processor, at every cut. The
+// previews leave the state unchanged.
 func TestEvalStateFailureProbPreview(t *testing.T) {
 	draws := []func(*rand.Rand, int, int) (*pipeline.Pipeline, *platform.Platform){deltaInstance, extremeInstance}
 	for _, m := range []int{8, 64, 80, 128} {
@@ -443,6 +448,20 @@ func TestEvalStateFailureProbPreview(t *testing.T) {
 				for _, u := range free {
 					check("add", st.FailureProbWith(j, st.SuccessFactorWith(j, -1, u), -1, 0),
 						func(s *EvalState) { s.AddReplica(j, u) })
+					for cut := st.First(j) + 1; cut <= st.End(j); cut++ {
+						check("split-new-right", st.FailureProbWithSplit(j, u, false), func(s *EvalState) {
+							s.AddReplica(j, u)
+							right := bitset.Make(m)
+							right.Add(u)
+							s.Split(j, cut, right)
+						})
+						check("split-new-left", st.FailureProbWithSplit(j, u, true), func(s *EvalState) {
+							right := bitset.Make(m)
+							right.Copy(s.Mask(j))
+							s.Split(j, cut, right)
+							s.AddReplica(j, u)
+						})
+					}
 				}
 				replicas := st.Mask(j).AppendBits(nil)
 				for _, u := range replicas {
@@ -465,6 +484,61 @@ func TestEvalStateFailureProbPreview(t *testing.T) {
 				}
 			}
 			assertStatesEqual(t, before, st)
+		}
+	}
+}
+
+// TestEvalStateLatencyFloorWithAdd: for every addition on random states at
+// stride 1 and stride > 1, on both platform classes and with extreme
+// magnitudes (1e±300, overflowing quotients), LatencyFloorWithAdd is at
+// most what Latency reads after AddReplica, bitwise — so a floor over a
+// latency bound proves the addition infeasible under any monotone
+// tolerance test — and equal to it on communication-homogeneous platforms
+// and for interval 0. The read leaves the state unchanged.
+func TestEvalStateLatencyFloorWithAdd(t *testing.T) {
+	draws := []func(*rand.Rand, int, int) (*pipeline.Pipeline, *platform.Platform){deltaInstance, extremeInstance}
+	for _, m := range []int{8, 64, 80, 128} {
+		var classes [2]int // adds checked on {fully heterogeneous, comm-hom}
+		strict := 0
+		for seed := int64(0); seed < 12; seed++ {
+			rng := rand.New(rand.NewSource(seed*53 + int64(m)))
+			n := 2 + rng.Intn(6)
+			p, pl := draws[seed%2](rng, n, m)
+			ev, err := NewEvaluator(p, pl)
+			if err != nil {
+				t.Fatal(err)
+			}
+			st, before, moved := ev.NewState(), ev.NewState(), ev.NewState()
+			st.Load(randomValidMapping(rng, n, m))
+			before.CopyFrom(st)
+			for j := 0; j < st.NumIntervals(); j++ {
+				for u := 0; u < m; u++ {
+					if st.Used().Test(u) {
+						continue
+					}
+					floor := st.LatencyFloorWithAdd(j, u)
+					assertStatesEqual(t, before, st)
+					moved.CopyFrom(st)
+					moved.AddReplica(j, u)
+					lat := moved.Latency()
+					exact := ev.CommHom() || j == 0
+					if !(floor <= lat) || exact && floor != lat {
+						t.Fatalf("m=%d seed=%d add(%d, %d): floor %v, applied latency %v (exact=%v)", m, seed, j, u, floor, lat, exact)
+					}
+					if floor < lat {
+						strict++
+					}
+					if ev.CommHom() {
+						classes[1]++
+					} else {
+						classes[0]++
+					}
+				}
+			}
+		}
+		if classes[0] == 0 || classes[1] == 0 || strict == 0 {
+			t.Errorf("m=%d: checked %d fully heterogeneous and %d comm-hom adds, %d with a strict floor: want all > 0",
+				m, classes[0], classes[1], strict)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package repro_test
 
 import (
 	"context"
+	"math"
 	"math/rand"
 	"testing"
 	"time"
@@ -87,9 +88,16 @@ func TestSessionRunReactiveCampaign(t *testing.T) {
 	}
 	req := repro.SolveRequest{Objective: repro.MinimizeFailureProb, MaxLatency: 2 * lref.Metrics.Latency}
 
-	t0 := time.Now()
-	start := remapStart(t, s, req)
-	coldSolve := time.Since(t0)
+	// Both sides of the speed check below are minima over campaignRuns
+	// runs, so one preempted run on a loaded machine cannot flip it.
+	const campaignRuns = 3
+	var start *repro.Mapping
+	coldSolve := time.Duration(math.MaxInt64)
+	for k := 0; k < campaignRuns; k++ {
+		t0 := time.Now()
+		start = remapStart(t, s, req)
+		coldSolve = min(coldSolve, time.Since(t0))
+	}
 
 	var victims []int
 	seen := map[int]bool{}
@@ -127,20 +135,30 @@ func TestSessionRunReactiveCampaign(t *testing.T) {
 				}
 			}
 		}
-		t.Logf("repair %d: %s in %v (cold solve %v)", i, rep.Method, rep.Elapsed, coldSolve)
-		if !raceEnabled && rep.Elapsed > coldSolve {
-			t.Errorf("repair %d slower than the cold solve: %v > %v", i, rep.Elapsed, coldSolve)
-		}
 	}
 
-	// Determinism: the same campaign replays to identical mappings.
-	again, err := s.RunReactive(context.Background(), start, schedule, cfg, nil)
-	if err != nil {
-		t.Fatal(err)
+	// Determinism: the same campaign replays to identical mappings. The
+	// replays also time each repair again.
+	repair := make([]time.Duration, len(reps))
+	for i, rep := range reps {
+		repair[i] = rep.Elapsed
 	}
-	for i := range reps {
-		if reps[i].Mapping.String() != again[i].Mapping.String() {
-			t.Fatalf("repair %d differs across identical campaigns", i)
+	for k := 1; k < campaignRuns; k++ {
+		again, err := s.RunReactive(context.Background(), start, schedule, cfg, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range reps {
+			if reps[i].Mapping.String() != again[i].Mapping.String() {
+				t.Fatalf("repair %d differs across identical campaigns", i)
+			}
+			repair[i] = min(repair[i], again[i].Elapsed)
+		}
+	}
+	for i, rep := range reps {
+		t.Logf("repair %d: %s in %v (cold solve %v; minima of %d runs)", i, rep.Method, repair[i], coldSolve, campaignRuns)
+		if !raceEnabled && repair[i] > coldSolve {
+			t.Errorf("repair %d slower than the cold solve: %v > %v (minima of %d runs)", i, repair[i], coldSolve, campaignRuns)
 		}
 	}
 }

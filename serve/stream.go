@@ -160,6 +160,14 @@ func (s *Service) handleRemapStream(w http.ResponseWriter, r *http.Request, spec
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: fmt.Sprintf("invalid fault schedule: %v", err)})
 		return
 	}
+	// The controller validates start as well, but only after the stream
+	// is committed; a malformed start must get its 400 before that.
+	if spec.Start != nil {
+		if err := spec.Start.Validate(spec.Pipeline.NumStages(), m); err != nil {
+			writeJSON(w, http.StatusBadRequest, errorBody{Error: fmt.Sprintf("invalid \"start\" mapping: %v", err)})
+			return
+		}
+	}
 
 	ctx := r.Context()
 	deadline := s.cfg.DefaultDeadline

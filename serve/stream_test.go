@@ -146,6 +146,7 @@ func TestRemapStreamBadRequests(t *testing.T) {
 	// An invalid platform never reaches the handler: Platform.UnmarshalJSON
 	// validates at decode time, so this 400s in the decoder.
 	emptyPlat := []byte(fmt.Sprintf(`{"pipeline": %s, "platform": {"speed":[]}, "randomEvents": 4}`, pj))
+	crash := `, "events": [{"seq": 0, "time": 1, "proc": 0, "kind": 0}]`
 
 	cases := []struct {
 		name string
@@ -158,6 +159,11 @@ func TestRemapStreamBadRequests(t *testing.T) {
 		{"missing instance", []byte(`{"randomEvents": 3}`), http.StatusBadRequest},
 		{"random campaign on 1 processor", oneProc, http.StatusBadRequest},
 		{"random campaign on invalid platform", emptyPlat, http.StatusBadRequest},
+		// A malformed start used to commit the stream (200) and fail in
+		// band; it is validated before the first record.
+		{"start with a processor id past m", fig5RemapSpec(t, `, "start": {"intervals": [{"first": 0, "last": 1}], "alloc": [[999]]}`+crash), http.StatusBadRequest},
+		{"start covering too few stages", fig5RemapSpec(t, `, "start": {"intervals": [{"first": 0, "last": 0}], "alloc": [[0]]}`+crash), http.StatusBadRequest},
+		{"start covering too many stages", fig5RemapSpec(t, `, "start": {"intervals": [{"first": 0, "last": 2}], "alloc": [[0]]}`+crash), http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		status, _ := postStream(t, srv, tc.body)
