@@ -79,12 +79,13 @@ func BenchmarkCommHomExactN5M12(b *testing.B) {
 }
 
 // BenchmarkE2Fig5ParetoSeq and BenchmarkE2Fig5ParetoPar contrast the
-// sequential and parallel exhaustive Pareto enumerations on the Figure 5
-// instance (speedup scales with cores).
+// sequential (one worker) and parallel (GOMAXPROCS workers) exhaustive
+// Pareto enumerations on the Figure 5 instance (speedup scales with
+// cores).
 func BenchmarkE2Fig5ParetoSeq(b *testing.B) {
 	p, pl := workload.Fig5()
 	for i := 0; i < b.N; i++ {
-		if _, err := exact.ParetoFront(p, pl, exact.Options{MaxEnum: 20_000_000}); err != nil {
+		if _, err := exact.ParetoFront(p, pl, exact.Options{MaxEnum: 20_000_000, Workers: 1}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -93,7 +94,7 @@ func BenchmarkE2Fig5ParetoSeq(b *testing.B) {
 func BenchmarkE2Fig5ParetoPar(b *testing.B) {
 	p, pl := workload.Fig5()
 	for i := 0; i < b.N; i++ {
-		if _, err := exact.ParetoFrontParallel(p, pl, exact.Options{}, 0); err != nil {
+		if _, err := exact.ParetoFront(p, pl, exact.Options{Workers: 0}); err != nil {
 			b.Fatal(err)
 		}
 	}

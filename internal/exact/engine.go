@@ -22,8 +22,7 @@ import (
 // allocations, supports branch-and-bound pruning (prefix latency lower
 // bound / monotone failure-probability prefix against an incumbent or a
 // threshold), and fans the search out over worker goroutines by the
-// choice of the first interval — its last stage and its replica set —
-// exactly the decomposition ParetoFrontParallel pioneered.
+// choice of the first interval: its last stage and its replica set.
 //
 // Two mask representations share the engine scaffolding (task claiming,
 // budget, abort flag, incumbent, cancellation watcher):

@@ -1,20 +1,6 @@
 package exact
 
-import (
-	"repro/internal/mapping"
-	"repro/internal/pipeline"
-	"repro/internal/platform"
-)
-
-// ParetoFrontParallel computes the same exact Pareto front as ParetoFront
-// with an explicit worker count (0 = GOMAXPROCS). It is a thin wrapper
-// kept for API compatibility: ParetoFront itself now runs the parallel
-// first-interval fan-out, so the two are the same code path. Deterministic:
-// the merged front is a set, independent of scheduling.
-func ParetoFrontParallel(p *pipeline.Pipeline, pl *platform.Platform, opts Options, workers int) ([]Result, error) {
-	opts.Workers = workers
-	return ParetoFront(p, pl, opts)
-}
+import "repro/internal/mapping"
 
 // ForEachMappingParallel enumerates every valid interval mapping of n
 // stages on m processors across opts.WorkerCount() goroutines, splitting

@@ -23,11 +23,11 @@ func TestParetoFrontParallelMatchesSequential(t *testing.T) {
 		p := pipeline.Random(rng, n, 1, 5, 1, 5)
 		pl := platform.RandomFullyHeterogeneous(rng, m, 1, 10, 0.05, 0.95, 1, 20)
 
-		seq, err := ParetoFront(p, pl, Options{})
+		seq, err := ParetoFront(p, pl, Options{Workers: 1})
 		if err != nil {
 			return false
 		}
-		par, err := ParetoFrontParallel(p, pl, Options{}, workers)
+		par, err := ParetoFront(p, pl, Options{Workers: workers})
 		if err != nil {
 			return false
 		}
@@ -49,7 +49,7 @@ func TestParetoFrontParallelMatchesSequential(t *testing.T) {
 
 func TestParetoFrontParallelFig5(t *testing.T) {
 	p, pl := workload.Fig5()
-	front, err := ParetoFrontParallel(p, pl, Options{}, 4)
+	front, err := ParetoFront(p, pl, Options{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,16 +76,16 @@ func TestParetoFrontParallelErrors(t *testing.T) {
 	// stopped at 30) the slice fallback enumerates until the budget trips.
 	pl, _ := platform.NewFullyHomogeneous(63, 1, 1, 0.5)
 	p := pipeline.Uniform(2, 1, 1)
-	if _, err := ParetoFrontParallel(p, pl, Options{MaxEnum: 1000}, 2); err == nil {
+	if _, err := ParetoFront(p, pl, Options{MaxEnum: 1000, Workers: 2}); err == nil {
 		t.Error("m=63 with a tiny budget did not report an error")
 	}
-	if _, err := ParetoFrontParallel(&pipeline.Pipeline{}, pl, Options{MaxEnum: 1000}, 2); err == nil {
+	if _, err := ParetoFront(&pipeline.Pipeline{}, pl, Options{MaxEnum: 1000, Workers: 2}); err == nil {
 		t.Error("empty pipeline accepted")
 	}
 	// A big-but-supported m trips the enumeration budget instead of
 	// running forever.
 	pl31, _ := platform.NewFullyHomogeneous(31, 1, 1, 0.5)
-	if _, err := ParetoFrontParallel(p, pl31, Options{MaxEnum: 1000}, 2); err == nil {
+	if _, err := ParetoFront(p, pl31, Options{MaxEnum: 1000, Workers: 2}); err == nil {
 		t.Error("m=31 with a tiny budget did not report ErrBudget")
 	}
 }
@@ -94,7 +94,7 @@ func TestParetoFrontParallelDefaultWorkers(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	p := pipeline.Random(rng, 2, 1, 5, 1, 5)
 	pl := platform.RandomCommHomogeneous(rng, 3, 1, 5, 0.1, 0.9, 2)
-	if _, err := ParetoFrontParallel(p, pl, Options{}, 0); err != nil {
+	if _, err := ParetoFront(p, pl, Options{Workers: 0}); err != nil {
 		t.Fatalf("default workers: %v", err)
 	}
 }

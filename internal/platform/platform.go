@@ -22,10 +22,8 @@
 package platform
 
 import (
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"math"
 	"math/rand"
 	"sort"
 	"strings"
@@ -253,33 +251,6 @@ func (pl *Platform) Permute(perm []int) *Platform {
 		}
 	}
 	return cp
-}
-
-// AppendRawBytes appends a byte encoding of the platform in its own
-// processor order to dst and returns the extended slice: Speed, FailProb,
-// BIn, BOut and then every row of B (diagonal included), each as
-// uvarint(length) followed by its values' big-endian IEEE-754 bit
-// patterns. It is the raw-labeled counterpart of the canon package's
-// encoding and normalizes nothing — not -0, not the ignored diagonal —
-// so two platforms produce equal bytes exactly when every field holds
-// bitwise-equal values, valid or not.
-func (pl *Platform) AppendRawBytes(dst []byte) []byte {
-	appendVec := func(dst []byte, xs []float64) []byte {
-		dst = binary.AppendUvarint(dst, uint64(len(xs)))
-		for _, x := range xs {
-			dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(x))
-		}
-		return dst
-	}
-	dst = appendVec(dst, pl.Speed)
-	dst = appendVec(dst, pl.FailProb)
-	dst = appendVec(dst, pl.BIn)
-	dst = appendVec(dst, pl.BOut)
-	dst = binary.AppendUvarint(dst, uint64(len(pl.B)))
-	for _, row := range pl.B {
-		dst = appendVec(dst, row)
-	}
-	return dst
 }
 
 // String summarises the platform ("m=3 Communication Homogeneous, Failure

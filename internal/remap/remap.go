@@ -61,7 +61,7 @@ const DefaultDeadline = 50 * time.Millisecond
 const DefaultExactBudget = 200_000
 
 // DefaultEscalateReserve is the minimum remaining per-event budget
-// required to attempt exact escalation (Config.EscalateReserve == 0).
+// required to attempt exact escalation.
 const DefaultEscalateReserve = 5 * time.Millisecond
 
 // ErrAllFailed is returned by Apply and Sync when every processor is
@@ -88,16 +88,10 @@ type Config struct {
 	// Past it the controller installs its best-so-far mapping graded
 	// Partial.
 	Deadline time.Duration
-	// RepairRounds bounds the greedy repair's point-move rounds
-	// (0 = heuristics.RepairBudget default).
-	RepairRounds int
 	// ExactBudget gates escalation to the exact search: it runs only
 	// when the alive sub-platform's estimated mapping count is at most
 	// this (0 = DefaultExactBudget; negative disables escalation).
 	ExactBudget float64
-	// EscalateReserve is the minimum remaining per-event budget for the
-	// escalation to be attempted (default DefaultEscalateReserve).
-	EscalateReserve time.Duration
 	// Workers is the goroutine count of the escalated exact search
 	// (0 = GOMAXPROCS).
 	Workers int
@@ -123,13 +117,6 @@ func (c Config) exactBudget() float64 {
 		return DefaultExactBudget
 	}
 	return c.ExactBudget
-}
-
-func (c Config) escalateReserve() time.Duration {
-	if c.EscalateReserve <= 0 {
-		return DefaultEscalateReserve
-	}
-	return c.EscalateReserve
 }
 
 // Violation reports that the installed mapping exceeds the configured
@@ -433,7 +420,7 @@ func (c *Controller) repairLocked(ctx context.Context, ev sim.FaultEvent, start 
 	rctx, cancel := context.WithTimeout(ctx, deadline)
 	defer cancel()
 
-	res, rerr := heuristics.Repair(rctx, c.hp, c.cur, c.banned, heuristics.RepairBudget{Rounds: c.cfg.RepairRounds})
+	res, rerr := heuristics.Repair(rctx, c.hp, c.cur, c.banned, heuristics.RepairBudget{})
 	if res.Mapping == nil {
 		if rerr == nil {
 			rerr = fmt.Errorf("remap: repair produced no mapping")
@@ -505,7 +492,7 @@ const (
 // float pipeline.
 func (c *Controller) escalate(ctx context.Context, remaining time.Duration) (*mapping.Mapping, mapping.Metrics, core.Certainty, string, escStatus) {
 	budget := c.cfg.exactBudget()
-	if budget < 0 || remaining < c.cfg.escalateReserve() {
+	if budget < 0 || remaining < DefaultEscalateReserve {
 		return nil, mapping.Metrics{}, 0, "", escSkipped
 	}
 	n, alive := c.pipe.NumStages(), c.fs.Alive()

@@ -1,12 +1,18 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
+	"runtime/debug"
+	"sort"
 	"testing"
 
+	"repro"
 	"repro/internal/pipeline"
 	"repro/internal/platform"
 )
@@ -146,5 +152,67 @@ func BenchmarkDecodeSolveSpec(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkRemapStreamM80 runs one /v1/remap/stream request through the
+// handler per iteration: the m = 80 full-het instance of the root
+// package's BenchmarkRemapCampaign, deployed as 4 intervals × 3 replicas
+// on its 12 fastest processors, minimizing FP under 1.5× that mapping's
+// latency, while the 16 fastest processors crash one by one and then
+// recover in the same order (32 events). Decode, session build, the
+// campaign and the NDJSON encode all count.
+func BenchmarkRemapStreamM80(b *testing.B) {
+	const n, m = 12, 80
+	rng := rand.New(rand.NewSource(100*n + m))
+	p := pipeline.Random(rng, n, 1, 10, 1, 10)
+	pl := platform.RandomFullyHeterogeneous(rng, m, 1, 10, 0.05, 0.95, 1, 20)
+	fastest := pl.ProcsBySpeedDesc()
+	start := &repro.Mapping{}
+	for j := 0; j < 4; j++ {
+		start.Intervals = append(start.Intervals, repro.Interval{First: j * n / 4, Last: (j+1)*n/4 - 1})
+		procs := append([]int(nil), fastest[3*j:3*j+3]...)
+		sort.Ints(procs)
+		start.Alloc = append(start.Alloc, procs)
+	}
+	met, err := repro.Evaluate(p, pl, start)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var schedule repro.FaultSchedule
+	for k, u := range fastest[:16] {
+		schedule = append(schedule, repro.FaultEvent{Time: float64(k + 1), Proc: u, Kind: repro.FaultCrash})
+	}
+	for k, u := range fastest[:16] {
+		schedule = append(schedule, repro.FaultEvent{Time: float64(17 + k), Proc: u, Kind: repro.FaultRecover})
+	}
+	body, err := json.Marshal(RemapSpec{
+		Pipeline: p, Platform: pl, Objective: "minFailureProb", MaxLatency: 1.5 * met.Latency,
+		Start: start, Events: schedule.Renumber(),
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	svc := New(Config{})
+	stream := func() {
+		rec := httptest.NewRecorder()
+		svc.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/remap/stream", bytes.NewReader(body)))
+		out := rec.Body.Bytes()
+		if rec.Code != http.StatusOK || bytes.Contains(out, []byte(`"error"`)) || !bytes.Contains(out, []byte(`"done":true`)) {
+			b.Fatalf("stream answered %d: %.300s", rec.Code, out)
+		}
+	}
+	// One untimed stream first registers the service's telemetry series
+	// and fills the sync.Pools that encoding/json and the simulator draw
+	// from. Collection stays off while the streams run: a cycle landing
+	// inside one would empty those pools and add a few allocs/op at
+	// random, which the CI guard's no-growth check on allocs/op cannot
+	// tell from a regression. ns/op therefore leaves out the collector's
+	// share of the stream's ~830 KB of garbage.
+	stream()
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	b.ReportAllocs()
+	for b.Loop() {
+		stream()
 	}
 }

@@ -18,7 +18,7 @@ import (
 // solveSpecFields lists SolveSpec's JSON keys in SolveSpec.decode's field
 // order.
 var solveSpecFields = []string{"pipeline", "platform", "objective", "maxLatency", "maxFailProb",
-	"deadlineMillis", "workers", "exactBudget", "forceHeuristic", "seed"}
+	"deadlineMillis", "workers", "exactBudget", "forceHeuristic"}
 
 // batchRequestFields lists BatchRequest's JSON keys.
 var batchRequestFields = []string{"problems"}
@@ -90,8 +90,6 @@ func (spec *SolveSpec) decode(d *jsonread.Decoder) error {
 			spec.ExactBudget, err = d.Float(spec.ExactBudget)
 		case 8:
 			spec.ForceHeuristic, err = d.Bool(spec.ForceHeuristic)
-		case 9:
-			spec.Seed, err = d.Int(spec.Seed, 64)
 		}
 		return err
 	})

@@ -47,18 +47,18 @@ var requestJSONSeeds = []string{
 		`{"pipeline":{"w":[2,3],"delta":[1,1,1]},"platform":{"speed":[1],"failProb":[0],"b":[[0]],"bIn":[1],"bOut":[1]},"objective":"minLatency","maxFailProb":0.5}]}`,
 	// Every scalar field; case-folded and escaped keys (U+017F, the long
 	// s, folds to "s" and the Kelvin sign U+212A to "k").
-	`{"objective":"minLatency","maxLatency":1.5,"maxFailProb":0.25,"deadlineMillis":100,"workers":2,"exactBudget":1e6,"forceHeuristic":true,"seed":-7}`,
-	`{"OBJECTIVE":"x","MaxLatency":2,"DEADLINEMILLIS":3,"wor\u212aers":4,"ſeed":5,"\u0073eed":6,"FORCEheuristic":false}`,
+	`{"objective":"minLatency","maxLatency":1.5,"maxFailProb":0.25,"deadlineMillis":100,"workers":2,"exactBudget":1e6,"forceHeuristic":true}`,
+	`{"OBJECTIVE":"x","MaxLatency":2,"DEADLINEMILLIS":3,"wor\u212aers":4,"deadlineMilliſ":5,"\u006daxFailProb":0.5,"FORCEheuristic":false}`,
 	`{"PIPELINE":{"W":[1],"Delta":[1,1]},"pLaTfOrM":{"SPEED":[1],"failprob":[0],"B":[[0]],"bin":[1],"BOUT":[1]}}`,
 	// Repeated keys: the last wins; a repeated "problems" decodes over
 	// the elements the earlier one left, and [] or null drops them.
-	`{"objective":"a","objective":"b","seed":1,"seed":2}`,
+	`{"objective":"a","objective":"b","workers":1,"workers":2}`,
 	`{"pipeline":{"w":[1],"delta":[1,1]},"pipeline":null}`,
 	`{"pipeline":{"w":[1],"delta":[1,1]},"pipeline":{"w":[2,3],"delta":[1,1,1]}}`,
-	`{"problems":[{"seed":1,"objective":"a"},{"seed":2},{"seed":3}],"problems":[{"objective":"b"}]}`,
-	`{"problems":[{"seed":1},{"seed":2},{"seed":3}],"problems":[{}],"problems":[null,null,{"workers":1}]}`,
-	`{"problems":[{"seed":1},{"seed":2}],"problems":[],"problems":[null,null]}`,
-	`{"problems":[{"seed":1},{"seed":2}],"problems":null,"problems":[null]}`,
+	`{"problems":[{"workers":1,"objective":"a"},{"workers":2},{"workers":3}],"problems":[{"objective":"b"}]}`,
+	`{"problems":[{"workers":1},{"workers":2},{"workers":3}],"problems":[{}],"problems":[null,null,{"workers":1}]}`,
+	`{"problems":[{"workers":1},{"workers":2}],"problems":[],"problems":[null,null]}`,
+	`{"problems":[{"workers":1},{"workers":2}],"problems":null,"problems":[null]}`,
 	`{"problems":[{"maxLatency":5}],"problems":[{"maxLatency":null,"pipeline":{"w":[1],"delta":[1,1]}}]}`,
 	// null: scalars keep their value, pointers and slices become nil, and
 	// a top-level null is a zero request.
@@ -69,13 +69,13 @@ var requestJSONSeeds = []string{
 	`{}`,
 	`{"problems":[]}`,
 	// Integers: fractions, exponents and overflow are errors.
-	`{"seed":1.0}`,
-	`{"seed":1e3}`,
-	`{"seed":-0}`,
-	`{"seed":9223372036854775807}`,
-	`{"seed":9223372036854775808}`,
-	`{"seed":-9223372036854775808}`,
-	`{"seed":-9223372036854775809}`,
+	`{"deadlineMillis":1.0}`,
+	`{"deadlineMillis":1e3}`,
+	`{"deadlineMillis":-0}`,
+	`{"deadlineMillis":9223372036854775807}`,
+	`{"deadlineMillis":9223372036854775808}`,
+	`{"deadlineMillis":-9223372036854775808}`,
+	`{"deadlineMillis":-9223372036854775809}`,
 	`{"workers":1.5}`,
 	`{"deadlineMillis":18446744073710}`,
 	`{"deadlineMillis":01}`,
@@ -94,7 +94,7 @@ var requestJSONSeeds = []string{
 	`{"objective":5}`,
 	`{"maxLatency":"5"}`,
 	`{"forceHeuristic":1}`,
-	`{"seed":true}`,
+	`{"deadlineMillis":true}`,
 	`{"pipeline":5}`,
 	`{"pipeline":[]}`,
 	`{"platform":"x"}`,
@@ -105,15 +105,15 @@ var requestJSONSeeds = []string{
 	`"x"`,
 	`5`,
 	// Unknown members, validated but not converted; invalid instances.
-	`{"extra":{"a":[1,{"b":null}],"c":"x\n\u00e9","d":[true,false,-0.5e+3]},"seed":3}`,
-	`{"extra":[1,],"seed":3}`,
+	`{"extra":{"a":[1,{"b":null}],"c":"x\n\u00e9","d":[true,false,-0.5e+3]},"workers":3}`,
+	`{"extra":[1,],"workers":3}`,
 	`{"pipeline":{"w":[1],"delta":[1]}}`,
 	`{"platform":{"speed":[1],"failProb":[2],"b":[[0]],"bIn":[1],"bOut":[1]}}`,
 	// What may follow the top-level value.
 	`{} `,
 	`{}{}`,
 	`null x`,
-	`{"seed":1`,
+	`{"workers":1`,
 	``,
 }
 

@@ -10,7 +10,9 @@
 // by a permutation of the platform's processors share one warm session,
 // coalesce onto one in-flight solve, and reuse one completed answer —
 // translated into each requester's own processor ids on the way out
-// (SolveResult.Cached marks a solution-cache answer).
+// (SolveResult.Cached marks a solution-cache answer). A remap stream, and
+// a solve whose instance has no canonical form, build a session of their
+// own and bypass both caches and the coalescing.
 //
 // Endpoints (see Service):
 //
@@ -36,7 +38,7 @@
 // (bounded concurrency, bounded wait queue, deadline-aware shedding with
 // structured 429/503 bodies and Retry-After headers), identical in-flight
 // solves are coalesced onto one underlying computation (singleflight on
-// the instance hash), and exact-search escalation is guarded by a circuit
+// the request key), and exact-search escalation is guarded by a circuit
 // breaker that degrades overloaded solves to the heuristic route. All of
 // it is visible in /v1/stats (shed, coalesced, solves, breakerState).
 // See docs/api.md for the overload contract and a client retry recipe.
@@ -81,8 +83,6 @@ type SolveSpec struct {
 	ExactBudget float64 `json:"exactBudget,omitempty"`
 	// ForceHeuristic skips exact enumeration regardless of size.
 	ForceHeuristic bool `json:"forceHeuristic,omitempty"`
-	// Seed drives the stochastic components (default 1).
-	Seed int64 `json:"seed,omitempty"`
 }
 
 // SolveResult is the answer to one SolveSpec.

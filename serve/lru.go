@@ -4,78 +4,53 @@ import (
 	"container/list"
 	"context"
 	"crypto/sha256"
-	"encoding/binary"
 	"encoding/hex"
 	"fmt"
 	"math"
 	"sync"
 
 	"repro"
-	"repro/internal/pipeline"
-	"repro/internal/platform"
 	"repro/internal/resilience"
 )
-
-// sessionKey derives the warm-session cache key of a raw-labeled
-// instance: a SHA-256 over the IEEE-754 bit patterns of every pipeline
-// and platform value in request order plus every session-level option,
-// so two requests share a session exactly when they would construct
-// identical ones.
-func sessionKey(p *pipeline.Pipeline, pl *platform.Platform, workers int, budget float64, force bool, seed int64) string {
-	return sessionDigest(rawSessionDomain, rawInstanceBytes(p, pl), workers, budget, force, seed)
-}
-
-// rawInstanceBytes encodes a raw-labeled instance for sessionKey. The
-// Delta length is spelled out because AppendCanonicalBytes assumes the
-// n+1 a valid pipeline has; instances that fail validation hash here too.
-func rawInstanceBytes(p *pipeline.Pipeline, pl *platform.Platform) []byte {
-	enc := make([]byte, 0, 32+8*(len(p.W)+len(p.Delta)+len(pl.Speed)*(4+len(pl.Speed))))
-	enc = binary.AppendUvarint(enc, uint64(len(p.Delta)))
-	enc = p.AppendCanonicalBytes(enc)
-	return pl.AppendRawBytes(enc)
-}
 
 // canonicalSessionKey derives the warm-session cache key from the
 // instance's canonical encoding: every processor relabeling of one
 // platform hashes identically, so permuted variants of the same request
 // warm (and reuse) a single session. The session-level options are mixed
-// in because they shape session construction exactly as in sessionKey.
-func canonicalSessionKey(canonBytes []byte, workers int, budget float64, force bool, seed int64) string {
-	return sessionDigest(canonSessionDomain, canonBytes, workers, budget, force, seed)
-}
-
-// Domain prefixes keep the raw and canonical key spaces disjoint in the
-// shared session cache, whatever bytes the two encodings produce.
-const (
-	rawSessionDomain   = "raw-session\x00"
-	canonSessionDomain = "canon-session\x00"
-)
-
-func sessionDigest(domain string, instance []byte, workers int, budget float64, force bool, seed int64) string {
+// in because they shape session construction.
+func canonicalSessionKey(canonBytes []byte, workers int, budget float64, force bool) string {
 	h := sha256.New()
-	h.Write([]byte(domain))
-	h.Write(instance)
-	fmt.Fprintf(h, "|%d|%x|%t|%d", workers, math.Float64bits(budget), force, seed)
+	h.Write(canonBytes)
+	fmt.Fprintf(h, "|%d|%x|%t", workers, math.Float64bits(budget), force)
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// solutionKey derives the cross-request solution cache key: the
-// canonical session key (which already digests the canonical instance
-// bytes and the session-level tuning) plus everything else that shapes
-// the answer — objective, the bi-criteria bounds, and the deadline (the
-// adaptive router steers by it, so different deadlines may legitimately
-// produce different complete answers). Relabeled copies of one request
-// therefore hash to the same key and share one stored answer. Building
-// on the session key avoids a second SHA-256 pass over the O(m²)
-// canonical bytes on the request path.
-func solutionKey(canonSessionKey string, objective repro.Objective, spec SolveSpec) string {
+// requestKey names one canonical solve request: the canonical session
+// key (which already digests the canonical instance bytes and the
+// session-level tuning) plus everything else that shapes the answer —
+// objective, the bi-criteria bounds, and the deadline (the adaptive
+// router steers by it, so different deadlines may legitimately produce
+// different complete answers). Relabeled copies of one request therefore
+// share one key. It keys the solution cache as it is and the singleflight
+// through flightKey. Building on the session key avoids a second SHA-256
+// pass over the O(m²) canonical bytes on the request path.
+func requestKey(sessionKey string, objective repro.Objective, spec SolveSpec) string {
 	h := sha256.New()
-	h.Write([]byte("solution\x00"))
-	h.Write([]byte(canonSessionKey))
+	h.Write([]byte(sessionKey))
 	fmt.Fprintf(h, "|%d|%x|%x|%d",
 		objective, math.Float64bits(spec.MaxLatency), math.Float64bits(spec.MaxFailProb),
 		spec.DeadlineMillis)
 	return hex.EncodeToString(h.Sum(nil))
+}
+
+// flightKey marks a request key with the breaker's verdict: a
+// breaker-forced solve runs the heuristic route, so it must not share a
+// flight with one that may escalate to the exact search.
+func flightKey(reqKey string, forced bool) string {
+	if forced {
+		return reqKey + "|forced"
+	}
+	return reqKey
 }
 
 // sessionCache is a mutex-guarded LRU of warm sessions. Hits move the
@@ -180,7 +155,7 @@ func (c *sessionCache) stats() (hits, misses, evicted int64, size int) {
 }
 
 // solutionCache is a mutex-guarded LRU of completed solve answers keyed
-// by solutionKey. Stored results carry canonical-labeled mappings; the
+// by requestKey. Stored results carry canonical-labeled mappings; the
 // serve layer translates them into each requester's processor ids on the
 // way out, so one stored answer serves every relabeling of its instance.
 // Lookups happen inside the singleflight leader, so hit/miss counting

@@ -9,8 +9,6 @@ import (
 	"time"
 
 	"repro"
-	"repro/internal/pipeline"
-	"repro/internal/platform"
 	"repro/internal/workload"
 )
 
@@ -120,73 +118,55 @@ func TestSessionCacheEvictionUnderPressure(t *testing.T) {
 	}
 }
 
-// TestSessionKeyBits pins the raw-labeled session key: equal instances
-// and options give equal keys; flipping any single float — every
-// pipeline and platform value, the ignored B diagonal and the sign of a
-// zero included — or any option gives a new key; and the raw and
-// canonical key spaces stay apart even over identical payload bytes.
-func TestSessionKeyBits(t *testing.T) {
+// TestCanonicalSessionKeyOptions pins the option half of the request
+// keys: equal canonical bytes and options give equal keys, and changing
+// any session-level option, any answer-shaping field or the breaker's
+// verdict gives a new one. The byte half (relabelings collide, distinct
+// instances don't) is internal/canon's to test.
+func TestCanonicalSessionKeyOptions(t *testing.T) {
 	p, pl := workload.Fig5()
-	const (
-		workers = 2
-		budget  = 5e6
-		seed    = 3
-	)
-	base := sessionKey(p, pl, workers, budget, false, seed)
-	if got := sessionKey(p.Clone(), pl.Clone(), workers, budget, false, seed); got != base {
-		t.Fatal("equal instances and options hash to different keys")
-	}
-
-	floats := func(p *pipeline.Pipeline, pl *platform.Platform) []*float64 {
-		var out []*float64
-		for _, xs := range [][]float64{p.W, p.Delta, pl.Speed, pl.FailProb, pl.BIn, pl.BOut} {
-			for i := range xs {
-				out = append(out, &xs[i])
-			}
-		}
-		for _, row := range pl.B {
-			for i := range row {
-				out = append(out, &row[i])
-			}
-		}
-		return out
-	}
-	flips := map[string]func(uint64) uint64{
-		"sign":         func(b uint64) uint64 { return b ^ 1<<63 },
-		"lowest bit":   func(b uint64) uint64 { return b ^ 1 },
-		"exponent bit": func(b uint64) uint64 { return b ^ 1<<52 },
-	}
-	n := len(floats(p, pl))
-	for i := 0; i < n; i++ {
-		for name, flip := range flips {
-			cp, cpl := p.Clone(), pl.Clone()
-			x := floats(cp, cpl)[i]
-			*x = math.Float64frombits(flip(math.Float64bits(*x)))
-			if sessionKey(cp, cpl, workers, budget, false, seed) == base {
-				t.Errorf("flipping the %s of float %d of %d left the key unchanged", name, i, n)
-			}
-		}
-	}
-
-	for name, key := range map[string]string{
-		"workers": sessionKey(p, pl, workers+1, budget, false, seed),
-		"budget":  sessionKey(p, pl, workers, math.Nextafter(budget, 0), false, seed),
-		"force":   sessionKey(p, pl, workers, budget, true, seed),
-		"seed":    sessionKey(p, pl, workers, budget, false, seed+1),
-	} {
-		if key == base {
-			t.Errorf("changing %s left the key unchanged", name)
-		}
-	}
-
-	if canonicalSessionKey(rawInstanceBytes(p, pl), workers, budget, false, seed) == base {
-		t.Error("raw and canonical keys collide over the same payload bytes")
-	}
 	cn, err := repro.CanonicalizeInstance(p, pl)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if canonicalSessionKey(cn.Bytes, workers, budget, false, seed) == base {
-		t.Error("the canonical key of an instance equals its raw key")
+	const (
+		workers = 2
+		budget  = 5e6
+	)
+	base := canonicalSessionKey(cn.Bytes, workers, budget, false)
+	if got := canonicalSessionKey(append([]byte(nil), cn.Bytes...), workers, budget, false); got != base {
+		t.Fatal("equal bytes and options hash to different session keys")
+	}
+	for name, key := range map[string]string{
+		"workers": canonicalSessionKey(cn.Bytes, workers+1, budget, false),
+		"budget":  canonicalSessionKey(cn.Bytes, workers, math.Nextafter(budget, 0), false),
+		"force":   canonicalSessionKey(cn.Bytes, workers, budget, true),
+	} {
+		if key == base {
+			t.Errorf("changing %s left the session key unchanged", name)
+		}
+	}
+
+	spec := SolveSpec{MaxLatency: 22, MaxFailProb: 0.5, DeadlineMillis: 100}
+	req := requestKey(base, repro.MinimizeFailureProb, spec)
+	variant := func(edit func(*SolveSpec)) SolveSpec {
+		v := spec
+		edit(&v)
+		return v
+	}
+	for name, key := range map[string]string{
+		"session":     requestKey(canonicalSessionKey(cn.Bytes, workers, budget, true), repro.MinimizeFailureProb, spec),
+		"objective":   requestKey(base, repro.MinimizeLatency, spec),
+		"maxLatency":  requestKey(base, repro.MinimizeFailureProb, variant(func(v *SolveSpec) { v.MaxLatency = math.Nextafter(22, 0) })),
+		"maxFailProb": requestKey(base, repro.MinimizeFailureProb, variant(func(v *SolveSpec) { v.MaxFailProb = 0.25 })),
+		"deadline":    requestKey(base, repro.MinimizeFailureProb, variant(func(v *SolveSpec) { v.DeadlineMillis = 101 })),
+		"forced":      flightKey(req, true),
+	} {
+		if key == req {
+			t.Errorf("changing %s left the request key unchanged", name)
+		}
+	}
+	if flightKey(req, false) != req {
+		t.Error("an unforced flight key differs from its request key")
 	}
 }

@@ -50,14 +50,14 @@ func TestAdmissionShedsQueueOverflow(t *testing.T) {
 
 	// B fills the one queue position.
 	go func() {
-		resp := postJSON(t, srv, "/v1/solve", fig5Spec(t, `, "seed": 7`))
+		resp := postJSON(t, srv, "/v1/solve", fig5Spec(t, `, "workers": 1`))
 		resp.Body.Close()
 		status <- resp.StatusCode
 	}()
 	waitUntil(t, "request B to queue", func() bool { return svc.limiter.Stats().Waiting == 1 })
 
 	// C finds the queue full: shed up front.
-	resp := postJSON(t, srv, "/v1/solve", fig5Spec(t, `, "seed": 9`))
+	resp := postJSON(t, srv, "/v1/solve", fig5Spec(t, `, "workers": 2`))
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("status = %d, want 429", resp.StatusCode)
 	}
@@ -97,19 +97,14 @@ func TestCoalescedSolvesShareOneSolve(t *testing.T) {
 	defer srv.Close()
 
 	// Reconstruct the flight key solveOne derives for the fig5 request:
-	// the session key is canonical now, so relabeled copies of fig5 would
-	// land on this same flight.
+	// the request key is canonical, so relabeled copies of fig5 would land
+	// on this same flight.
 	p, pl := workload.Fig5()
 	cn, err := repro.CanonicalizeInstance(p, pl)
 	if err != nil {
 		t.Fatal(err)
 	}
-	key := canonicalSessionKey(cn.Bytes, 0, 0, false, 0)
-	objective, err := parseObjective("minFailureProb")
-	if err != nil {
-		t.Fatal(err)
-	}
-	flightKey := fmt.Sprintf("%s|%d|%g|%g|%d|%t", key, objective, 22.0, 0.0, int64(0), false)
+	key := flightKey(requestKey(canonicalSessionKey(cn.Bytes, 0, 0, false), repro.MinimizeFailureProb, SolveSpec{MaxLatency: 22}), false)
 
 	const callers = 4
 	results := make(chan SolveResult, callers)
@@ -121,7 +116,7 @@ func TestCoalescedSolvesShareOneSolve(t *testing.T) {
 	}
 	// Wait for the leader plus all three duplicates to be registered on
 	// the flight before releasing the solver.
-	waitUntil(t, "four callers on one flight", func() bool { return svc.flight.Inflight(flightKey) == callers })
+	waitUntil(t, "four callers on one flight", func() bool { return svc.flight.Inflight(key) == callers })
 	close(gate)
 
 	coalesced := 0
@@ -276,7 +271,7 @@ func TestMalformedBodyRejectedWithoutQueueing(t *testing.T) {
 	}()
 	waitUntil(t, "a solve to hold the slot", func() bool { return svc.limiter.Stats().InUse == 1 })
 	go func() {
-		resp := postJSON(t, srv, "/v1/solve", fig5Spec(t, `, "seed": 7`))
+		resp := postJSON(t, srv, "/v1/solve", fig5Spec(t, `, "workers": 1`))
 		resp.Body.Close()
 		status <- resp.StatusCode
 	}()
@@ -284,7 +279,7 @@ func TestMalformedBodyRejectedWithoutQueueing(t *testing.T) {
 
 	for _, body := range [][]byte{
 		[]byte("{not json"),
-		append(fig5Spec(t, `, "seed": 9`), "{}"...),
+		append(fig5Spec(t, `, "workers": 2`), "{}"...),
 		[]byte(`{"pipeline": {"w": [1], "delta": [1, 1]}, "platform": {"speed": []}}`),
 	} {
 		resp := postJSON(t, srv, "/v1/solve", body)

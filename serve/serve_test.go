@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -13,6 +14,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/canon"
+	"repro/internal/mapping"
+	"repro/internal/pipeline"
 	"repro/internal/platform"
 	"repro/internal/workload"
 )
@@ -199,6 +203,76 @@ func TestSessionCacheReuseAcrossRequests(t *testing.T) {
 	stats := decodeBody[Stats](t, mustGet(t, srv, "/v1/stats"))
 	if stats.CacheSize != 1 || stats.CacheHits != 2 || stats.CacheMisses != 1 {
 		t.Errorf("stats = %+v, want 1 warm session with 2 hits / 1 miss", stats)
+	}
+}
+
+// TestSessionCacheSkipsRemapStreams pins that a remap stream builds its
+// own session: the warm-session LRU sees no lookup and keeps nothing.
+func TestSessionCacheSkipsRemapStreams(t *testing.T) {
+	srv := httptest.NewServer(New(Config{}))
+	defer srv.Close()
+
+	status, events := postStream(t, srv, fig5RemapSpec(t, `, "events": [
+		{"seq": 0, "time": 1, "proc": 0, "kind": 0},
+		{"seq": 1, "time": 2, "proc": 0, "kind": 1}
+	]`))
+	if status != http.StatusOK || len(events) != 3 || !events[2].Done || events[2].Error != "" {
+		t.Fatalf("stream: status %d, records %+v", status, events)
+	}
+	stats := decodeBody[Stats](t, mustGet(t, srv, "/v1/stats"))
+	if stats.CacheSize != 0 || stats.CacheHits != 0 || stats.CacheMisses != 0 {
+		t.Errorf("cacheSize %d, cacheHits %d, cacheMisses %d after a stream, want all 0",
+			stats.CacheSize, stats.CacheHits, stats.CacheMisses)
+	}
+}
+
+// TestSessionCacheSkipsUncanonicalizable posts, twice, a platform whose
+// symmetry outruns the canonicalization budget: each request builds its
+// own session and solves in its own labels, outside the session LRU, the
+// solution cache and the singleflight.
+func TestSessionCacheSkipsUncanonicalizable(t *testing.T) {
+	defer func(old int) { canon.Budget = old }(canon.Budget)
+	canon.Budget = 1
+
+	// A 4-ring of links (ring 1, chords 2) over identical processors
+	// survives refinement as one symmetric cell that must branch.
+	p := pipeline.Uniform(2, 1, 1)
+	pl, err := platform.NewFullyHeterogeneous(
+		[]float64{1, 1, 1, 1},
+		[]float64{0.5, 0.5, 0.5, 0.5},
+		[][]float64{{0, 1, 2, 1}, {1, 0, 1, 2}, {2, 1, 0, 1}, {1, 2, 1, 0}},
+		[]float64{7, 7, 7, 7},
+		[]float64{7, 7, 7, 7},
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := canon.Canonicalize(p, pl); !errors.Is(err, canon.ErrComplex) {
+		t.Fatalf("canonicalize: %v, want ErrComplex", err)
+	}
+
+	srv := httptest.NewServer(New(Config{}))
+	defer srv.Close()
+	for i := 0; i < 2; i++ {
+		res := decodeBody[SolveResult](t, postJSON(t, srv, "/v1/solve", solveSpecJSON(t, p, pl, `, "maxLatency": 20`)))
+		if res.Error != "" {
+			t.Fatalf("request %d: %s", i, res.Error)
+		}
+		if res.CacheHit || res.Cached || res.Coalesced {
+			t.Errorf("request %d: cacheHit %v, cached %v, coalesced %v, want all false", i, res.CacheHit, res.Cached, res.Coalesced)
+		}
+		met, err := mapping.Evaluate(p, pl, res.Mapping)
+		if err != nil {
+			t.Fatalf("request %d: mapping invalid in the request's labels: %v", i, err)
+		}
+		if met.Latency != res.Latency || met.FailureProb != res.FailureProb {
+			t.Errorf("request %d: mapping scores %+v, answer reports latency %g, FP %g", i, met, res.Latency, res.FailureProb)
+		}
+	}
+	stats := decodeBody[Stats](t, mustGet(t, srv, "/v1/stats"))
+	if stats.CacheSize != 0 || stats.SolutionHits != 0 || stats.SolutionMisses != 0 || stats.Solves != 2 {
+		t.Errorf("cacheSize %d, solutionHits %d, solutionMisses %d, solves %d; want 0, 0, 0, 2",
+			stats.CacheSize, stats.SolutionHits, stats.SolutionMisses, stats.Solves)
 	}
 }
 

@@ -337,7 +337,7 @@ fanout:
 // solveOne answers one spec: session from the warm cache (or built and
 // inserted), per-request deadline mapped to context, solver errors
 // reported in-band. Identical concurrent solves coalesce onto one
-// underlying solver run (singleflight on the instance hash), and the
+// underlying solver run (singleflight on the request key), and the
 // exact-escalation circuit breaker degrades a train of budget-blown
 // searches to the heuristic route instead of letting them pile up.
 func (s *Service) solveOne(ctx context.Context, spec SolveSpec) SolveResult {
@@ -380,28 +380,33 @@ func (s *Service) solveOne(ctx context.Context, spec SolveSpec) SolveResult {
 
 	// Canonicalize the instance so every processor relabeling of one
 	// platform collapses onto one warm session, one in-flight solve and
-	// one stored answer. Canonicalization failures (invalid instances,
-	// pathological symmetry past the refinement budget) fall back to the
-	// raw-labeled path: invalid instances then fail session construction
-	// with their original diagnostics, and valid-but-too-symmetric ones
-	// are still solved — just without cross-relabeling sharing.
-	var cn *repro.CanonicalInstance
-	if c, cerr := repro.CanonicalizeInstance(spec.Pipeline, spec.Platform); cerr == nil {
-		cn = c
+	// one stored answer. An instance that has no canonical form (it is
+	// invalid, or its symmetry outruns the refinement budget) builds a
+	// session of its own and solves in its own labels, neither coalesced
+	// nor cached; an invalid one fails with NewSession's diagnostics.
+	var (
+		sess   *repro.Session
+		reqKey string
+		hit    bool
+	)
+	cn, cerr := repro.CanonicalizeInstance(spec.Pipeline, spec.Platform)
+	if cerr == nil {
+		key := canonicalSessionKey(cn.Bytes, spec.Workers, spec.ExactBudget, spec.ForceHeuristic)
+		// Materialize the canonical relabeling only on a build — a cache
+		// hit must not pay the O(m²) platform copy.
+		sess, hit, err = s.cache.getOrCreate(key, func() (*repro.Session, error) {
+			return s.newSession(cn.Pipeline(), cn.Platform(), spec)
+		})
+		reqKey = requestKey(key, objective, spec)
+	} else {
+		sess, err = s.newSession(spec.Pipeline, spec.Platform, spec)
 	}
-
-	sess, key, hit, err := s.session(spec, cn)
 	if err != nil {
 		return finish(SolveResult{Error: err.Error()})
 	}
-
-	// The solution-cache key covers everything that shapes the answer;
-	// empty means this request bypasses the cache (disabled, or no
-	// canonical form). key is the canonical session key here (cn != nil).
-	solKey := ""
-	if cn != nil && s.solutions != nil {
-		solKey = solutionKey(key, objective, spec)
-	}
+	// The solution cache takes only canonical answers: the stored mapping
+	// is translated into each requester's labels.
+	useSolutions := reqKey != "" && s.solutions != nil
 
 	deadline := s.cfg.DefaultDeadline
 	if spec.DeadlineMillis > 0 {
@@ -426,20 +431,14 @@ func (s *Service) solveOne(ctx context.Context, spec SolveSpec) SolveResult {
 		}
 	}
 
-	// Coalesce identical in-flight solves: the key is the warm-session
-	// hash (instance + session options) plus everything else that shapes
-	// the answer. Only the leader calls the solver; duplicates share its
-	// result.
-	flightKey := fmt.Sprintf("%s|%d|%g|%g|%d|%t",
-		key, objective, spec.MaxLatency, spec.MaxFailProb, spec.DeadlineMillis, forced)
 	leaderSolved := false
-	res, shared, err := s.flight.Do(ctx, flightKey, func() (SolveResult, error) {
+	solve := func() (SolveResult, error) {
 		// Cross-request solution cache, checked by the flight leader:
 		// a hit still coalesces its concurrent duplicates, and a miss
 		// leaves no stampede window between lookup and solve — exactly
-		// one solver run per canonical key.
-		if solKey != "" {
-			if out, ok := s.solutions.get(solKey); ok {
+		// one solver run per request key.
+		if useSolutions {
+			if out, ok := s.solutions.get(reqKey); ok {
 				s.solutionHits.Inc()
 				out.Cached = true
 				return out, nil
@@ -478,11 +477,22 @@ func (s *Service) solveOne(ctx context.Context, spec SolveSpec) SolveResult {
 		// requests: partial and breaker-forced ones reflect transient
 		// load, not the instance. The stored mapping stays in canonical
 		// labels; translation happens per request below.
-		if solKey != "" && !out.Partial && !forced {
-			s.solutions.put(solKey, out)
+		if useSolutions && !out.Partial && !forced {
+			s.solutions.put(reqKey, out)
 		}
 		return out, nil
-	})
+	}
+	// Coalesce identical in-flight canonical solves: only the leader
+	// calls the solver; duplicates share its result.
+	var (
+		res    SolveResult
+		shared bool
+	)
+	if reqKey != "" {
+		res, shared, err = s.flight.Do(ctx, flightKey(reqKey, forced), solve)
+	} else {
+		res, err = solve()
+	}
 	if probing {
 		if leaderSolved {
 			// A partial answer means the deadline fired mid-search — the
@@ -529,45 +539,16 @@ func parseObjective(name string) (repro.Objective, error) {
 	}
 }
 
-// session returns the warm session for the spec's instance and tuning
-// (building and caching it on a miss) together with the instance hash
-// used as the cache key.
-//
-// With a canonical form in hand, the session is keyed by — and built on —
-// the canonical instance, so every relabeling of one platform warms the
-// same session and the solver runs in canonical labels (solveOne
-// translates mappings back per request). Without one (the streaming
-// re-mapper, which emits requester-labeled processor ids on the wire, or
-// the canonicalization fallback) the key hashes the raw instance bits
-// and labels pass through untouched.
-func (s *Service) session(spec SolveSpec, cn *repro.CanonicalInstance) (*repro.Session, string, bool, error) {
-	var key string
-	if cn != nil {
-		key = canonicalSessionKey(cn.Bytes, spec.Workers, spec.ExactBudget, spec.ForceHeuristic, spec.Seed)
-	} else {
-		key = sessionKey(spec.Pipeline, spec.Platform, spec.Workers, spec.ExactBudget, spec.ForceHeuristic, spec.Seed)
-	}
-	sess, hit, err := s.cache.getOrCreate(key, func() (*repro.Session, error) {
-		// Materialize the canonical relabeling only on a build — a cache
-		// hit must not pay the O(m²) platform copy.
-		p, pl := spec.Pipeline, spec.Platform
-		if cn != nil {
-			p, pl = cn.Pipeline(), cn.Platform()
-		}
-		opts := []repro.SessionOption{
-			repro.WithWorkers(spec.Workers),
-			repro.WithExactBudget(spec.ExactBudget),
-			repro.WithForceHeuristic(spec.ForceHeuristic),
-			// Every warm session shares the service recorder: solves feed
-			// the per-class route profiles, and the adaptive router reads
-			// them back to skip routes whose warm p95 cannot fit a
-			// request's remaining deadline budget.
-			repro.WithRecorder(s.rec),
-		}
-		if spec.Seed != 0 {
-			opts = append(opts, repro.WithSeed(spec.Seed))
-		}
-		return repro.NewSession(p, pl, opts...)
-	})
-	return sess, key, hit, err
+// newSession builds a session for (p, pl) under the spec's session-level
+// tuning. Every session shares the service recorder: solves feed the
+// per-class route profiles, and the adaptive router reads them back to
+// skip routes whose warm p95 cannot fit a request's remaining deadline
+// budget.
+func (s *Service) newSession(p *repro.Pipeline, pl *repro.Platform, spec SolveSpec) (*repro.Session, error) {
+	return repro.NewSession(p, pl,
+		repro.WithWorkers(spec.Workers),
+		repro.WithExactBudget(spec.ExactBudget),
+		repro.WithForceHeuristic(spec.ForceHeuristic),
+		repro.WithRecorder(s.rec),
+	)
 }

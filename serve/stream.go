@@ -47,6 +47,9 @@ type RemapSpec struct {
 	// campaign of this many crash/recovery events instead (at most
 	// 65,536; more is a 400).
 	RandomEvents int `json:"randomEvents,omitempty"`
+	// Seed draws the RandomEvents campaign (default 1); nothing else
+	// reads it.
+	Seed int64 `json:"seed,omitempty"`
 	// RepairDeadlineMillis caps each per-event repair (0 = the
 	// controller default, 50ms). Repairs past it degrade to the best
 	// mapping found, graded partial.
@@ -54,13 +57,12 @@ type RemapSpec struct {
 	// DeadlineMillis caps the whole stream (0 = the service default).
 	DeadlineMillis int64 `json:"deadlineMillis,omitempty"`
 
-	// Session-level tuning (participates in the warm-session cache key).
-	// ExactBudget also gates the controller's per-event exact escalation
-	// (0 = the controller default; negative disables escalation).
+	// Session-level tuning of the stream's own session. ExactBudget also
+	// gates the controller's per-event exact escalation (0 = the
+	// controller default; negative disables escalation).
 	Workers        int     `json:"workers,omitempty"`
 	ExactBudget    float64 `json:"exactBudget,omitempty"`
 	ForceHeuristic bool    `json:"forceHeuristic,omitempty"`
-	Seed           int64   `json:"seed,omitempty"`
 }
 
 // RemapEvent is one NDJSON record of the stream: a repair (per fault
@@ -122,15 +124,12 @@ func (s *Service) handleRemapStream(w http.ResponseWriter, r *http.Request, spec
 	}
 	// Create (and thereby validate) the session before touching the fault
 	// schedule: schedule generation must only ever see a platform that
-	// passed validation.
-	// The stream stays on the raw-labeled session path (cn == nil): every
-	// emitted mapping and fault id must be in the requester's processor
-	// labeling, and repairs are stateful per-platform anyway.
-	sess, _, _, err := s.session(SolveSpec{
-		Pipeline: spec.Pipeline, Platform: spec.Platform,
-		Workers: spec.Workers, ExactBudget: spec.ExactBudget,
-		ForceHeuristic: spec.ForceHeuristic, Seed: spec.Seed,
-	}, nil)
+	// passed validation. The stream builds its own session, in the
+	// requester's labels: every emitted mapping and fault id must be in
+	// that labeling, and a crash-then-recover campaign seldom repeats.
+	sess, err := s.newSession(spec.Pipeline, spec.Platform, SolveSpec{
+		Workers: spec.Workers, ExactBudget: spec.ExactBudget, ForceHeuristic: spec.ForceHeuristic,
+	})
 	if err != nil {
 		writeJSON(w, http.StatusUnprocessableEntity, errorBody{Error: err.Error()})
 		return

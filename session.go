@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"sync"
 	"time"
 
 	"repro/internal/core"
@@ -37,13 +36,6 @@ type Session struct {
 	plat *Platform
 	cfg  sessionConfig
 	ev   *mapping.Evaluator
-
-	// Canonical form of the instance, computed lazily on the first
-	// Canonical call (it is pure derived state, so memoizing keeps the
-	// Session immutable in effect and concurrency-safe).
-	canonOnce sync.Once
-	canonVal  *CanonicalInstance
-	canonErr  error
 }
 
 // sessionConfig carries the options applied at NewSession time.
@@ -153,20 +145,6 @@ func (s *Session) Pipeline() *Pipeline { return s.pipe }
 
 // Platform returns the session's platform (shared, do not mutate).
 func (s *Session) Platform() *Platform { return s.plat }
-
-// Canonical returns the instance's canonical form (computed once,
-// memoized, safe for concurrent use): relabeling-invariant bytes suitable
-// for cross-request cache keys plus the permutation translating mappings
-// back to this session's processor ids. It fails with
-// ErrCanonicalizeComplex (wrapped) on platforms whose link symmetry
-// exceeds the canonicalization budget; such sessions still solve
-// normally, they just cannot share cache entries across relabelings.
-func (s *Session) Canonical() (*CanonicalInstance, error) {
-	s.canonOnce.Do(func() {
-		s.canonVal, s.canonErr = CanonicalizeInstance(s.pipe, s.plat)
-	})
-	return s.canonVal, s.canonErr
-}
 
 // callCtx derives the per-call context: the caller's context bounded by
 // the session deadline when one was configured.
