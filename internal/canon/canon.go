@@ -99,27 +99,19 @@ func Canonicalize(p *pipeline.Pipeline, pl *platform.Platform) (*Canonical, erro
 	var enc []byte
 	if b, ok := pl.CommHomogeneous(); ok {
 		perm = commHomOrder(pl)
-		enc = make([]byte, 0, 2+16*(m+1))
-		enc = append(enc, encVersion, encClassCommHom)
-		enc = p.AppendCanonicalBytes(enc)
-		enc = binary.AppendUvarint(enc, uint64(m))
+		hdr := header(encClassCommHom, p, m)
+		enc = append(make([]byte, 0, len(hdr)+8*(1+2*m)), hdr...)
 		enc = appendBits(enc, b)
 		for _, u := range perm {
 			enc = appendBits(enc, pl.Speed[u])
 			enc = appendBits(enc, pl.FailProb[u])
 		}
 	} else {
-		st := &hetState{pl: pl, budget: Budget}
-		section, order, err := st.search(st.refine(baseCells(pl)))
-		if err != nil {
+		st := &hetState{pl: pl, budget: Budget, hdr: header(encClassHetero, p, m)}
+		var err error
+		if enc, perm, err = st.search(st.refine(baseCells(pl))); err != nil {
 			return nil, err
 		}
-		perm = order
-		enc = make([]byte, 0, 2+16+len(section))
-		enc = append(enc, encVersion, encClassHetero)
-		enc = p.AppendCanonicalBytes(enc)
-		enc = binary.AppendUvarint(enc, uint64(m))
-		enc = append(enc, section...)
 	}
 	inv := make([]int, m)
 	for i, u := range perm {
@@ -180,6 +172,16 @@ func TranslateMapping(m *mapping.Mapping, procMap []int) *mapping.Mapping {
 	return cp
 }
 
+// header returns the encoding's header: the version, the platform class
+// tag, the pipeline's canonical bytes (a uvarint and 8 bytes a value)
+// and the processor count.
+func header(class byte, p *pipeline.Pipeline, m int) []byte {
+	dst := make([]byte, 0, 2+2*binary.MaxVarintLen64+8*(len(p.W)+len(p.Delta)))
+	dst = append(dst, encVersion, class)
+	dst = p.AppendCanonicalBytes(dst)
+	return binary.AppendUvarint(dst, uint64(m))
+}
+
 // appendBits appends x's big-endian IEEE-754 bit pattern, normalizing -0
 // to +0 so the two (numerically equal) zeros cannot split an equivalence
 // class. Validated instances hold no NaN, so bit equality is value
@@ -223,6 +225,7 @@ func commHomOrder(pl *platform.Platform) []int {
 // hetState carries one heterogeneous canonical search.
 type hetState struct {
 	pl     *platform.Platform
+	hdr    []byte // header's bytes, shared by every leaf
 	nodes  int
 	budget int
 }
@@ -462,7 +465,7 @@ func (st *hetState) search(cells [][]int) ([]byte, []int, error) {
 		for _, cell := range cells {
 			order = append(order, cell...)
 		}
-		return encodeHetSection(st.pl, order), order, nil
+		return st.encode(order), order, nil
 	}
 	cell := cells[branch]
 	var best []byte
@@ -501,13 +504,16 @@ func (st *hetState) search(cells [][]int) ([]byte, []int, error) {
 	return best, bestOrder, nil
 }
 
-// encodeHetSection encodes the platform under the given processor order:
+// encode returns the instance's complete encoding under the given
+// processor order, built in one buffer of exactly its size: the header,
 // per-processor attributes, then the off-diagonal bandwidth matrix
 // row-major. The (ignored) diagonal is never encoded, so instances
-// differing only there share a canonical form.
-func encodeHetSection(pl *platform.Platform, order []int) []byte {
-	m := len(order)
-	dst := make([]byte, 0, 8*(4*m+m*(m-1)))
+// differing only there share a canonical form. Every leaf shares the
+// header, so comparing whole encodings orders leaves as their platform
+// sections do.
+func (st *hetState) encode(order []int) []byte {
+	pl, m := st.pl, len(order)
+	dst := append(make([]byte, 0, len(st.hdr)+8*(4*m+m*(m-1))), st.hdr...)
 	for _, u := range order {
 		dst = appendBits(dst, pl.Speed[u])
 		dst = appendBits(dst, pl.FailProb[u])

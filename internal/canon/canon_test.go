@@ -2,6 +2,9 @@ package canon
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"math/rand"
 	"testing"
@@ -466,5 +469,91 @@ func TestCanonicalizeIdempotent(t *testing.T) {
 		if !again.IsIdentity() {
 			t.Fatal("canonical platform did not canonicalize to the identity")
 		}
+	}
+}
+
+// canonicalGoldenDigest is the SHA-256 of goldenCorpus's canonical
+// encodings and permutations as the layout defines them; any change to
+// an encoded byte, or to the labeling a search picks, changes it.
+const canonicalGoldenDigest = "ba19ad20e20e8d1d406f23fed8851f8f438c92e9b9cba951578e9fc7418a9e13"
+
+// circulant8Platform is vertex-transitive: every processor has the same
+// attributes and link multisets (bandwidth 1 + ring distance), so
+// refinement leaves one cell and canonicalization branches.
+func circulant8Platform(t *testing.T) *platform.Platform {
+	t.Helper()
+	const m = 8
+	b := make([][]float64, m)
+	for u := range b {
+		b[u] = make([]float64, m)
+		for v := range b[u] {
+			if d := (v - u + m) % m; d != 0 {
+				b[u][v] = 1 + float64(min(d, m-d))
+			}
+		}
+	}
+	pl, err := platform.NewFullyHeterogeneous(repeat(2, m), repeat(0.25, m), b, repeat(3, m), repeat(3, m))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pl
+}
+
+// TestCanonicalBytesGolden holds Canonical.Bytes and Perm to a digest on
+// a seeded corpus of Comm-Hom and Fully-Het instances, relabeled, plus two
+// symmetric platforms whose canonicalization branches; and every encoding
+// is built in one buffer of exactly its size.
+func TestCanonicalBytesGolden(t *testing.T) {
+	rng := rand.New(rand.NewSource(2008))
+	type inst struct {
+		p  *pipeline.Pipeline
+		pl *platform.Platform
+	}
+	var corpus []inst
+	for _, m := range []int{1, 5, 16, 80} {
+		for k := 0; k < 3; k++ {
+			p := pipeline.Random(rng, 1+rng.Intn(20), 1, 10, 0, 5)
+			pl := platform.RandomCommHomogeneous(rng, m, 1, 10, 0.05, 0.95, 1+rng.Float64())
+			corpus = append(corpus, inst{p, pl}, inst{p, pl.Permute(rng.Perm(m))})
+		}
+	}
+	for _, m := range []int{2, 7, 33, 80} {
+		for k := 0; k < 3; k++ {
+			p := pipeline.Random(rng, 1+rng.Intn(40), 1, 10, 0, 5)
+			pl := platform.RandomFullyHeterogeneous(rng, m, 1, 10, 0.05, 0.95, 1, 5)
+			corpus = append(corpus, inst{p, pl}, inst{p, pl.Permute(rng.Perm(m))})
+		}
+	}
+	ring, circ := ring4Platform(t), circulant8Platform(t)
+	for k := 0; k < 4; k++ {
+		p := pipeline.Random(rng, 1+rng.Intn(6), 1, 10, 0, 5)
+		corpus = append(corpus, inst{p, ring.Permute(rng.Perm(4))}, inst{p, circ.Permute(rng.Perm(8))})
+	}
+	func() {
+		defer func(old int) { Budget = old }(Budget)
+		Budget = 1
+		for _, pl := range []*platform.Platform{ring, circ} {
+			if _, err := Canonicalize(corpus[0].p, pl); !errors.Is(err, ErrComplex) {
+				t.Fatalf("m=%d symmetric platform canonicalized in one search node (%v); it must branch", pl.NumProcs(), err)
+			}
+		}
+	}()
+	h := sha256.New()
+	for i, c := range corpus {
+		cn, err := Canonicalize(c.p, c.pl)
+		if err != nil {
+			t.Fatalf("instance %d: %v", i, err)
+		}
+		if cap(cn.Bytes) != len(cn.Bytes) {
+			t.Errorf("instance %d (m=%d): encoding of %d bytes sits in a %d-byte buffer", i, c.pl.NumProcs(), len(cn.Bytes), cap(cn.Bytes))
+		}
+		h.Write(binary.AppendUvarint(nil, uint64(len(cn.Bytes))))
+		h.Write(cn.Bytes)
+		for _, u := range cn.Perm {
+			h.Write(binary.AppendUvarint(nil, uint64(u)))
+		}
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != canonicalGoldenDigest {
+		t.Errorf("canonical corpus digest %s, want %s", got, canonicalGoldenDigest)
 	}
 }

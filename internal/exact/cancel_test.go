@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/mapping"
 	"repro/internal/pipeline"
 	"repro/internal/platform"
 )
@@ -135,4 +136,41 @@ func fig5Like(t *testing.T) (*pipeline.Pipeline, *platform.Platform) {
 		t.Fatal(err)
 	}
 	return p, pl
+}
+
+// TestCanceledReplicationStopsWithinOneSubset: once the abort flag is up
+// (the cancel watcher sets it), a replication level pushes no further
+// replica subset. The prune hook raises the flag at the first push below
+// the root and prunes it, so a level that only re-checked the flag on
+// descent would go on pushing its other ~2^12 pruned subsets.
+func TestCanceledReplicationStopsWithinOneSubset(t *testing.T) {
+	p, pl := bigHetInstance(t)
+	ev, err := mapping.NewEvaluator(p, pl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, opts := range []Options{{Replication: true}, forceWide(Options{Replication: true})} {
+		g, err := newEngine(ev, p.NumStages(), pl.NumProcs(), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pushes, afterAbort := 0, 0
+		prune := func(float64, float64) bool {
+			pushes++
+			switch {
+			case g.abort.Load():
+				afterAbort++
+			case pushes == 2:
+				g.abort.Store(true)
+			}
+			return pushes > 1
+		}
+		visit := func(int64, []int, []uint64, mapping.Metrics) bool { return true }
+		if err := g.run(1, func(int) (pruneFunc, visitFunc) { return prune, visit }); err != nil {
+			t.Fatal(err)
+		}
+		if pushes < 2 || afterAbort != 0 {
+			t.Errorf("wide=%v: %d subsets pushed after the abort (of %d pushes), want 0", g.wide, afterAbort, pushes)
+		}
+	}
 }

@@ -161,10 +161,12 @@ func newEngine(ev *mapping.Evaluator, n, m int, opts Options) (*engine, error) {
 //
 // When the engine carries a cancellable context, a watcher goroutine
 // flips the abort flag as soon as the context is done; every worker
-// checks that flag on each recursion entry, so cancellation latency is
-// bounded by one sibling block (the m candidates a single EvaluateMany
-// call scores), not one subtree. A canceled run returns an error
-// wrapping both ErrCanceled and the context's cause.
+// checks that flag on each recursion entry and before each replica
+// subset of a replication level, so cancellation latency is bounded by
+// one sibling block — the m candidates a single EvaluateMany call scores,
+// or one replica subset — not one subtree or one level's 2^|free|
+// subsets. A canceled run returns an error wrapping both ErrCanceled and
+// the context's cause.
 func (g *engine) run(workers int, newWorker func(w int) (pruneFunc, visitFunc)) error {
 	if g.rec != nil {
 		// One-shot accounting per run: the inner loop never touches the
@@ -375,6 +377,11 @@ func (s *search) rec(start int, used uint64, depth int) bool {
 		for end := start; end <= last; end++ {
 			if g.replication {
 				for sub := free; sub != 0; sub = (sub - 1) & free {
+					// Up to 2^|free| siblings, most of them pruned on push:
+					// re-check the abort flag per subset, not per descent.
+					if g.abort.Load() {
+						return false
+					}
 					if end < last && sub == free {
 						continue
 					}

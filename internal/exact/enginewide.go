@@ -124,7 +124,7 @@ func (g *engine) workerWide(prune pruneFunc, visit visitFunc) {
 			rest.Remove(q)
 		}
 		iterT.Copy(rest)
-		for {
+		for !g.abort.Load() {
 			firstSub.Copy(iterT)
 			firstSub.Add(p)
 			if !(end < g.n-1 && firstSub.Equal(g.fullW)) {
@@ -219,6 +219,9 @@ func (s *searchWide) rec(start, depth int) bool {
 				sub := s.subRow(depth)
 				sub.Copy(free)
 				for {
+					if g.abort.Load() { // per subset, as in search.rec
+						return false
+					}
 					if !(end < last && sub.Equal(free)) {
 						if !s.explore(depth, start, end, sub) {
 							return false

@@ -38,8 +38,9 @@
 // push arithmetic; the enumeration inner loop performs zero heap
 // allocations per visited node; solver outputs (mapping and metrics) are
 // bitwise identical for every worker count; and canceling Options.Ctx
-// aborts within one sibling block, returning the best incumbent found so
-// far.
+// aborts within one sibling block — one EvaluateMany block, or one
+// replica subset on a replication level — returning the best incumbent
+// found so far.
 package exact
 
 import (

@@ -16,6 +16,7 @@ import (
 	"sort"
 	"strings"
 
+	"repro/internal/bitset"
 	"repro/internal/pipeline"
 	"repro/internal/platform"
 )
@@ -63,6 +64,10 @@ func (m *Mapping) NumIntervals() int { return len(m.Intervals) }
 // Replication returns k_j = |alloc(j)| for interval j.
 func (m *Mapping) Replication(j int) int { return len(m.Alloc[j]) }
 
+// validateStackProcs is the widest platform Validate checks without
+// allocating.
+const validateStackProcs = 512
+
 // Validate checks that the mapping is a legal interval mapping of an
 // n-stage pipeline onto an mProcs-processor platform: the intervals
 // partition [0, n) consecutively, every interval has at least one replica,
@@ -87,27 +92,15 @@ func (m *Mapping) Validate(n, mProcs int) error {
 	if next != n {
 		return fmt.Errorf("mapping: intervals end at stage %d, want %d", next-1, n-1)
 	}
-	if mProcs <= 64 {
-		// Bitmask fast path: keeps the hot public Evaluate path free of the
-		// map allocation.
-		var used uint64
-		for j, procs := range m.Alloc {
-			if len(procs) == 0 {
-				return fmt.Errorf("mapping: interval %d has no processors", j)
-			}
-			for _, u := range procs {
-				if u < 0 || u >= mProcs {
-					return fmt.Errorf("mapping: interval %d uses invalid processor %d (m=%d)", j, u, mProcs)
-				}
-				if used&(1<<uint(u)) != 0 {
-					return fmt.Errorf("mapping: processor %d assigned to more than one interval (or duplicated)", u)
-				}
-				used |= 1 << uint(u)
-			}
-		}
-		return nil
+	// One bitset of enrolled processors, on the stack up to
+	// validateStackProcs processors: the public Evaluate path and
+	// poly.IntervalLatencyBounds's m single-interval checks stay
+	// allocation-free at any width they meet in practice.
+	var stack [validateStackProcs / bitset.WordBits]uint64
+	used := bitset.Set(stack[:])
+	if mProcs > validateStackProcs {
+		used = bitset.Make(mProcs)
 	}
-	used := make(map[int]bool, mProcs)
 	for j, procs := range m.Alloc {
 		if len(procs) == 0 {
 			return fmt.Errorf("mapping: interval %d has no processors", j)
@@ -116,10 +109,10 @@ func (m *Mapping) Validate(n, mProcs int) error {
 			if u < 0 || u >= mProcs {
 				return fmt.Errorf("mapping: interval %d uses invalid processor %d (m=%d)", j, u, mProcs)
 			}
-			if used[u] {
+			if used.Test(u) {
 				return fmt.Errorf("mapping: processor %d assigned to more than one interval (or duplicated)", u)
 			}
-			used[u] = true
+			used.Add(u)
 		}
 	}
 	return nil

@@ -2,6 +2,7 @@ package mapping
 
 import (
 	"encoding/json"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -85,6 +86,107 @@ func TestValidate(t *testing.T) {
 				t.Errorf("Validate accepted %s", c.name)
 			}
 		})
+	}
+}
+
+// validateByMap is Validate's former check for m > 64: the processor
+// disjointness test through a map, kept as the reference the bitset path
+// must agree with.
+func validateByMap(m *Mapping, n, mProcs int) error {
+	if len(m.Intervals) == 0 {
+		return fmt.Errorf("mapping: no intervals")
+	}
+	if len(m.Alloc) != len(m.Intervals) {
+		return fmt.Errorf("mapping: %d intervals but %d alloc sets", len(m.Intervals), len(m.Alloc))
+	}
+	next := 0
+	for j, iv := range m.Intervals {
+		if iv.First != next {
+			return fmt.Errorf("mapping: interval %d starts at stage %d, want %d", j, iv.First, next)
+		}
+		if iv.Last < iv.First {
+			return fmt.Errorf("mapping: interval %d is empty (%d > %d)", j, iv.First, iv.Last)
+		}
+		next = iv.Last + 1
+	}
+	if next != n {
+		return fmt.Errorf("mapping: intervals end at stage %d, want %d", next-1, n-1)
+	}
+	used := make(map[int]bool, mProcs)
+	for j, procs := range m.Alloc {
+		if len(procs) == 0 {
+			return fmt.Errorf("mapping: interval %d has no processors", j)
+		}
+		for _, u := range procs {
+			if u < 0 || u >= mProcs {
+				return fmt.Errorf("mapping: interval %d uses invalid processor %d (m=%d)", j, u, mProcs)
+			}
+			if used[u] {
+				return fmt.Errorf("mapping: processor %d assigned to more than one interval (or duplicated)", u)
+			}
+			used[u] = true
+		}
+	}
+	return nil
+}
+
+// TestValidateMatchesMapReference: the bitset Validate accepts and rejects
+// exactly the mappings the map-based check did, with the same message, on
+// both sides of every word boundary and past the stack-backed width.
+// Mutations cover every rejection: duplicated and reused processors
+// (near the word boundaries too), ids at -1 and m, empty alloc sets, and
+// broken interval partitions.
+func TestValidateMatchesMapReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	const n = 6
+	for _, m := range []int{1, 63, 64, 65, 128, 300, 600} {
+		accepted := 0
+		for trial := 0; trial < 400; trial++ {
+			mp := randomValidMapping(rng, n, m)
+			switch trial % 8 {
+			case 1: // reuse a processor, often one at a word boundary
+				j := rng.Intn(len(mp.Alloc))
+				u := mp.Alloc[rng.Intn(len(mp.Alloc))][0]
+				mp.Alloc[j] = append(mp.Alloc[j], u)
+			case 2: // an id just outside [0, m)
+				j := rng.Intn(len(mp.Alloc))
+				mp.Alloc[j][rng.Intn(len(mp.Alloc[j]))] = []int{-1, m}[rng.Intn(2)]
+			case 3:
+				mp.Alloc[rng.Intn(len(mp.Alloc))] = nil
+			case 4:
+				mp.Intervals[len(mp.Intervals)-1].Last--
+			case 5: // an id near a word boundary, possibly a duplicate
+				j := rng.Intn(len(mp.Alloc))
+				mp.Alloc[j][0] = []int{0, 63, 64, 127, 128, m - 1}[rng.Intn(6)]
+			}
+			want := validateByMap(mp, n, m)
+			got := mp.Validate(n, m)
+			if fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("m=%d %v: Validate = %v, map reference = %v", m, mp, got, want)
+			}
+			if got == nil {
+				accepted++
+			}
+		}
+		if accepted == 0 {
+			t.Errorf("m=%d: no trial produced a valid mapping", m)
+		}
+	}
+}
+
+// TestValidateZeroAllocs: Validate does not allocate up to the
+// stack-backed width, here a 300-processor platform.
+func TestValidateZeroAllocs(t *testing.T) {
+	mp := &Mapping{
+		Intervals: []Interval{{0, 2}, {3, 5}},
+		Alloc:     [][]int{{0, 63, 64}, {128, 299}},
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		if err := mp.Validate(6, 300); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("Validate at m=300 allocates %.1f objects per call, want 0", allocs)
 	}
 }
 

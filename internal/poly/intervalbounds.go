@@ -50,17 +50,20 @@ func IntervalLatencyBounds(p *pipeline.Pipeline, pl *platform.Platform) (Interva
 		candidates = append(candidates, repaired)
 	}
 	// Fallbacks that are always valid: the whole pipeline on each single
-	// processor (cheap, and optimal on CommHom by Theorem 2).
+	// processor (cheap, and optimal on CommHom by Theorem 2), scored on
+	// one reused mapping.
+	single := mapping.NewSingleInterval(p.NumStages(), []int{0})
 	bestSingle, singleLat := -1, math.Inf(1)
 	for u := 0; u < pl.NumProcs(); u++ {
-		m := mapping.NewSingleInterval(p.NumStages(), []int{u})
-		lat, err := mapping.LatencyEq2(p, pl, m)
+		single.Alloc[0][0] = u
+		lat, err := mapping.LatencyEq2(p, pl, single)
 		if err == nil && lat < singleLat {
 			bestSingle, singleLat = u, lat
 		}
 	}
 	if bestSingle >= 0 {
-		candidates = append(candidates, mapping.NewSingleInterval(p.NumStages(), []int{bestSingle}))
+		single.Alloc[0][0] = bestSingle
+		candidates = append(candidates, single)
 	}
 
 	best := Result{Metrics: mapping.Metrics{Latency: math.Inf(1)}}

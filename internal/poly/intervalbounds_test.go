@@ -145,3 +145,61 @@ func TestRepairFailsWithoutSpares(t *testing.T) {
 		t.Fatalf("fallback mapping invalid: %v", err)
 	}
 }
+
+// TestIntervalBoundsSingleFallbackUnchanged: the single-processor
+// fallbacks scored on one reused mapping pick the processor, and give the
+// bounds, that m fresh NewSingleInterval + LatencyEq2 calls give, bitwise.
+func TestIntervalBoundsSingleFallbackUnchanged(t *testing.T) {
+	for _, m := range []int{3, 8, 70} {
+		rng := rand.New(rand.NewSource(int64(m)))
+		for trial := 0; trial < 20; trial++ {
+			p := pipeline.Random(rng, 1+rng.Intn(8), 1, 10, 1, 10)
+			pl := platform.RandomFullyHeterogeneous(rng, m, 1, 10, 0.01, 0.2, 1, 10)
+			b, err := IntervalLatencyBounds(p, pl)
+			if err != nil {
+				t.Fatal(err)
+			}
+			best, bestLat := -1, math.Inf(1)
+			for u := 0; u < m; u++ {
+				lat, err := mapping.LatencyEq2(p, pl, mapping.NewSingleInterval(p.NumStages(), []int{u}))
+				if err == nil && lat < bestLat {
+					best, bestLat = u, lat
+				}
+			}
+			want := mapping.NewSingleInterval(p.NumStages(), []int{best})
+			wantMet, err := mapping.Evaluate(p, pl, want)
+			if err != nil {
+				t.Fatal(err)
+			}
+			gen := MinLatencyGeneral(p, pl)
+			if repaired := repairToInterval(gen.Mapping, p, pl); repaired != nil {
+				if met, err := mapping.Evaluate(p, pl, repaired); err == nil && met.Latency < wantMet.Latency {
+					want, wantMet = repaired, met
+				}
+			}
+			if b.Upper.Metrics != wantMet || b.Upper.Mapping.String() != want.String() || b.Lower != gen.Latency {
+				t.Fatalf("m=%d trial %d: bounds (%v, %v %v), want (%v, %v %v)", m, trial,
+					b.Lower, b.Upper.Mapping, b.Upper.Metrics, gen.Latency, want, wantMet)
+			}
+		}
+	}
+}
+
+// TestIntervalBoundsAllocsFlatInM: the m single-processor fallbacks cost
+// no allocation, so a call allocates the same at every platform width.
+func TestIntervalBoundsAllocsFlatInM(t *testing.T) {
+	allocs := make(map[int]float64)
+	for _, m := range []int{8, 70, 300} {
+		rng := rand.New(rand.NewSource(int64(m)))
+		p := pipeline.Random(rng, 12, 1, 10, 1, 10)
+		pl := platform.RandomFullyHeterogeneous(rng, m, 1, 10, 0.01, 0.2, 1, 10)
+		allocs[m] = testing.AllocsPerRun(10, func() {
+			if _, err := IntervalLatencyBounds(p, pl); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if allocs[70] != allocs[8] || allocs[300] != allocs[8] {
+		t.Errorf("IntervalLatencyBounds allocs/op by m: %v, want the same at every m", allocs)
+	}
+}

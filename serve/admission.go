@@ -7,7 +7,9 @@ import (
 	"io"
 	"math"
 	"net/http"
+	"slices"
 	"strconv"
+	"sync"
 	"time"
 
 	"repro/internal/resilience"
@@ -19,11 +21,16 @@ import (
 // value — into the endpoint's request type T, and only then asks the
 // limiter for a slot: a body past the cap gets a structured 413 and a
 // malformed one a 400, both without taking a slot or waiting in the
-// queue. The admission deadline is the request's own deadlineMillis when
+// queue. A Content-Length past the cap gets its 413 before any byte is
+// read. The body is read into a buffer from bodyPool, grown only as its
+// bytes arrive (a declared Content-Length reserves nothing, so a client
+// cannot make the server hold memory it has not sent), and goes back to
+// the pool as soon as decode returns: the decoders copy every value they
+// keep. The admission deadline is the request's own deadlineMillis when
 // deadlineMillis reports one (> 0), else the service default; the
 // limiter bounds concurrent requests, queues a bounded overflow, and
-// sheds what cannot be served in time. Sheds are answered before any solver work happens,
-// with a structured body and a Retry-After header:
+// sheds what cannot be served in time. Sheds are answered before any
+// solver work happens, with a structured body and a Retry-After header:
 //
 //	429 {"error": ..., "retryAfterMillis": ...}  — queue at capacity,
 //	    back off and retry
@@ -35,22 +42,35 @@ import (
 // for their whole life), so the slot count is a true concurrency bound.
 func admit[T any](s *Service, what string, decode func([]byte, *T) error, deadlineMillis func(*T) int64, next func(http.ResponseWriter, *http.Request, *T)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
-		if err != nil {
-			var tooBig *http.MaxBytesError
-			if errors.As(err, &tooBig) {
-				writeJSON(w, http.StatusRequestEntityTooLarge, errorBody{
-					Error:        fmt.Sprintf("%s body exceeds the %d-byte cap", what, tooBig.Limit),
-					MaxBodyBytes: tooBig.Limit,
-				})
-				return
-			}
-			writeJSON(w, http.StatusBadRequest, errorBody{Error: fmt.Sprintf("reading %s body: %v", what, err)})
+		limit := s.cfg.MaxBodyBytes
+		if r.ContentLength > limit {
+			// Close the connection rather than drain the unread body.
+			w.Header().Set("Connection", "close")
+			writeTooLarge(w, what, limit)
 			return
 		}
+		buf := bodyPool.Get().(*[]byte)
+		body, readErr := readBody((*buf)[:0], http.MaxBytesReader(w, r.Body, limit))
 		req := new(T)
-		if err := decode(body, req); err != nil {
-			writeJSON(w, http.StatusBadRequest, errorBody{Error: fmt.Sprintf("decoding %s: %v", what, err)})
+		var decodeErr error
+		if readErr == nil {
+			decodeErr = decode(body, req)
+		}
+		if cap(body) <= maxPooledBody {
+			*buf = body
+			bodyPool.Put(buf)
+		}
+		if readErr != nil {
+			var tooBig *http.MaxBytesError
+			if errors.As(readErr, &tooBig) {
+				writeTooLarge(w, what, tooBig.Limit)
+				return
+			}
+			writeJSON(w, http.StatusBadRequest, errorBody{Error: fmt.Sprintf("reading %s body: %v", what, readErr)})
+			return
+		}
+		if decodeErr != nil {
+			writeJSON(w, http.StatusBadRequest, errorBody{Error: fmt.Sprintf("decoding %s: %v", what, decodeErr)})
 			return
 		}
 
@@ -75,6 +95,46 @@ func admit[T any](s *Service, what string, decode func([]byte, *T) error, deadli
 		defer release()
 		next(w, r, req)
 	}
+}
+
+// bodyPool recycles request-body buffers (*[]byte, so a Put allocates
+// nothing): a Fully Heterogeneous body is O(m²) bytes, the largest
+// allocation a request would otherwise make. A warm buffer already holds
+// a typical body, so a read allocates nothing.
+var bodyPool = sync.Pool{New: func() any { return new([]byte) }}
+
+// maxPooledBody is the largest buffer admission returns to bodyPool
+// (a Fully Heterogeneous body at m ≈ 200): a rare larger body is read
+// into a buffer the GC reclaims, instead of pinning it in the pool for
+// every later small request.
+const maxPooledBody = 1 << 20
+
+// readBody appends everything r yields to buf and returns the extended
+// slice. buf grows only when full, at least doubling (from 512 bytes, as
+// io.ReadAll starts), so a fresh buffer reaches an m = 80 body in about
+// ten growths and its capacity stays proportional to the bytes read.
+func readBody(buf []byte, r io.Reader) ([]byte, error) {
+	for {
+		if len(buf) == cap(buf) {
+			buf = slices.Grow(buf, max(len(buf), 512))
+		}
+		n, err := r.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		if err == io.EOF {
+			return buf, nil
+		}
+		if err != nil {
+			return buf, err
+		}
+	}
+}
+
+// writeTooLarge answers a body past the limit-byte cap.
+func writeTooLarge(w http.ResponseWriter, what string, limit int64) {
+	writeJSON(w, http.StatusRequestEntityTooLarge, errorBody{
+		Error:        fmt.Sprintf("%s body exceeds the %d-byte cap", what, limit),
+		MaxBodyBytes: limit,
+	})
 }
 
 // millis converts a request's millisecond count to a Duration, saturating

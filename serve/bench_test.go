@@ -126,6 +126,47 @@ func BenchmarkCachedPermutedSolve(b *testing.B) {
 	}
 }
 
+// BenchmarkRelabeledHitHandler is one relabeled-repeat request through
+// the handler: a freshly relabeled variant of the warm m = 80 instance is
+// POSTed to /v1/solve as JSON, so the body read, the one-pass decode,
+// canonicalization, the solution-cache hit, translation and the JSON
+// encode all count. Its ~150 KB body is O(m²): the Fully Heterogeneous
+// bandwidth matrix.
+func BenchmarkRelabeledHitHandler(b *testing.B) {
+	spec := benchWideSpec(b)
+	svc := New(Config{})
+	if res := svc.solveOne(context.Background(), spec); res.Error != "" {
+		b.Fatal(res.Error)
+	}
+	rng := rand.New(rand.NewSource(7))
+	m := spec.Platform.NumProcs()
+	bodies := make([][]byte, 8)
+	for i := range bodies {
+		variant := spec
+		variant.Platform = spec.Platform.Permute(rng.Perm(m))
+		body, err := json.Marshal(variant)
+		if err != nil {
+			b.Fatal(err)
+		}
+		bodies[i] = body
+	}
+	solve := func(body []byte) {
+		rec := httptest.NewRecorder()
+		svc.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/solve", bytes.NewReader(body)))
+		if out := rec.Body.Bytes(); rec.Code != http.StatusOK || !bytes.Contains(out, []byte(`"cached":true`)) {
+			b.Fatalf("relabeled request answered %d: %.300s", rec.Code, out)
+		}
+	}
+	solve(bodies[0]) // registers the telemetry series and fills the body pool
+	b.SetBytes(int64(len(bodies[0])))
+	b.ReportAllocs()
+	i := 0
+	for b.Loop() {
+		solve(bodies[i%len(bodies)])
+		i++
+	}
+}
+
 // BenchmarkDecodeSolveSpec measures the serve path's body decode — the
 // one-pass decodeSolveSpec that admission runs on a solve request — on
 // fully heterogeneous instances, whose O(m²) bandwidth matrix dominates

@@ -24,8 +24,13 @@
 //	GET  /metrics          Prometheus text exposition of the same telemetry
 //
 // Serve-tier robustness: request bodies are capped (structured 413 past
-// MaxBodyBytes) and decoded once, before admission, into the endpoint's
-// request type. Solve and batch bodies decode in a single pass with
+// MaxBodyBytes; a Content-Length past it is refused before any byte is
+// read) and decoded once, before admission, into the endpoint's request
+// type. Each body is read into a buffer recycled through a sync.Pool,
+// grown only as its bytes arrive (a declared Content-Length reserves
+// nothing), and returned to the pool when decode finishes: the decoded
+// request copies every value it keeps.
+// Solve and batch bodies decode in a single pass with
 // internal/jsonread — envelope, Pipeline and Platform with their O(m²)
 // numbers, validated as they are read — and remap-stream bodies with
 // encoding/json. Malformed bodies, bytes after the request object and
