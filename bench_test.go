@@ -568,12 +568,12 @@ func BenchmarkWideEvaluate(b *testing.B) {
 }
 
 // BenchmarkEvaluateMany isolates one batch-evaluation call — the per-node
-// unit of the exact search since the sibling-block refactor: score every
-// singleton extension of a shared prefix in a single pass. narrow is the
-// uint64 path at m = 64, wide the two-word stride path at m = 128. Both
-// must stay allocation-free (pinned by CI).
+// unit of the replication-free exact search: score every singleton
+// extension of a shared prefix in a single pass. stride1 is the one-word
+// layout at m = 64, wide the two-word layout at m = 128. Both must stay
+// allocation-free (pinned by CI).
 func BenchmarkEvaluateMany(b *testing.B) {
-	b.Run("narrow", func(b *testing.B) {
+	b.Run("stride1", func(b *testing.B) {
 		p, pl := wideBenchInstance(b, 5, 64)
 		ev, err := mapping.NewEvaluator(p, pl)
 		if err != nil {
@@ -581,11 +581,12 @@ func BenchmarkEvaluateMany(b *testing.B) {
 		}
 		out := make([]mapping.Sibling, 64)
 		pre := mapping.BatchPrefix{Depth: 1, Lat: 1, Succ: 1, PrevFirst: 0, PrevLast: 0, PrevProc: 2}
-		free := ^uint64(0) >> 1
+		free := bitset.Make(64)
+		free.Fill(63)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if ev.EvaluateMany(pre, 1, 3, free, out) == 0 {
+			if ev.EvaluateManyW(pre, 1, 3, free, out) == 0 {
 				b.Fatal("no siblings")
 			}
 		}

@@ -96,9 +96,9 @@
 // Eq. (1)/Eq. (2) dispatch, work prefix sums and suffix latency lower
 // bounds once — once per Session rather than once per call — and then
 // scores candidate mappings represented as interval end boundaries plus
-// per-interval processor bitmasks without touching the heap — uint64
-// masks up to 64 processors, multi-word bit sets (internal/bitset) for
-// any wider platform, with identical semantics. The enumeration in
+// per-interval processor bitmasks without touching the heap — rows of
+// internal/bitset words, one word per interval up to 64 processors, with
+// identical semantics at every width. The enumeration in
 // internal/exact threads those bitmasks through the recursion, prunes
 // subtrees whose latency lower bound or monotone failure-probability
 // prefix is provably worse than the incumbent (or a constraint), and

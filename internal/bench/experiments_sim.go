@@ -163,7 +163,7 @@ func E14ReplicationAblation() *Table {
 	for k := 1; k <= 8; k++ {
 		m.Alloc[0] = procs[:k]
 		masks[0] = 1<<uint(k) - 1
-		met := ev.Eval(ends, masks)
+		met := ev.EvalW(ends, masks)
 		wc, err := sim.Run(p, pl, m, sim.Config{Mode: sim.WorstCase})
 		if err != nil {
 			panic(err)

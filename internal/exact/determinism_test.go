@@ -136,8 +136,8 @@ func quantizedCommHom(rng *rand.Rand, m, classes int) *platform.Platform {
 	return pl
 }
 
-// TestSolverEquivalenceWide: at m ∈ {8, 64, 80, 128} — spanning the
-// narrow search, both m=64 boundaries and the wide stride-word search —
+// TestSolverEquivalenceWide: at m ∈ {8, 64, 80, 128} — one-word rows up
+// to the m=64 boundary, multi-word rows past it —
 // MinLatencyInterval must match the unpruned slice reference's optimum
 // bitwise for every worker count, on fully heterogeneous and on
 // speed-quantized communication-homogeneous platforms. The reference

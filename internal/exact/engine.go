@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"math/bits"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -27,17 +26,22 @@ import (
 // Two mask representations share the engine scaffolding (task claiming,
 // budget, abort flag, incumbent, cancellation watcher):
 //
-//   - the narrow search of this file keeps replica sets in uint64
-//     registers and covers m ≤ 64 (m ≤ 62 with replication, where task
-//     indices pack end·(2^m−1)+subset into an int64);
-//   - the wide search of enginewide.go stores replica sets as multi-word
-//     bitset rows in flat per-depth buffers and covers any m, fanning out
-//     by (first-interval end, lowest replica id) instead.
+//   - the wide search of enginewide.go stores replica sets as bitset rows
+//     of engine.stride words in flat per-depth buffers, covers any m and
+//     fans out by (first-interval end, lowest replica id). It runs every
+//     replication-free enumeration and every replication enumeration the
+//     narrow search cannot index;
+//   - the narrow search of this file runs replication enumerations only,
+//     keeping replica subsets in uint64 registers and indexing tasks as
+//     end·(2^m−1)+subset, so it applies while that n·(2^m−1) task count
+//     fits an int64 (m ≤ 62 for every n ≥ 2). It stays beside the wide
+//     search because walking 2^|free| subsets in one register is what
+//     keeps the small replication searches of the exact route fast.
 //
 // Both paths run identical pruning, budget accounting, tie-breaking and
 // cancellation; visitors receive masks as a flat []uint64 buffer of
 // engine.stride words per interval (stride 1 on the narrow path, i.e.
-// exactly the legacy one-word-per-interval slice).
+// exactly one word per interval).
 //
 // Determinism: every complete mapping is reported together with the index
 // of the first-interval subtree (task) it belongs to, tasks are
@@ -65,7 +69,7 @@ type engine struct {
 	ev          *mapping.Evaluator // nil: enumerate only, no metrics/pruning
 	n, m        int
 	stride      int        // bitset words per replica set (1 when m ≤ 64)
-	wide        bool       // multi-word search + (end, min replica) tasks
+	wide        bool       // stride-word search + (end, min replica) tasks
 	full        uint64     // narrow only: the all-processors mask
 	fullW       bitset.Set // wide only: the all-processors set
 	replication bool
@@ -93,7 +97,7 @@ type engine struct {
 type searchStats struct {
 	nodes      atomic.Int64 // candidate nodes scored (batch siblings + pushes)
 	prunes     atomic.Int64 // subtrees cut by the shared bound / constraint
-	batchCalls atomic.Int64 // EvaluateMany block calls
+	batchCalls atomic.Int64 // EvaluateManyW block calls
 	batchCands atomic.Int64 // siblings scored across those blocks
 }
 
@@ -126,33 +130,29 @@ func newEngine(ev *mapping.Evaluator, n, m int, opts Options) (*engine, error) {
 	if ev != nil {
 		g.commHom = ev.CommHom()
 	}
-	// The narrow (uint64-register) search covers m ≤ 64; with replication
-	// its task indices pack end·(2^m−1)+subset into an int64, so m ≤ 62.
-	// Beyond either limit the multi-word wide search takes over with the
-	// overflow-free (end, lowest replica id) task decomposition.
-	g.wide = opts.forceWide || m > mapping.MaxEvalProcs ||
-		(opts.Replication && m > maxReplicationProcs)
+	// Narrow runs exactly the replication searches whose task count fits
+	// (narrowTasksFit); everything else runs the wide search.
+	g.wide = opts.forceWide || !opts.Replication || !narrowTasksFit(n, m)
 	if g.wide {
 		g.fullW = bitset.Make(m)
 		g.fullW.Fill(m)
 		g.subsPerEnd = int64(m)
 	} else {
-		if m == 64 {
-			g.full = ^uint64(0)
-		} else {
-			g.full = 1<<uint(m) - 1
-		}
-		if opts.Replication {
-			g.subsPerEnd = int64(1)<<uint(m) - 1
-		} else {
-			g.subsPerEnd = int64(m)
-		}
+		g.full = 1<<uint(m) - 1
+		g.subsPerEnd = int64(g.full)
 	}
 	if int64(n) > math.MaxInt64/g.subsPerEnd {
 		return nil, fmt.Errorf("exact: instance too large to enumerate (n=%d, m=%d)", n, m)
 	}
 	g.totalTasks = int64(n) * g.subsPerEnd
 	return g, nil
+}
+
+// narrowTasksFit reports whether the narrow search can index a
+// replication enumeration: its n·(2^m−1) first-interval tasks
+// (end·(2^m−1)+subset) must fit an int64.
+func narrowTasksFit(n, m int) bool {
+	return m < 64 && uint64(n) <= math.MaxInt64/(uint64(1)<<uint(m)-1)
 }
 
 // run drains the task space with the given worker count. newWorker is
@@ -163,7 +163,7 @@ func newEngine(ev *mapping.Evaluator, n, m int, opts Options) (*engine, error) {
 // flips the abort flag as soon as the context is done; every worker
 // checks that flag on each recursion entry and before each replica
 // subset of a replication level, so cancellation latency is bounded by
-// one sibling block — the m candidates a single EvaluateMany call scores,
+// one sibling block — the m candidates a single EvaluateManyW call scores,
 // or one replica subset — not one subtree or one level's 2^|free|
 // subsets. A canceled run returns an error wrapping both ErrCanceled and
 // the context's cause.
@@ -239,8 +239,8 @@ func (g *engine) runWorker(prune pruneFunc, visit visitFunc) {
 	}
 }
 
-// worker claims first-interval subtrees until the space or the budget is
-// exhausted.
+// worker claims first-interval subtrees — (end, replica subset) pairs —
+// until the space or the budget is exhausted.
 func (g *engine) worker(prune pruneFunc, visit visitFunc) {
 	s := &search{
 		eng:   g,
@@ -252,9 +252,6 @@ func (g *engine) worker(prune pruneFunc, visit visitFunc) {
 		succ:  make([]float64, g.n+1),
 	}
 	s.succ[0] = 1
-	if g.ev != nil && !g.replication {
-		s.sib = make([]mapping.Sibling, g.m)
-	}
 	defer g.flushStats(&s.localStats)
 	for !g.abort.Load() {
 		t := g.nextTask.Add(1) - 1
@@ -262,12 +259,7 @@ func (g *engine) worker(prune pruneFunc, visit visitFunc) {
 			return
 		}
 		end := int(t / g.subsPerEnd)
-		var sub uint64
-		if g.replication {
-			sub = uint64(t%g.subsPerEnd) + 1
-		} else {
-			sub = 1 << uint(t%g.subsPerEnd)
-		}
+		sub := uint64(t%g.subsPerEnd) + 1
 		if end < g.n-1 && sub == g.full {
 			continue // no processor left for the remaining stages
 		}
@@ -292,11 +284,6 @@ type search struct {
 
 	ends  []int
 	masks []uint64
-	// sib is the batch-evaluation scratch: every non-replication level
-	// scores all singleton siblings of one (start, end) prefix through a
-	// single Evaluator.EvaluateMany call (m entries, allocated once per
-	// worker, so the per-node path stays allocation-free).
-	sib []mapping.Sibling
 	localStats
 	// lat[d] is the charged latency after d intervals: on comm-hom
 	// platforms the full Eq. (1) terms of intervals 0..d-1; on fully
@@ -349,17 +336,10 @@ func (s *search) push(d, first, end int, sub uint64) bool {
 }
 
 // rec extends the partial mapping (stages [0, start) assigned on the
-// processors in used, depth intervals chosen) with every completion.
-// It returns false when the whole enumeration must stop.
-//
-// Non-replication levels with an evaluator run the batch path: one
-// EvaluateMany call scores every singleton sibling of the (start, end)
-// prefix — sharing the previous interval's Eq. (2) term, the Eq. (1)
-// input transfer and the work window across the block — and final-stage
-// blocks complete inline, skipping the per-candidate push/rec/complete
-// chain entirely. Candidate order, pruning decisions, budget charging and
-// visit order are identical to the single-candidate path, so outputs are
-// bitwise-unchanged.
+// processors in used, depth intervals chosen) with every completion: each
+// next interval [start, end] on each non-empty subset of the free
+// processors, walked in decreasing (sub−1)&free order. It returns false
+// when the whole enumeration must stop.
 func (s *search) rec(start int, used uint64, depth int) bool {
 	g := s.eng
 	if g.abort.Load() {
@@ -373,115 +353,22 @@ func (s *search) rec(start int, used uint64, depth int) bool {
 		return true
 	}
 	last := g.n - 1
-	if g.replication || g.ev == nil {
-		for end := start; end <= last; end++ {
-			if g.replication {
-				for sub := free; sub != 0; sub = (sub - 1) & free {
-					// Up to 2^|free| siblings, most of them pruned on push:
-					// re-check the abort flag per subset, not per descent.
-					if g.abort.Load() {
-						return false
-					}
-					if end < last && sub == free {
-						continue
-					}
-					if !s.push(depth, start, end, sub) {
-						continue
-					}
-					if !s.rec(end+1, used|sub, depth+1) {
-						return false
-					}
-				}
-			} else {
-				for bm := free; bm != 0; bm &= bm - 1 {
-					sub := bm & -bm
-					if end < last && sub == free {
-						continue
-					}
-					if !s.push(depth, start, end, sub) {
-						continue
-					}
-					if !s.rec(end+1, used|sub, depth+1) {
-						return false
-					}
-				}
-			}
-		}
-		return true
-	}
-	ev := g.ev
-	pre := mapping.BatchPrefix{Depth: depth, Lat: s.lat[depth], Succ: s.succ[depth]}
-	if !g.commHom {
-		// rec always runs at depth ≥ 1 (the first interval is pushed by the
-		// task loop), so the previous interval exists and — non-replication
-		// — is a singleton.
-		pre.PrevLast = s.ends[depth-1]
-		if depth > 1 {
-			pre.PrevFirst = s.ends[depth-2] + 1
-		}
-		pre.PrevProc = bits.TrailingZeros64(s.masks[depth-1])
-	}
-	freeSingleton := free&(free-1) == 0
 	for end := start; end <= last; end++ {
-		if end < last && freeSingleton {
-			continue // the lone free processor must serve the final interval
-		}
-		nb := ev.EvaluateMany(pre, start, end, free, s.sib)
-		s.batchCalls++
-		s.batchCands += int64(nb)
-		s.nodes += int64(nb)
-		if end == last {
-			if !s.completeBatch(depth, end, nb) {
+		for sub := free; sub != 0; sub = (sub - 1) & free {
+			// Up to 2^|free| siblings, most of them pruned on push:
+			// re-check the abort flag per subset, not per descent.
+			if g.abort.Load() {
 				return false
 			}
-			continue
-		}
-		tail := ev.TailLatencyLB(end + 1)
-		for i := 0; i < nb; i++ {
-			sb := &s.sib[i]
-			if s.prune != nil && s.prune(sb.LB+tail, 1-sb.Succ) {
-				s.prunes++
+			if end < last && sub == free {
+				continue // no processor left for the remaining stages
+			}
+			if !s.push(depth, start, end, sub) {
 				continue
 			}
-			bit := uint64(1) << uint(sb.Proc)
-			s.ends[depth] = end
-			s.masks[depth] = bit
-			s.lat[depth+1] = sb.Lat
-			s.succ[depth+1] = sb.Succ
-			if !s.rec(end+1, used|bit, depth+1) {
+			if !s.rec(end+1, used|sub, depth+1) {
 				return false
 			}
-		}
-	}
-	return true
-}
-
-// completeBatch finalizes a final-stage sibling block inline: each
-// surviving candidate is budget-charged and visited with the metrics the
-// batch evaluation already produced — bitwise those of the push/complete
-// chain it replaces.
-func (s *search) completeBatch(depth, end, nb int) bool {
-	g := s.eng
-	tailN := g.ev.TailLatencyLB(g.n)
-	var met mapping.Metrics
-	for i := 0; i < nb; i++ {
-		sb := &s.sib[i]
-		if s.prune != nil && s.prune(sb.LB+tailN, 1-sb.Succ) {
-			s.prunes++
-			continue
-		}
-		if g.counter.Add(1) > g.budget {
-			g.overBudget.Store(true)
-			g.abort.Store(true)
-			return false
-		}
-		met.Latency = sb.Final
-		met.FailureProb = 1 - sb.Succ
-		s.ends[depth] = end
-		s.masks[depth] = uint64(1) << uint(sb.Proc)
-		if !s.visit(s.task, s.ends[:depth+1], s.masks[:depth+1], met) {
-			g.abort.Store(true)
-			return false
 		}
 	}
 	return true

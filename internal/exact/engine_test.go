@@ -379,31 +379,66 @@ func TestParetoRepresentativesDeterministic(t *testing.T) {
 	}
 }
 
-// TestReplicationBeyondNarrowTaskLimit: replication solvers at m = 63..65
-// cross onto the wide multi-word search (the narrow path's task indices
-// only pack up to m = 62); an enumeration budget must still trip cleanly
-// there, and the latency solver must succeed outright.
+// TestReplicationBeyondNarrowTaskLimit: replication searches whose
+// n·(2^m−1) narrow task count overflows an int64 — m ≥ 63 at n = 1, and
+// n = 3 at m = 62, n = 5 at m = 61, n = 9 at m = 60 — cross onto the wide
+// multi-word search; an enumeration budget must still trip cleanly there,
+// and the latency solver must succeed outright.
 func TestReplicationBeyondNarrowTaskLimit(t *testing.T) {
-	p := pipeline.Uniform(1, 1, 1)
-	for _, m := range []int{63, 64, 65} {
-		pl, err := platform.NewFullyHomogeneous(m, 1, 1, 0.5)
+	for _, c := range []struct{ n, m int }{{1, 63}, {1, 64}, {1, 65}, {3, 62}, {5, 61}, {9, 60}, {3, 63}} {
+		p := pipeline.Uniform(c.n, 1, 1)
+		pl, err := platform.NewFullyHomogeneous(c.m, 1, 1, 0.5)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if _, err := MinFPUnderLatency(p, pl, math.Inf(1), Options{MaxEnum: 10}); !errors.Is(err, ErrBudget) {
-			t.Errorf("m=%d: err = %v, want ErrBudget via the wide search", m, err)
+			t.Errorf("n=%d m=%d: err = %v, want ErrBudget via the wide search", c.n, c.m, err)
 		}
-		if err := ForEachMappingParallel(1, m, Options{Replication: true, MaxEnum: 10},
+		if err := ForEachMappingParallel(c.n, c.m, Options{Replication: true, MaxEnum: 10},
 			func(int) func(int64, *mapping.Mapping) bool {
 				return func(int64, *mapping.Mapping) bool { return true }
 			}); !errors.Is(err, ErrBudget) {
-			t.Errorf("m=%d: ForEachMappingParallel err = %v, want ErrBudget via the wide search", m, err)
+			t.Errorf("n=%d m=%d: ForEachMappingParallel err = %v, want ErrBudget via the wide search", c.n, c.m, err)
 		}
-		// Without replication the m-singleton space is tiny for every
-		// representation: the narrow registers cover m ≤ 64, the wide
-		// search everything past that.
+		if c.n > 1 {
+			continue // the tie-heavy homogeneous singleton space grows as m^n
+		}
+		// Without replication the m-singleton space is tiny.
 		if _, err := MinLatencyInterval(p, pl, Options{}); err != nil {
-			t.Errorf("m=%d: MinLatencyInterval err = %v, want success", m, err)
+			t.Errorf("m=%d: MinLatencyInterval err = %v, want success", c.m, err)
+		}
+	}
+}
+
+// TestEngineSelection: the engine is chosen from (replication, n, m)
+// alone — narrow exactly for replication searches whose n·(2^m−1) tasks
+// fit an int64, wide for everything else.
+func TestEngineSelection(t *testing.T) {
+	for _, c := range []struct {
+		repl       bool
+		n, m       int
+		wantNarrow bool
+	}{
+		{false, 3, 1, false},
+		{false, 3, 8, false},
+		{false, 3, 64, false},
+		{true, 3, 1, true},
+		{true, 5, 12, true},
+		{true, 2, 62, true},
+		{true, 4, 61, true},
+		{true, 1, 63, true},
+		{true, 3, 62, false},
+		{true, 5, 61, false},
+		{true, 2, 63, false},
+		{true, 1, 64, false},
+		{true, 1, 65, false},
+	} {
+		g, err := newEngine(nil, c.n, c.m, Options{Replication: c.repl})
+		if err != nil {
+			t.Fatalf("%+v: %v", c, err)
+		}
+		if narrow := !g.wide; narrow != c.wantNarrow {
+			t.Errorf("replication=%v n=%d m=%d: narrow = %v, want %v", c.repl, c.n, c.m, narrow, c.wantNarrow)
 		}
 	}
 }

@@ -5,24 +5,20 @@ import (
 	"repro/internal/mapping"
 )
 
-// This file is the wide-platform face of the enumeration engine: the
-// same pruned, parallel branch-and-bound as engine.go's narrow search,
-// with replica sets held in multi-word bitset rows instead of uint64
-// registers, so any processor count is supported (engine.go documents the
-// split). All per-depth state lives in flat buffers allocated once per
-// worker — descending and backtracking never allocate and never need
-// undo writes, preserving the zero-allocation contract of the narrow
-// path.
+// This file is the stride-word search of the enumeration engine: replica
+// sets are held in bitset rows of engine.stride words (one word when
+// m ≤ 64), so any processor count is supported (engine.go documents which
+// enumerations run here). All per-depth state lives in flat buffers
+// allocated once per worker — descending and backtracking never allocate
+// and never need undo writes.
 //
-// Task decomposition: the narrow replication path indexes first-interval
-// subtrees as end·(2^m−1)+subset, which overflows an int64 past m = 62.
-// The wide path fans out by (first-interval end, lowest replica id)
-// instead — n·m tasks for every m — and enumerates, within task
+// Task decomposition: the search fans out by (first-interval end, lowest
+// replica id) — n·m tasks for every m — and enumerates, within task
 // (end, p), the first-interval replica sets whose lowest processor is p:
 // {p} ∪ T for every T ⊆ {p+1, …, m−1}, T walked in the decreasing
-// DecAnd order. Tasks remain totally ordered and each subtree is
-// explored sequentially by one worker, so results merge deterministically
-// for every worker count, exactly as on the narrow path.
+// DecAnd order (only {p} itself without replication). Tasks are totally
+// ordered and each subtree is explored sequentially by one worker, so
+// results merge deterministically for every worker count.
 
 // searchWide is one worker's private state for the wide search. All
 // buffers are indexed by depth (the number of intervals already chosen);
@@ -39,7 +35,10 @@ type searchWide struct {
 	free  []uint64 // per-depth scratch: processors still unassigned
 	sub   []uint64 // per-depth scratch: the subset iterator
 	rest  []uint64 // task-level scratch: {p+1, …, m−1} and the T iterator
-	// sib is the batch-evaluation scratch (see search.sib in engine.go).
+	// sib is the batch-evaluation scratch: every replication-free level
+	// scores all singleton siblings of one (start, end) prefix through a
+	// single Evaluator.EvaluateManyW call (m entries, allocated once per
+	// worker, so the per-node path stays allocation-free).
 	sib []mapping.Sibling
 	// prevProc[d] is interval d's sole replica on non-replication levels,
 	// tracked so the batch prefix never has to scan mask rows for it.
@@ -143,7 +142,7 @@ func (g *engine) workerWide(prune pruneFunc, visit visitFunc) {
 // explore pushes interval d = [first, end] on replica set sub and, when
 // the subtree survives pruning, recurses into the remaining stages. It
 // returns false when the whole enumeration must stop (the engine-level
-// abort), mirroring the narrow worker's push + rec pair.
+// abort).
 func (s *searchWide) explore(d, first, end int, sub bitset.Set) bool {
 	if !s.push(d, first, end, sub) {
 		return true // pruned, keep enumerating siblings
@@ -152,10 +151,11 @@ func (s *searchWide) explore(d, first, end int, sub bitset.Set) bool {
 	return s.rec(end+1, d+1)
 }
 
-// push mirrors search.push for multi-word replica sets: it records the
-// interval, extends the incremental latency and success-probability
-// accumulators through the Evaluator's *W methods (same operation order,
-// hence bitwise-identical complete-node metrics), and applies pruning.
+// push records interval d = [first, end] on replica set sub, extends the
+// incremental latency and success-probability accumulators through the
+// Evaluator's *W methods (search.push's operation order, hence
+// bitwise-identical complete-node metrics), and applies pruning. It
+// reports whether the subtree should be explored.
 func (s *searchWide) push(d, first, end int, sub bitset.Set) bool {
 	ev := s.eng.ev
 	s.ends[d] = end
@@ -195,10 +195,14 @@ func (s *searchWide) push(d, first, end int, sub bitset.Set) bool {
 // intervals chosen, usedRow(depth) enrolled) with every completion. It
 // returns false when the whole enumeration must stop.
 //
-// Non-replication levels with an evaluator run the batch path of
-// search.rec (engine.go documents the bitwise contract), scoring every
-// singleton sibling of one (start, end) prefix through a single
-// EvaluateManyW call and completing final-stage blocks inline.
+// Replication-free levels with an evaluator run the batch path: one
+// EvaluateManyW call scores every singleton sibling of the (start, end)
+// prefix — sharing the previous interval's Eq. (2) term, the Eq. (1)
+// input transfer and the work window across the block — and final-stage
+// blocks complete inline, skipping the per-candidate push/rec/complete
+// chain. Candidate order, pruning decisions, budget charging and visit
+// order are those of the single-candidate path, and the metrics are
+// bitwise equal (internal/mapping/evalmany.go states the contract).
 func (s *searchWide) rec(start, depth int) bool {
 	g := s.eng
 	if g.abort.Load() {
@@ -219,7 +223,9 @@ func (s *searchWide) rec(start, depth int) bool {
 				sub := s.subRow(depth)
 				sub.Copy(free)
 				for {
-					if g.abort.Load() { // per subset, as in search.rec
+					// Up to 2^|free| siblings, most of them pruned on push:
+					// re-check the abort flag per subset, not per descent.
+					if g.abort.Load() {
 						return false
 					}
 					if !(end < last && sub.Equal(free)) {
@@ -297,9 +303,10 @@ func (s *searchWide) rec(start, depth int) bool {
 	return true
 }
 
-// completeBatch is the wide twin of search.completeBatch: surviving
-// final-stage siblings are budget-charged and visited inline with the
-// metrics EvaluateManyW already produced.
+// completeBatch finalizes a final-stage sibling block inline: each
+// surviving candidate is budget-charged and visited with the metrics
+// EvaluateManyW already produced — bitwise those of the push/complete
+// chain it replaces.
 func (s *searchWide) completeBatch(depth, end, nb int) bool {
 	g := s.eng
 	tailN := g.ev.TailLatencyLB(g.n)
@@ -330,8 +337,7 @@ func (s *searchWide) completeBatch(depth, end, nb int) bool {
 }
 
 // complete finalizes the candidate's metrics and hands it to the
-// visitor, charging the enumeration budget — the wide twin of
-// search.complete.
+// visitor, charging the enumeration budget, as search.complete does.
 func (s *searchWide) complete(depth int) bool {
 	g := s.eng
 	if g.counter.Add(1) > g.budget {

@@ -12,10 +12,12 @@
 // bitmasks evaluated through mapping.Evaluator with zero heap
 // allocations, subtrees provably worse than the incumbent (or outside the
 // constraint) are pruned, and the search fans out over Options.Workers
-// goroutines by first-interval subtree. Platforms up to 64 processors
-// (62 with replication) run the uint64-register narrow search; wider
-// platforms run the multi-word bitset search of enginewide.go — same
-// pruning, budget, cancellation and determinism guarantees for any m.
+// goroutines by first-interval subtree. The engine is chosen from
+// (replication, n, m) alone: a replication search whose n·(2^m−1)
+// first-interval tasks fit an int64 runs the uint64-register narrow
+// search; every other enumeration — every replication-free one at any m
+// — runs the stride-word search of enginewide.go, with the same pruning,
+// budget, cancellation and determinism guarantees.
 // Results are deterministic and independent of the worker count.
 //
 // Bound sharing: workers publish every strictly better incumbent through
@@ -26,9 +28,9 @@
 // costing work but never correctness — is documented in incumbent.go and
 // enforced by the determinism property tests across worker counts.
 //
-// Batch evaluation: on non-replication levels the engines score every
-// singleton sibling of a shared interval prefix in one
-// mapping.EvaluateMany(W) call, hoisting sibling-invariant subterms while
+// Batch evaluation: on replication-free levels the stride-word search
+// scores every singleton sibling of a shared interval prefix in one
+// mapping.EvaluateManyW call, hoisting sibling-invariant subterms while
 // preserving the single-candidate association order bitwise (see
 // internal/mapping/evalmany.go for the contract).
 //
@@ -38,7 +40,7 @@
 // push arithmetic; the enumeration inner loop performs zero heap
 // allocations per visited node; solver outputs (mapping and metrics) are
 // bitwise identical for every worker count; and canceling Options.Ctx
-// aborts within one sibling block — one EvaluateMany block, or one
+// aborts within one sibling block — one EvaluateManyW block, or one
 // replica subset on a replication level — returning the best incumbent
 // found so far.
 package exact
@@ -107,10 +109,10 @@ type Options struct {
 	// once per run, outside the hot path.
 	Recorder *telemetry.Recorder
 
-	// forceWide (tests only) runs the multi-word wide search even on
-	// platforms the narrow uint64 search covers, so the wide path can be
-	// property-tested exhaustively against the slice reference on small
-	// instances.
+	// forceWide (tests only) runs the stride-word wide search even for
+	// replication enumerations the narrow uint64 search covers, so the
+	// wide path can be property-tested exhaustively against the slice
+	// reference on small instances.
 	forceWide bool
 }
 
@@ -347,12 +349,6 @@ func finish(inc *incumbent, ev *mapping.Evaluator, runErr error) (Result, error)
 	}
 	return res, nil
 }
-
-// maxReplicationProcs bounds m for the narrow (uint64-register) engine's
-// replication enumeration (task indices pack end·(2^m−1)+subset into an
-// int64); wider replication instances run on the multi-word wide search
-// of enginewide.go, as do all platforms past mapping.MaxEvalProcs.
-const maxReplicationProcs = 62
 
 // MinLatencyInterval finds the latency-optimal interval mapping by
 // pruned exhaustive enumeration. Replication is skipped by default (it can

@@ -320,9 +320,9 @@ func bigWideHetInstance(t *testing.T) (*pipeline.Pipeline, *platform.Platform) {
 	return p, pl
 }
 
-// TestWideCancelReturnsPromptlyWithIncumbent mirrors the narrow
-// cancellation-promptness test at m = 80: node-level abort, best-so-far
-// incumbent surfaced.
+// TestWideCancelReturnsPromptlyWithIncumbent mirrors
+// TestCancelReturnsPromptlyWithIncumbent at m = 80: node-level abort,
+// best-so-far incumbent surfaced.
 func TestWideCancelReturnsPromptlyWithIncumbent(t *testing.T) {
 	p, pl := bigWideHetInstance(t)
 	ctx, cancel := context.WithCancel(context.Background())

@@ -15,8 +15,8 @@ import (
 //
 // Invariants:
 //
-//   - metrics are bitwise identical to a fresh Evaluator.Eval / EvalW of
-//     the same candidate (and hence to the slice-based Evaluate on the
+//   - metrics are bitwise identical to a fresh Evaluator.EvalW of the
+//     same candidate (and hence to the slice-based Evaluate on the
 //     ascending-id mapping ToMapping returns): every cached term is
 //     produced by the same per-interval functions the batch evaluators
 //     use, and the final accumulation visits the intervals in the same
@@ -30,7 +30,7 @@ import (
 //     move applied to a state restored by CopyFrom scores exactly like the
 //     same move applied to the original.
 //
-// Like Eval, the state must describe a valid-by-construction candidate
+// Like EvalW, the state must describe a valid-by-construction candidate
 // whenever metrics are read: consecutive non-empty intervals covering all
 // stages, pairwise-disjoint non-empty replica sets. Transiently invalid
 // states (an empty interval between a Split and the AddReplica that
@@ -141,7 +141,7 @@ func (st *EvalState) row(j int) bitset.Set {
 }
 
 // Metrics accumulates the cached terms in the canonical interval order,
-// yielding metrics bitwise identical to Evaluator.Eval / EvalW on the same
+// yielding metrics bitwise identical to Evaluator.EvalW on the same
 // candidate. Zero allocations.
 func (st *EvalState) Metrics() Metrics {
 	return Metrics{Latency: st.Latency(), FailureProb: st.FailureProb()}
@@ -221,9 +221,6 @@ func (st *EvalState) FailureProbWith(j int, sj float64, j2 int, sj2 float64) flo
 // ToMapping materializes the state as a regular *Mapping with ascending
 // replica ids (this allocates; call it only for states worth keeping).
 func (st *EvalState) ToMapping() *Mapping {
-	if st.ev.stride == 1 {
-		return st.ev.ToMapping(st.ends[:st.p], st.words[:st.p])
-	}
 	return st.ev.ToMappingW(st.ends[:st.p], st.words[:st.p*st.ev.stride])
 }
 
@@ -475,8 +472,8 @@ func (st *EvalState) recomputeAll() {
 
 // recomputeTerm re-derives interval j's cached terms from the current
 // boundary representation through the same per-interval functions the
-// batch evaluators use (narrow uint64 methods at stride 1, the *W
-// multi-word methods otherwise).
+// batch evaluators use (the uint64 kernels at stride 1, the *W
+// multi-word kernels otherwise).
 func (st *EvalState) recomputeTerm(j int) {
 	ev := st.ev
 	first, end := st.First(j), st.ends[j]

@@ -223,7 +223,7 @@ func nthBit(s bitset.Set, i int) int {
 }
 
 // TestEvalStateMatchesBatchEvaluators drives random mutation sequences on
-// random instances across the narrow and wide mask representations and
+// random instances at one-word and multi-word strides and
 // asserts the incrementally maintained metrics stay bitwise identical to
 // the batch evaluators after every mutation. The extreme draws put +Inf,
 // huge and tiny terms under AddReplica's max-update.

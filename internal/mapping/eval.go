@@ -1,7 +1,6 @@
 package mapping
 
 import (
-	"fmt"
 	"math"
 	"math/bits"
 
@@ -9,13 +8,6 @@ import (
 	"repro/internal/pipeline"
 	"repro/internal/platform"
 )
-
-// MaxEvalProcs is the widest platform the single-word (uint64 mask)
-// representation covers. It is no longer a limit of the Evaluator itself:
-// wider platforms are evaluated through the multi-word replica sets of
-// internal/bitset (see the *W methods in evalwide.go), with a stride of
-// bitset.Words(m) words per replica set.
-const MaxEvalProcs = 64
 
 // Evaluator is the zero-allocation evaluation engine behind the exact
 // solvers. It precomputes, once per (pipeline, platform) pair, everything
@@ -29,11 +21,14 @@ const MaxEvalProcs = 64
 //
 // The arithmetic deliberately mirrors LatencyEq1, LatencyEq2 and
 // FailureProb operation for operation, in the same order, so that the
-// metrics are bitwise identical to the slice-based evaluators. That
-// contract holds for both mask representations: the uint64 methods below
-// cover platforms up to MaxEvalProcs processors, and the *W methods of
-// evalwide.go evaluate multi-word bitset.Set replica sets for any m,
-// iterating processors in the same ascending order.
+// metrics are bitwise identical to the slice-based evaluators. Whole
+// candidates are scored by the *W methods of evalwide.go, which read
+// replica sets as bitset rows of Stride() words (one uint64 per interval
+// when m ≤ 64) and visit processors in ascending order. The per-interval
+// uint64 kernels below (SuccessFactor, IntervalEq1Cost, InputSum,
+// IntervalEq2Term, …) serve the exact engine's single-register
+// replication search and EvalState at stride 1; they add in the same
+// order as their *W twins, so both give the same bits.
 type Evaluator struct {
 	p  *pipeline.Pipeline
 	pl *platform.Platform
@@ -52,9 +47,8 @@ type Evaluator struct {
 }
 
 // NewEvaluator validates the instance once and builds the precomputed
-// state. Platforms of any width are accepted: up to MaxEvalProcs
-// processors the uint64 mask methods apply, beyond that callers use the
-// multi-word *W methods (Stride reports the words per replica set).
+// state. Platforms of any width are accepted (Stride reports the words
+// per replica set).
 func NewEvaluator(p *pipeline.Pipeline, pl *platform.Platform) (*Evaluator, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -129,10 +123,6 @@ func (e *Evaluator) NumProcs() int { return e.m }
 // (bitset.Words(m); 1 on platforms within the uint64 mask width).
 func (e *Evaluator) Stride() int { return e.stride }
 
-// Wide reports whether replica sets exceed the single-word uint64
-// representation, i.e. whether callers must use the *W methods.
-func (e *Evaluator) Wide() bool { return e.m > MaxEvalProcs }
-
 // CommHom reports whether the platform is communication homogeneous, i.e.
 // whether latency evaluation dispatches to Eq. (1) or Eq. (2).
 func (e *Evaluator) CommHom() bool { return e.commHom }
@@ -144,61 +134,6 @@ func (e *Evaluator) CommHom() bool { return e.commHom }
 // processor, and the final output transfer. TailLatencyLB(n) is the final
 // output term alone.
 func (e *Evaluator) TailLatencyLB(start int) float64 { return e.lbTail[start] }
-
-// Eval computes both metrics of the candidate (ends, masks): ends[j] is
-// the last stage (0-based, inclusive) of interval j, masks[j] the replica
-// set of interval j as a processor bitmask. The candidate must be valid by
-// construction — consecutive non-empty intervals with ends[len−1] == n−1
-// and pairwise-disjoint non-empty masks. Zero heap allocations.
-func (e *Evaluator) Eval(ends []int, masks []uint64) Metrics {
-	return Metrics{Latency: e.Latency(ends, masks), FailureProb: e.FailureProb(masks)}
-}
-
-// Latency dispatches to the Eq. (1) or Eq. (2) masked evaluation.
-func (e *Evaluator) Latency(ends []int, masks []uint64) float64 {
-	if e.commHom {
-		return e.latencyEq1(ends, masks)
-	}
-	return e.latencyEq2(ends, masks)
-}
-
-func (e *Evaluator) latencyEq1(ends []int, masks []uint64) float64 {
-	total := 0.0
-	first := 0
-	for j, end := range ends {
-		commIn, compute := e.IntervalEq1Cost(first, end, masks[j])
-		total += commIn
-		total += compute
-		first = end + 1
-	}
-	total += e.lbTail[e.n] // exact δ_n/b on comm-hom platforms
-	return total
-}
-
-func (e *Evaluator) latencyEq2(ends []int, masks []uint64) float64 {
-	total := e.InputSum(masks[0])
-	first := 0
-	last := len(ends) - 1
-	for j, end := range ends {
-		if j == last {
-			total += e.IntervalEq2FinalTerm(first, end, masks[j])
-		} else {
-			total += e.IntervalEq2Term(first, end, masks[j], masks[j+1])
-		}
-		first = end + 1
-	}
-	return total
-}
-
-// FailureProb computes 1 − Π_j (1 − Π_{u∈masks[j]} fp_u) with the same
-// operation order as the slice-based FailureProb.
-func (e *Evaluator) FailureProb(masks []uint64) float64 {
-	success := 1.0
-	for _, mask := range masks {
-		success *= e.SuccessFactor(mask)
-	}
-	return 1 - success
-}
 
 // SuccessFactor returns 1 − Π_{u∈mask} fp_u, the per-interval success
 // probability factor.
@@ -295,46 +230,6 @@ func (e *Evaluator) IntervalComputeLB(first, last int, mask uint64) float64 {
 	return e.p.Work(first, last) / e.MinSpeed(mask)
 }
 
-// ToMapping materializes the candidate as a regular *Mapping (this
-// allocates; call it only for candidates worth keeping).
-func (e *Evaluator) ToMapping(ends []int, masks []uint64) *Mapping {
-	m := &Mapping{
-		Intervals: make([]Interval, len(ends)),
-		Alloc:     make([][]int, len(ends)),
-	}
-	first := 0
-	for j, end := range ends {
-		m.Intervals[j] = Interval{First: first, Last: end}
-		procs := make([]int, 0, bits.OnesCount64(masks[j]))
-		for bm := masks[j]; bm != 0; bm &= bm - 1 {
-			procs = append(procs, bits.TrailingZeros64(bm))
-		}
-		m.Alloc[j] = procs
-		first = end + 1
-	}
-	return m
-}
-
-// BoundaryRep converts a mapping into the evaluator's boundary
-// representation: ends[j] is the last stage of interval j, masks[j] its
-// replica set as a processor bitmask. ok is false when some processor id
-// is outside the uint64 mask range (≥ MaxEvalProcs). The mapping is not
-// validated; pair this with Mapping.Validate (as EvaluateMapping does).
-func BoundaryRep(m *Mapping) (ends []int, masks []uint64, ok bool) {
-	ends = make([]int, len(m.Intervals))
-	masks = make([]uint64, len(m.Intervals))
-	for j, iv := range m.Intervals {
-		ends[j] = iv.Last
-		for _, u := range m.Alloc[j] {
-			if u < 0 || u >= MaxEvalProcs {
-				return nil, nil, false
-			}
-			masks[j] |= 1 << uint(u)
-		}
-	}
-	return ends, masks, true
-}
-
 // EvaluateMapping validates m against the evaluator's instance and scores
 // it through the precomputed state. It returns the same metrics as the
 // package-level Evaluate but skips re-deriving the platform dispatch on
@@ -344,13 +239,6 @@ func (e *Evaluator) EvaluateMapping(m *Mapping) (Metrics, error) {
 	if err := m.Validate(e.n, e.m); err != nil {
 		return Metrics{}, err
 	}
-	if e.Wide() {
-		ends, words := BoundaryRepWide(m, e.stride)
-		return e.EvalW(ends, words), nil
-	}
-	ends, masks, ok := BoundaryRep(m)
-	if !ok {
-		return Metrics{}, fmt.Errorf("mapping: processor id out of bitmask range (m ≤ %d)", MaxEvalProcs)
-	}
-	return e.Eval(ends, masks), nil
+	ends, words := BoundaryRepWide(m, e.stride)
+	return e.EvalW(ends, words), nil
 }

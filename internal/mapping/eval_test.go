@@ -52,8 +52,9 @@ func testInstances(seed int64) (*pipeline.Pipeline, *platform.Platform, *platfor
 	return p, commHom, het
 }
 
-// TestEvaluatorMatchesEvaluate: the masked evaluation must be bitwise
-// identical to the public slice-based Evaluate on both platform classes.
+// TestEvaluatorMatchesEvaluate: the masked evaluation at stride 1 must be
+// bitwise identical to the public slice-based Evaluate on both platform
+// classes.
 func TestEvaluatorMatchesEvaluate(t *testing.T) {
 	for seed := int64(0); seed < 200; seed++ {
 		p, commHom, het := testInstances(seed)
@@ -65,17 +66,17 @@ func TestEvaluatorMatchesEvaluate(t *testing.T) {
 			}
 			for trial := 0; trial < 20; trial++ {
 				ends, masks := randomMasked(rng, p.NumStages(), pl.NumProcs())
-				mp := ev.ToMapping(ends, masks)
+				mp := ev.ToMappingW(ends, masks)
 				if err := mp.Validate(p.NumStages(), pl.NumProcs()); err != nil {
-					t.Fatalf("seed %d: ToMapping produced invalid mapping: %v", seed, err)
+					t.Fatalf("seed %d: ToMappingW produced invalid mapping: %v", seed, err)
 				}
 				want, err := Evaluate(p, pl, mp)
 				if err != nil {
 					t.Fatalf("seed %d: %v", seed, err)
 				}
-				got := ev.Eval(ends, masks)
+				got := ev.EvalW(ends, masks)
 				if got != want {
-					t.Fatalf("seed %d trial %d: Eval = %+v, Evaluate = %+v (mapping %v)",
+					t.Fatalf("seed %d trial %d: EvalW = %+v, Evaluate = %+v (mapping %v)",
 						seed, trial, got, want, mp)
 				}
 			}
@@ -83,7 +84,8 @@ func TestEvaluatorMatchesEvaluate(t *testing.T) {
 	}
 }
 
-// TestEvaluatorZeroAllocs: the masked hot path must not allocate.
+// TestEvaluatorZeroAllocs: the masked hot path at stride 1 — the whole
+// candidate and the uint64 kernels — must not allocate.
 func TestEvaluatorZeroAllocs(t *testing.T) {
 	p := pipeline.MustNew([]float64{1, 100, 3}, []float64{10, 1, 2, 0.5})
 	rng := rand.New(rand.NewSource(7))
@@ -98,14 +100,14 @@ func TestEvaluatorZeroAllocs(t *testing.T) {
 		}
 		var sink Metrics
 		if allocs := testing.AllocsPerRun(200, func() {
-			sink = ev.Eval(ends, masks)
+			sink = ev.EvalW(ends, masks)
 		}); allocs != 0 {
-			t.Errorf("%s: Eval allocates %.1f objects per run, want 0", name, allocs)
+			t.Errorf("%s: EvalW allocates %.1f objects per run, want 0", name, allocs)
 		}
 		var lat float64
 		if allocs := testing.AllocsPerRun(200, func() {
-			lat = ev.Latency(ends, masks)
-			lat += ev.FailureProb(masks)
+			lat = ev.LatencyW(ends, masks)
+			lat += ev.FailureProbW(ends, masks)
 			lat += ev.TailLatencyLB(1)
 			lat += ev.SuccessFactor(masks[0])
 			lat += ev.IntervalComputeLB(0, 0, masks[0])
@@ -130,7 +132,7 @@ func TestEvaluatorTailLBIsLowerBound(t *testing.T) {
 			}
 			for trial := 0; trial < 20; trial++ {
 				ends, masks := randomMasked(rng, p.NumStages(), pl.NumProcs())
-				lat := ev.Latency(ends, masks)
+				lat := ev.LatencyW(ends, masks)
 				// The full mapping is a completion of its empty prefix.
 				if lb := ev.TailLatencyLB(0); lb > lat*(1+1e-12)+1e-12 {
 					t.Fatalf("seed %d: TailLatencyLB(0) = %g exceeds achievable latency %g", seed, lb, lat)
@@ -153,8 +155,8 @@ func TestNewEvaluatorErrors(t *testing.T) {
 	if err != nil {
 		t.Errorf("m=65 rejected: %v (wide platforms use the multi-word representation)", err)
 	}
-	if !wide.Wide() || wide.Stride() != 2 {
-		t.Errorf("m=65: Wide() = %v, Stride() = %d, want true, 2", wide.Wide(), wide.Stride())
+	if wide.Stride() != 2 {
+		t.Errorf("m=65: Stride() = %d, want 2", wide.Stride())
 	}
 	ok, err := platform.NewFullyHomogeneous(64, 1, 1, 0.5)
 	if err != nil {
@@ -164,7 +166,7 @@ func TestNewEvaluatorErrors(t *testing.T) {
 	if err != nil {
 		t.Errorf("m=64 rejected: %v", err)
 	}
-	if narrow.Wide() || narrow.Stride() != 1 {
-		t.Errorf("m=64: Wide() = %v, Stride() = %d, want false, 1", narrow.Wide(), narrow.Stride())
+	if narrow.Stride() != 1 {
+		t.Errorf("m=64: Stride() = %d, want 1", narrow.Stride())
 	}
 }

@@ -1,6 +1,7 @@
 package mapping
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -13,74 +14,75 @@ import (
 // evalmany.go: every Sibling field must equal — bit for bit, not within a
 // tolerance — what the engine's incremental push/complete pair derives
 // from the single-candidate Evaluator methods for the same singleton
-// extension. A composed reference below replays exactly those methods in
-// exactly the engine's association order.
+// extension. Composed references below replay exactly those methods, the
+// uint64 kernels and their *W twins, in exactly the engine's association
+// order.
 
 // singletonPrefix is a randomly grown partial mapping of singleton
 // intervals whose accumulators are maintained with the single-candidate
-// methods precisely as search.push does.
+// methods precisely as searchWide.push does.
 type singletonPrefix struct {
 	pre   BatchPrefix
 	start int // first unassigned stage
-	free  uint64
+	free  bitset.Set
+}
+
+// singleton returns {u} as a replica set of the evaluator's stride.
+func singleton(e *Evaluator, u int) bitset.Set {
+	s := bitset.Make(e.NumProcs())
+	s.Add(u)
+	return s
 }
 
 // growPrefix assigns `depth` singleton intervals over stages of p,
 // reproducing push's latency/success recurrences for commHom or het
 // platforms.
-func growPrefix(rng *rand.Rand, e *Evaluator, commHom bool, depth int) singletonPrefix {
+func growPrefix(rng *rand.Rand, e *Evaluator, depth int) singletonPrefix {
 	n, m := e.NumStages(), e.NumProcs()
-	sp := singletonPrefix{free: uint64(1)<<uint(m) - 1}
+	sp := singletonPrefix{free: bitset.Make(m)}
+	sp.free.Fill(m)
 	sp.pre.Succ = 1
 	prevFirst, prevLast, prevProc := 0, -1, 0
-	for d := 0; d < depth && sp.start < n-1 && bitsOnes(sp.free) > 1; d++ {
+	for d := 0; d < depth && sp.start < n-1 && sp.free.Count() > 1; d++ {
 		first := sp.start
 		last := first + rng.Intn(n-1-first) // keep at least one stage free
 		var u int
 		for {
 			u = rng.Intn(m)
-			if sp.free&(1<<uint(u)) != 0 {
+			if sp.free.Test(u) {
 				break
 			}
 		}
-		mask := uint64(1) << uint(u)
-		sp.pre.Succ *= e.SuccessFactor(mask)
-		if commHom {
-			commIn, compute := e.IntervalEq1Cost(first, last, mask)
+		mask := singleton(e, u)
+		sp.pre.Succ *= e.SuccessFactorW(mask)
+		if e.CommHom() {
+			commIn, compute := e.IntervalEq1CostW(first, last, mask)
 			lat := sp.pre.Lat + commIn
 			lat += compute
 			sp.pre.Lat = lat
 		} else {
 			if d == 0 {
-				sp.pre.Lat = e.InputSum(mask)
+				sp.pre.Lat = e.InputSumW(mask)
 			} else {
-				sp.pre.Lat += e.IntervalEq2Term(prevFirst, prevLast, uint64(1)<<uint(prevProc), mask)
+				sp.pre.Lat += e.IntervalEq2TermW(prevFirst, prevLast, singleton(e, prevProc), mask)
 			}
 		}
 		prevFirst, prevLast, prevProc = first, last, u
 		sp.pre.Depth = d + 1
-		sp.free &^= mask
+		sp.free.Remove(u)
 		sp.start = last + 1
 	}
 	sp.pre.PrevFirst, sp.pre.PrevLast, sp.pre.PrevProc = prevFirst, prevLast, prevProc
 	return sp
 }
 
-func bitsOnes(x uint64) int {
-	c := 0
-	for ; x != 0; x &= x - 1 {
-		c++
-	}
-	return c
-}
-
-// composedSibling replays the engine's single-candidate push (and, on the
-// final stage, complete) arithmetic for the prefix extended by
-// [first, last] on {u}.
-func composedSibling(e *Evaluator, commHom bool, sp singletonPrefix, first, last, u int) Sibling {
+// composedSibling replays the single-candidate push (and, on the final
+// stage, complete) arithmetic through the uint64 kernels for the prefix
+// extended by [first, last] on {u}; it needs u < 64.
+func composedSibling(e *Evaluator, sp singletonPrefix, first, last, u int) Sibling {
 	mask := uint64(1) << uint(u)
 	sb := Sibling{Proc: u, Succ: sp.pre.Succ * e.SuccessFactor(mask)}
-	if commHom {
+	if e.CommHom() {
 		commIn, compute := e.IntervalEq1Cost(first, last, mask)
 		lat := sp.pre.Lat + commIn
 		lat += compute
@@ -106,6 +108,35 @@ func composedSibling(e *Evaluator, commHom bool, sp singletonPrefix, first, last
 	return sb
 }
 
+// composedSiblingW is composedSibling through the *W kernels, for any u.
+func composedSiblingW(e *Evaluator, sp singletonPrefix, first, last, u int) Sibling {
+	mask := singleton(e, u)
+	sb := Sibling{Proc: u, Succ: sp.pre.Succ * e.SuccessFactorW(mask)}
+	if e.CommHom() {
+		commIn, compute := e.IntervalEq1CostW(first, last, mask)
+		lat := sp.pre.Lat + commIn
+		lat += compute
+		sb.Lat = lat
+		sb.LB = lat
+		if last == e.NumStages()-1 {
+			sb.Final = lat + e.TailLatencyLB(e.NumStages())
+		}
+	} else {
+		var lat float64
+		if sp.pre.Depth == 0 {
+			lat = e.InputSumW(mask)
+		} else {
+			lat = sp.pre.Lat + e.IntervalEq2TermW(sp.pre.PrevFirst, sp.pre.PrevLast, singleton(e, sp.pre.PrevProc), mask)
+		}
+		sb.Lat = lat
+		sb.LB = lat + e.IntervalComputeLBW(first, last, mask)
+		if last == e.NumStages()-1 {
+			sb.Final = lat + e.IntervalEq2FinalTermW(first, last, mask)
+		}
+	}
+	return sb
+}
+
 func checkSibling(t *testing.T, label string, got, want Sibling) {
 	t.Helper()
 	if got != want {
@@ -113,8 +144,31 @@ func checkSibling(t *testing.T, label string, got, want Sibling) {
 	}
 }
 
-// TestEvaluateManyMatchesSingleCandidate: narrow batch results must equal
-// the composed single-candidate arithmetic bitwise, across platforms,
+// checkBatch scores every window [start, last] of the prefix with
+// EvaluateManyW and holds each sibling, in ascending processor order, to
+// the composed reference.
+func checkBatch(t *testing.T, label string, e *Evaluator, sp singletonPrefix, out []Sibling,
+	ref func(e *Evaluator, sp singletonPrefix, first, last, u int) Sibling) {
+	t.Helper()
+	for last := sp.start; last < e.NumStages(); last++ {
+		nb := e.EvaluateManyW(sp.pre, sp.start, last, sp.free, out)
+		if nb != sp.free.Count() {
+			t.Fatalf("%s: wrote %d siblings for %d free processors", label, nb, sp.free.Count())
+		}
+		prev := -1
+		for i := 0; i < nb; i++ {
+			if out[i].Proc <= prev {
+				t.Fatalf("%s: siblings out of ascending processor order", label)
+			}
+			prev = out[i].Proc
+			checkSibling(t, label, out[i], ref(e, sp, sp.start, last, out[i].Proc))
+		}
+	}
+}
+
+// TestEvaluateManyMatchesSingleCandidate: at stride 1 the batch results
+// must equal the composed uint64-kernel arithmetic — the kernels the
+// engine's replication search pushes with — bitwise, across platforms,
 // depths and stage windows.
 func TestEvaluateManyMatchesSingleCandidate(t *testing.T) {
 	for seed := int64(0); seed < 60; seed++ {
@@ -122,149 +176,79 @@ func TestEvaluateManyMatchesSingleCandidate(t *testing.T) {
 		n := 2 + rng.Intn(5)
 		m := 2 + rng.Intn(6)
 		p := pipeline.Random(rng, n, 1, 10, 0, 10)
-		pls := []*platform.Platform{
+		for _, pl := range []*platform.Platform{
 			platform.RandomCommHomogeneous(rng, m, 1, 10, 0.05, 0.95, 1+rng.Float64()*4),
 			platform.RandomFullyHeterogeneous(rng, m, 1, 10, 0.05, 0.95, 1, 20),
-		}
-		for pi, pl := range pls {
-			commHom := pi == 0
+		} {
 			e, err := NewEvaluator(p, pl)
 			if err != nil {
 				t.Fatal(err)
 			}
 			out := make([]Sibling, m)
 			for depth := 0; depth <= 2; depth++ {
-				sp := growPrefix(rng, e, commHom, depth)
-				for first := sp.start; first < n; first = n { // one window start; vary the end
-					for last := first; last < n; last++ {
-						nb := e.EvaluateMany(sp.pre, first, last, sp.free, out)
-						if nb != bitsOnes(sp.free) {
-							t.Fatalf("seed %d: wrote %d siblings for %d free processors", seed, nb, bitsOnes(sp.free))
-						}
-						prev := -1
-						for i := 0; i < nb; i++ {
-							if out[i].Proc <= prev {
-								t.Fatalf("seed %d: siblings out of ascending processor order", seed)
-							}
-							prev = out[i].Proc
-							checkSibling(t, "narrow", out[i], composedSibling(e, commHom, sp, first, last, out[i].Proc))
-						}
-					}
-				}
+				checkBatch(t, fmt.Sprintf("seed %d depth %d", seed, depth), e, growPrefix(rng, e, depth), out, composedSibling)
 			}
 		}
 	}
 }
 
-// TestEvaluateManyWMatchesNarrow: on platforms that fit both paths the
-// wide batch evaluator must reproduce the narrow one bitwise, word by
-// word over a multi-word free set at m > 64.
-func TestEvaluateManyWMatchesNarrow(t *testing.T) {
+// TestEvaluateManyWMatchesSingleCandidateW: the batch results must equal
+// the composed *W single-candidate arithmetic bitwise at stride 1
+// (m = 20, 64) and over multi-word free sets (m = 80, 130).
+func TestEvaluateManyWMatchesSingleCandidateW(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	n, m := 4, 20
+	n := 4
 	p := pipeline.Random(rng, n, 1, 10, 0, 10)
-	for pi, pl := range []*platform.Platform{
-		platform.RandomCommHomogeneous(rng, m, 1, 10, 0.05, 0.95, 2),
-		platform.RandomFullyHeterogeneous(rng, m, 1, 10, 0.05, 0.95, 1, 20),
+	for _, m := range []int{20, 64, 80, 130} {
+		for _, pl := range []*platform.Platform{
+			platform.RandomCommHomogeneous(rng, m, 1, 10, 0.05, 0.95, 2),
+			platform.RandomFullyHeterogeneous(rng, m, 1, 10, 0.05, 0.95, 1, 20),
+		} {
+			e, err := NewEvaluator(p, pl)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out := make([]Sibling, m)
+			for depth := 0; depth <= 2; depth++ {
+				checkBatch(t, fmt.Sprintf("m=%d depth %d", m, depth), e, growPrefix(rng, e, depth), out, composedSiblingW)
+			}
+			// A ragged free set spanning every word, behind a predecessor
+			// past bit 64 where the width allows it.
+			sp := singletonPrefix{free: bitset.Make(m), start: 1}
+			for u := 0; u < m; u++ {
+				if u%3 != 1 {
+					sp.free.Add(u)
+				}
+			}
+			sp.pre = BatchPrefix{Depth: 1, Lat: 3.25, Succ: 0.75, PrevProc: m - 2}
+			checkBatch(t, fmt.Sprintf("m=%d ragged", m), e, sp, out, composedSiblingW)
+		}
+	}
+}
+
+// TestEvaluateManyZeroAllocs: the batch evaluator must stay off the heap
+// at stride 1 and over multi-word sets — it runs once per search node.
+func TestEvaluateManyZeroAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	n := 5
+	p := pipeline.Random(rng, n, 1, 10, 0, 10)
+	pre := BatchPrefix{Depth: 1, Lat: 1, Succ: 1, PrevLast: 0, PrevProc: 2}
+	for _, pl := range []*platform.Platform{
+		platform.RandomCommHomogeneous(rng, 16, 1, 10, 0.05, 0.95, 2),
+		platform.RandomFullyHeterogeneous(rng, 80, 1, 10, 0.05, 0.95, 1, 20),
 	} {
-		commHom := pi == 0
 		e, err := NewEvaluator(p, pl)
 		if err != nil {
 			t.Fatal(err)
 		}
-		narrow := make([]Sibling, m)
-		wide := make([]Sibling, m)
-		for depth := 0; depth <= 2; depth++ {
-			sp := growPrefix(rng, e, commHom, depth)
-			fs := bitset.Make(m)
-			for u := 0; u < m; u++ {
-				if sp.free&(1<<uint(u)) != 0 {
-					fs.Add(u)
-				}
-			}
-			for last := sp.start; last < n; last++ {
-				nn := e.EvaluateMany(sp.pre, sp.start, last, sp.free, narrow)
-				nw := e.EvaluateManyW(sp.pre, sp.start, last, fs, wide)
-				if nn != nw {
-					t.Fatalf("narrow wrote %d siblings, wide wrote %d", nn, nw)
-				}
-				for i := 0; i < nn; i++ {
-					checkSibling(t, "wide-vs-narrow", wide[i], narrow[i])
-				}
-			}
+		m := pl.NumProcs()
+		out := make([]Sibling, m)
+		fs := bitset.Make(m)
+		fs.Fill(m)
+		if allocs := testing.AllocsPerRun(100, func() {
+			e.EvaluateManyW(pre, 1, n-1, fs, out)
+		}); allocs != 0 {
+			t.Fatalf("m=%d: EvaluateManyW allocates %.1f times per call", m, allocs)
 		}
-	}
-
-	// Multi-word free sets: at m = 80 the wide path must still match the
-	// composed reference (the narrow path cannot represent this width).
-	m = 80
-	pl := platform.RandomFullyHeterogeneous(rng, m, 1, 10, 0.05, 0.95, 1, 20)
-	e, err := NewEvaluator(p, pl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := make([]Sibling, m)
-	fs := bitset.Make(m)
-	for u := 0; u < m; u++ {
-		if u%3 != 1 { // a ragged set spanning both words
-			fs.Add(u)
-		}
-	}
-	pre := BatchPrefix{Depth: 1, Lat: 3.25, Succ: 0.75, PrevFirst: 0, PrevLast: 0, PrevProc: 70}
-	nb := e.EvaluateManyW(pre, 1, n-1, fs, out)
-	if nb != fs.Count() {
-		t.Fatalf("wrote %d siblings for %d free processors", nb, fs.Count())
-	}
-	for i := 0; i < nb; i++ {
-		u := out[i].Proc
-		mask := bitset.Make(m)
-		mask.Add(u)
-		prevMask := bitset.Make(m)
-		prevMask.Add(pre.PrevProc)
-		lat := pre.Lat + e.IntervalEq2TermW(pre.PrevFirst, pre.PrevLast, prevMask, mask)
-		want := Sibling{
-			Proc:  u,
-			Lat:   lat,
-			Succ:  pre.Succ * e.SuccessFactorW(mask),
-			LB:    lat + e.IntervalComputeLBW(1, n-1, mask),
-			Final: lat + e.IntervalEq2FinalTermW(1, n-1, mask),
-		}
-		checkSibling(t, "wide-multiword", out[i], want)
-	}
-}
-
-// TestEvaluateManyZeroAllocs: both batch evaluators must stay off the
-// heap — they run once per search node.
-func TestEvaluateManyZeroAllocs(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	n, m := 5, 80
-	p := pipeline.Random(rng, n, 1, 10, 0, 10)
-	pl := platform.RandomFullyHeterogeneous(rng, m, 1, 10, 0.05, 0.95, 1, 20)
-	e, err := NewEvaluator(p, pl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := make([]Sibling, m)
-	pre := BatchPrefix{Depth: 1, Lat: 1, Succ: 1, PrevLast: 0, PrevProc: 2}
-
-	narrowPl := platform.RandomCommHomogeneous(rng, 16, 1, 10, 0.05, 0.95, 2)
-	ne, err := NewEvaluator(p, narrowPl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if allocs := testing.AllocsPerRun(100, func() {
-		ne.EvaluateMany(pre, 1, n-1, 0xffff, out)
-	}); allocs != 0 {
-		t.Fatalf("EvaluateMany allocates %.1f times per call", allocs)
-	}
-
-	fs := bitset.Make(m)
-	for u := 0; u < m; u++ {
-		fs.Add(u)
-	}
-	if allocs := testing.AllocsPerRun(100, func() {
-		e.EvaluateManyW(pre, 1, n-1, fs, out)
-	}); allocs != 0 {
-		t.Fatalf("EvaluateManyW allocates %.1f times per call", allocs)
 	}
 }

@@ -7,35 +7,36 @@ import (
 	"repro/internal/bitset"
 )
 
-// This file is the wide-platform (m > 64) face of the Evaluator: every
-// uint64-mask method of eval.go has a *W counterpart taking multi-word
-// bitset.Set replica sets. A complete candidate is (ends, words) where
-// ends[j] is the last stage of interval j and words is a flat row-major
-// buffer of Stride() uint64 words per interval — row j is
-// words[j*stride : (j+1)*stride], so a stride-1 buffer is exactly the
-// legacy []uint64 mask slice.
+// This file scores whole candidates for every m: a candidate is
+// (ends, words) where ends[j] is the last stage of interval j and words
+// is a flat row-major buffer of Stride() uint64 words per interval — row
+// j is words[j*stride : (j+1)*stride], so at stride 1 (m ≤ 64) it is one
+// mask word per interval. Each per-interval *W kernel has a uint64 twin in
+// eval.go for callers that hold one-word masks in registers.
 //
-// Invariants shared with the narrow path:
+// Invariants:
 //
 //   - zero heap allocations: the methods only read their arguments, and
 //     iteration runs over the words in place;
 //   - processors are visited in ascending index order (word by word,
 //     TrailingZeros within a word), so the accumulated float metrics are
 //     bitwise identical to the slice-based LatencyEq1 / LatencyEq2 /
-//     FailureProb on the same candidate.
+//     FailureProb on the same candidate, and to the uint64 kernels.
 
 // Row returns interval j's replica set within a flat stride-words buffer.
 func Row(words []uint64, stride, j int) bitset.Set {
 	return bitset.Set(words[j*stride : (j+1)*stride])
 }
 
-// EvalW computes both metrics of the wide candidate (ends, words). Like
-// Eval, the candidate must be valid by construction. Zero allocations.
+// EvalW computes both metrics of the candidate (ends, words). The
+// candidate must be valid by construction — consecutive non-empty
+// intervals with ends[len−1] == n−1 and pairwise-disjoint non-empty
+// replica sets. Zero allocations.
 func (e *Evaluator) EvalW(ends []int, words []uint64) Metrics {
 	return Metrics{Latency: e.LatencyW(ends, words), FailureProb: e.FailureProbW(ends, words)}
 }
 
-// LatencyW dispatches to the Eq. (1) or Eq. (2) wide evaluation.
+// LatencyW dispatches to the Eq. (1) or Eq. (2) evaluation.
 func (e *Evaluator) LatencyW(ends []int, words []uint64) float64 {
 	if e.commHom {
 		return e.latencyEq1W(ends, words)
@@ -71,7 +72,7 @@ func (e *Evaluator) latencyEq2W(ends []int, words []uint64) float64 {
 	return total
 }
 
-// FailureProbW computes 1 − Π_j (1 − Π_{u∈row j} fp_u) over the wide
+// FailureProbW computes 1 − Π_j (1 − Π_{u∈row j} fp_u) over the
 // candidate, in the same operation order as the slice-based FailureProb.
 func (e *Evaluator) FailureProbW(ends []int, words []uint64) float64 {
 	success := 1.0
@@ -178,8 +179,9 @@ func (e *Evaluator) IntervalComputeLBW(first, last int, mask bitset.Set) float64
 	return e.p.Work(first, last) / e.MinSpeedW(mask)
 }
 
-// ToMappingW materializes a wide candidate as a regular *Mapping (this
-// allocates; call it only for candidates worth keeping).
+// ToMappingW materializes a candidate as a regular *Mapping with
+// ascending replica ids (this allocates; call it only for candidates
+// worth keeping).
 func (e *Evaluator) ToMappingW(ends []int, words []uint64) *Mapping {
 	m := &Mapping{
 		Intervals: make([]Interval, len(ends)),
@@ -195,7 +197,7 @@ func (e *Evaluator) ToMappingW(ends []int, words []uint64) *Mapping {
 	return m
 }
 
-// BoundaryRepWide converts a mapping into the flat wide boundary
+// BoundaryRepWide converts a mapping into the flat boundary
 // representation with the given stride. The mapping is not validated;
 // pair with Mapping.Validate (as EvaluateMapping does).
 func BoundaryRepWide(m *Mapping, stride int) (ends []int, words []uint64) {

@@ -84,13 +84,16 @@ func TestWideEvalMatchesSliceReference(t *testing.T) {
 	}
 }
 
-// TestWideEvalMatchesNarrowEval: on narrow platforms the stride-1 wide
-// path must agree bitwise with the uint64 path (they share the candidate
-// representation, so this pins the shared-order contract).
-func TestWideEvalMatchesNarrowEval(t *testing.T) {
+// TestStrideOneEvalMatchesSliceReference: on platforms of at most 64
+// processors, where a replica set is one word, EvaluateMapping and EvalW
+// must be bitwise identical to the slice-based Evaluate.
+func TestStrideOneEvalMatchesSliceReference(t *testing.T) {
 	for seed := int64(0); seed < 40; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		n, m := 1+rng.Intn(5), 1+rng.Intn(8)
+		if seed%10 == 9 {
+			m = 64 // ids up to bit 63 of the one word
+		}
 		p := pipeline.Random(rng, n, 1, 10, 0, 10)
 		var pl *platform.Platform
 		if seed%2 == 0 {
@@ -102,14 +105,21 @@ func TestWideEvalMatchesNarrowEval(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		mp := randomWideMapping(rng, n, m)
-		ends, masks, ok := BoundaryRep(mp)
-		if !ok {
-			t.Fatal("narrow BoundaryRep failed on a narrow platform")
+		if ev.Stride() != 1 {
+			t.Fatalf("m=%d: stride %d, want 1", m, ev.Stride())
 		}
-		wideEnds, words := BoundaryRepWide(mp, ev.Stride())
-		if ev.Eval(ends, masks) != ev.EvalW(wideEnds, words) {
-			t.Fatalf("seed %d: narrow and wide evaluation disagree on %s", seed, mp)
+		mp := randomWideMapping(rng, n, m)
+		want, err := Evaluate(p, pl, mp)
+		if err != nil {
+			t.Fatalf("seed %d: reference rejects generated mapping: %v", seed, err)
+		}
+		got, err := ev.EvaluateMapping(mp)
+		if err != nil || got != want {
+			t.Fatalf("seed %d: EvaluateMapping %+v (err %v), slice reference %+v on %s", seed, got, err, want, mp)
+		}
+		ends, words := BoundaryRepWide(mp, 1)
+		if direct := ev.EvalW(ends, words); direct != want {
+			t.Fatalf("seed %d: EvalW %+v, slice reference %+v on %s", seed, direct, want, mp)
 		}
 	}
 }

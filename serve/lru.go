@@ -53,37 +53,90 @@ func flightKey(reqKey string, forced bool) string {
 	return reqKey
 }
 
-// sessionCache is a mutex-guarded LRU of warm sessions. Hits move the
-// entry to the front; inserts past capacity evict the back. Builds run
-// OUTSIDE the lock — a slow session construction must not serialize
-// unrelated cache hits — with concurrent misses for the same key
-// coalesced onto one build by a per-key singleflight.
-type sessionCache struct {
-	mu      sync.Mutex
-	cap     int
-	ll      *list.List
-	items   map[string]*list.Element
-	hits    int64
-	misses  int64
-	evicted int64
-
-	flight resilience.Group[*repro.Session]
+// lru is a mutex-guarded least-recently-used map from string keys to
+// V, shared by the session and solution caches: a lookup or a repeated
+// store moves the entry to the front, and a store past capacity evicts
+// the back. Lookups made with count set add exactly one hit or one miss
+// under the same lock, so hits + misses equals the counted lookups at
+// every snapshot.
+type lru[V any] struct {
+	mu           sync.Mutex
+	cap          int
+	ll           *list.List
+	items        map[string]*list.Element
+	hits, misses int64
+	evicted      int64
 }
 
-type cacheEntry struct {
-	key  string
-	sess *repro.Session
+type lruEntry[V any] struct {
+	key string
+	val V
 }
 
-func newSessionCache(capacity int) *sessionCache {
-	if capacity <= 0 {
-		capacity = 128
-	}
-	return &sessionCache{
+func newLRU[V any](capacity int) lru[V] {
+	return lru[V]{
 		cap:   capacity,
 		ll:    list.New(),
 		items: make(map[string]*list.Element, capacity),
 	}
+}
+
+// get returns the value stored under key, refreshing its LRU position;
+// count adds the lookup to the hit or miss counter.
+func (c *lru[V]) get(key string, count bool) (V, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if el, ok := c.items[key]; ok {
+		c.ll.MoveToFront(el)
+		if count {
+			c.hits++
+		}
+		return el.Value.(*lruEntry[V]).val, true
+	}
+	if count {
+		c.misses++
+	}
+	var zero V
+	return zero, false
+}
+
+// put stores val under key and evicts past capacity. A key already
+// present keeps its value and is only refreshed, so every caller that
+// races to store one key ends up sharing the first value stored.
+func (c *lru[V]) put(key string, val V) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if el, ok := c.items[key]; ok {
+		c.ll.MoveToFront(el)
+		return
+	}
+	c.items[key] = c.ll.PushFront(&lruEntry[V]{key: key, val: val})
+	for c.ll.Len() > c.cap {
+		back := c.ll.Back()
+		c.ll.Remove(back)
+		delete(c.items, back.Value.(*lruEntry[V]).key)
+		c.evicted++
+	}
+}
+
+// stats snapshots the counters and the entry count.
+func (c *lru[V]) stats() (hits, misses, evicted int64, size int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.hits, c.misses, c.evicted, c.ll.Len()
+}
+
+// sessionCache is the LRU of warm sessions. Builds run OUTSIDE the lock —
+// a slow session construction must not serialize unrelated cache hits —
+// with concurrent misses for the same key coalesced onto one build by a
+// per-key singleflight.
+type sessionCache struct {
+	lru[*repro.Session]
+	flight resilience.Group[*repro.Session]
+}
+
+func newSessionCache(capacity int) *sessionCache {
+	return &sessionCache{lru: newLRU[*repro.Session](capacity)}
 }
 
 // getOrCreate returns the warm session for key, building (and inserting)
@@ -91,131 +144,21 @@ func newSessionCache(capacity int) *sessionCache {
 // warm. Every call counts exactly one hit or one miss, so
 // hits + misses == lookups holds at all times.
 func (c *sessionCache) getOrCreate(key string, build func() (*repro.Session, error)) (sess *repro.Session, hit bool, err error) {
-	c.mu.Lock()
-	if el, ok := c.items[key]; ok {
-		c.ll.MoveToFront(el)
-		c.hits++
-		sess = el.Value.(*cacheEntry).sess
-		c.mu.Unlock()
+	if sess, ok := c.get(key, true); ok {
 		return sess, true, nil
 	}
-	c.misses++
-	c.mu.Unlock()
-
 	sess, _, err = c.flight.Do(context.Background(), key, func() (*repro.Session, error) {
 		// Re-check under the lock: a previous leader may have finished
 		// (and left the flight group) between our miss and this call.
-		if s := c.peek(key); s != nil {
+		if s, ok := c.get(key, false); ok {
 			return s, nil
 		}
 		s, err := build()
 		if err != nil {
 			return nil, err
 		}
-		c.insert(key, s)
+		c.put(key, s)
 		return s, nil
 	})
 	return sess, false, err
-}
-
-// peek returns the cached session for key without counting a lookup
-// (refreshing its LRU position), or nil.
-func (c *sessionCache) peek(key string) *repro.Session {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.items[key]; ok {
-		c.ll.MoveToFront(el)
-		return el.Value.(*cacheEntry).sess
-	}
-	return nil
-}
-
-// insert adds a freshly built session and evicts past capacity; a racing
-// insert of the same key keeps the existing entry.
-func (c *sessionCache) insert(key string, sess *repro.Session) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, ok := c.items[key]; ok {
-		return
-	}
-	c.items[key] = c.ll.PushFront(&cacheEntry{key: key, sess: sess})
-	for c.ll.Len() > c.cap {
-		back := c.ll.Back()
-		c.ll.Remove(back)
-		delete(c.items, back.Value.(*cacheEntry).key)
-		c.evicted++
-	}
-}
-
-// stats snapshots the cache counters.
-func (c *sessionCache) stats() (hits, misses, evicted int64, size int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.hits, c.misses, c.evicted, c.ll.Len()
-}
-
-// solutionCache is a mutex-guarded LRU of completed solve answers keyed
-// by requestKey. Stored results carry canonical-labeled mappings; the
-// serve layer translates them into each requester's processor ids on the
-// way out, so one stored answer serves every relabeling of its instance.
-// Lookups happen inside the singleflight leader, so hit/miss counting
-// lives with the caller; the cache itself only tracks size and eviction.
-type solutionCache struct {
-	mu      sync.Mutex
-	cap     int
-	ll      *list.List
-	items   map[string]*list.Element
-	evicted int64
-}
-
-type solutionEntry struct {
-	key string
-	res SolveResult
-}
-
-func newSolutionCache(capacity int) *solutionCache {
-	if capacity <= 0 {
-		capacity = 256
-	}
-	return &solutionCache{
-		cap:   capacity,
-		ll:    list.New(),
-		items: make(map[string]*list.Element, capacity),
-	}
-}
-
-// get returns the stored answer for key, refreshing its LRU position.
-func (c *solutionCache) get(key string) (SolveResult, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.items[key]; ok {
-		c.ll.MoveToFront(el)
-		return el.Value.(*solutionEntry).res, true
-	}
-	return SolveResult{}, false
-}
-
-// put stores (or refreshes) an answer and evicts past capacity.
-func (c *solutionCache) put(key string, res SolveResult) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.items[key]; ok {
-		c.ll.MoveToFront(el)
-		el.Value.(*solutionEntry).res = res
-		return
-	}
-	c.items[key] = c.ll.PushFront(&solutionEntry{key: key, res: res})
-	for c.ll.Len() > c.cap {
-		back := c.ll.Back()
-		c.ll.Remove(back)
-		delete(c.items, back.Value.(*solutionEntry).key)
-		c.evicted++
-	}
-}
-
-// stats snapshots the solution-cache counters.
-func (c *solutionCache) stats() (evicted int64, size int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.evicted, c.ll.Len()
 }

@@ -106,10 +106,13 @@ type Service struct {
 	flight  resilience.Group[SolveResult]
 
 	// solutions is the cross-request solution cache (nil when disabled):
-	// completed answers keyed by canonical instance hash, looked up by
-	// the singleflight leader and translated into each requester's
-	// processor labeling at the response boundary.
-	solutions *solutionCache
+	// completed answers keyed by requestKey, looked up by the singleflight
+	// leader and translated into each requester's processor labeling at
+	// the response boundary (stored mappings stay in canonical labels, so
+	// one answer serves every relabeling of its instance). Hit/miss
+	// counting lives with the leader; the cache's own counters track size
+	// and eviction only.
+	solutions *lru[SolveResult]
 
 	// rec is the service-wide telemetry recorder: the serve-tier counters
 	// below live in its registry, every warm session records its per-class
@@ -149,7 +152,8 @@ func New(cfg Config) *Service {
 		rec:     telemetry.NewRecorder(),
 	}
 	if cfg.SolutionCacheSize > 0 {
-		s.solutions = newSolutionCache(cfg.SolutionCacheSize)
+		solutions := newLRU[SolveResult](cfg.SolutionCacheSize)
+		s.solutions = &solutions
 	}
 	// Resolve the hot-path counters once; registry lookups afterwards are
 	// read-locked map hits, but the request path shouldn't pay even that.
@@ -243,7 +247,7 @@ func (s *Service) handleStats(w http.ResponseWriter, _ *http.Request) {
 		Translations:   s.translations.Load(),
 	}
 	if s.solutions != nil {
-		st.SolutionEvicted, st.SolutionSize = s.solutions.stats()
+		_, _, st.SolutionEvicted, st.SolutionSize = s.solutions.stats()
 	}
 	st.Engine = s.rec.CounterValues("exact_")
 	for _, route := range telemetry.Routes() {
@@ -281,7 +285,7 @@ func (s *Service) syncGauges() {
 	s.rec.Gauge("serve_breaker_state").Set(int64(s.breaker.State()))
 	s.rec.Gauge("serve_breaker_trips").Set(s.breaker.Trips())
 	if s.solutions != nil {
-		_, solSize := s.solutions.stats()
+		_, _, _, solSize := s.solutions.stats()
 		s.rec.Gauge("serve_solution_cache_size").Set(int64(solSize))
 	}
 }
@@ -438,7 +442,7 @@ func (s *Service) solveOne(ctx context.Context, spec SolveSpec) SolveResult {
 		// leaves no stampede window between lookup and solve — exactly
 		// one solver run per request key.
 		if useSolutions {
-			if out, ok := s.solutions.get(reqKey); ok {
+			if out, ok := s.solutions.get(reqKey, false); ok {
 				s.solutionHits.Inc()
 				out.Cached = true
 				return out, nil

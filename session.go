@@ -129,9 +129,9 @@ func NewSession(p *Pipeline, pl *Platform, opts ...SessionOption) (*Session, err
 	if s.cfg.anneal.Seed == 0 {
 		s.cfg.anneal.Seed = s.cfg.seed
 	}
-	// The evaluator covers every platform width: up to 64 processors it
-	// scores uint64 replica masks, beyond that the multi-word bitset
-	// representation — both zero-allocation in the solvers' hot paths.
+	// The evaluator covers every platform width: replica sets are rows of
+	// bitset words (one word up to 64 processors), zero-allocation in the
+	// solvers' hot paths.
 	ev, err := mapping.NewEvaluator(p, pl)
 	if err != nil {
 		return nil, err
