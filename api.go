@@ -1,18 +1,10 @@
-// The top-level functions in this file are the legacy per-call surface:
-// each builds a throwaway Session (revalidating the instance and
-// rebuilding the evaluator) and forwards under context.Background(). New
-// code — and anything issuing repeated calls against one instance or
-// needing cancellation — should create a Session once and use its
-// methods instead.
 package repro
 
 import (
-	"context"
 	"math/rand"
 
 	"repro/internal/canon"
 	"repro/internal/core"
-	"repro/internal/exact"
 	"repro/internal/frontier"
 	"repro/internal/heuristics"
 	"repro/internal/mapping"
@@ -45,16 +37,12 @@ type (
 	GeneralMapping = mapping.GeneralMapping
 	// Metrics bundles the two objectives: latency and failure probability.
 	Metrics = mapping.Metrics
-	// Problem is a bi-criteria mapping instance for Solve.
-	Problem = core.Problem
 	// Objective selects which criterion is minimized.
 	Objective = core.Objective
 	// Certainty grades the provenance of a Result.
 	Certainty = core.Certainty
 	// Result is a solved problem.
 	Result = core.Result
-	// SolveOptions tunes exact-versus-heuristic routing.
-	SolveOptions = core.Options
 	// Recorder aggregates solve telemetry — counters, gauges, streaming
 	// latency sketches and per-instance-class route profiles — and powers
 	// deadline-adaptive routing (see WithRecorder). Create one with
@@ -256,36 +244,6 @@ func FailureProb(pl *Platform, m *Mapping) float64 { return mapping.FailureProb(
 // float64 (see the Theorem 7 gadget for why this matters).
 func FailureProbLog(pl *Platform, m *Mapping) float64 { return mapping.FailureProbLog(pl, m) }
 
-// Solve routes a bi-criteria problem to the strongest method for its
-// platform class (the paper's Algorithms 1–4 when provably optimal,
-// exhaustive enumeration when small, heuristics otherwise). It is a
-// per-call wrapper over a default Session; create a Session directly to
-// reuse the evaluator across calls or to cancel via context.
-func Solve(pr Problem) (Result, error) { return SolveWithOptions(pr, SolveOptions{}) }
-
-// SolveWithOptions is Solve with explicit routing options.
-func SolveWithOptions(pr Problem, opts SolveOptions) (Result, error) {
-	s, err := NewSession(pr.Pipeline, pr.Platform, sessionOptionsFrom(opts)...)
-	if err != nil {
-		return Result{}, err
-	}
-	return s.Solve(context.Background(), SolveRequest{
-		Objective:   pr.Objective,
-		MaxLatency:  pr.MaxLatency,
-		MaxFailProb: pr.MaxFailProb,
-	})
-}
-
-// sessionOptionsFrom translates legacy SolveOptions into session options.
-func sessionOptionsFrom(opts SolveOptions) []SessionOption {
-	return []SessionOption{
-		WithWorkers(opts.Workers),
-		WithExactBudget(opts.ExactBudget),
-		WithAnneal(opts.Anneal),
-		WithForceHeuristic(opts.ForceHeuristic),
-	}
-}
-
 // MinLatencyGeneralMapping computes the latency-optimal general mapping by
 // Theorem 4's layered-graph shortest path (polynomial on every platform).
 func MinLatencyGeneralMapping(p *Pipeline, pl *Platform) (*GeneralMapping, float64, error) {
@@ -309,33 +267,6 @@ func IntervalLatencyBounds(p *Pipeline, pl *Platform) (IntervalBounds, error) {
 	return poly.IntervalLatencyBounds(p, pl)
 }
 
-// BeamSearchMinLatency runs the scalable beam-search heuristic for
-// latency-minimal interval mappings on heterogeneous platforms (the
-// §4.1 open problem); beamWidth ≤ 0 selects the default (16).
-func BeamSearchMinLatency(p *Pipeline, pl *Platform, beamWidth int) (*Mapping, Metrics, error) {
-	res, err := heuristics.BeamSearchMinLatency(context.Background(), &heuristics.Problem{Pipe: p, Plat: pl}, beamWidth)
-	if err != nil {
-		return nil, Metrics{}, err
-	}
-	return res.Mapping, res.Metrics, nil
-}
-
-// MinFailureProb returns Theorem 1's optimum: the whole pipeline
-// replicated on every processor.
-func MinFailureProb(p *Pipeline, pl *Platform) (Result, error) {
-	return Solve(Problem{Pipeline: p, Platform: pl, Objective: MinimizeFailureProb})
-}
-
-// ParetoFront computes the latency/FP trade-off curve: exhaustively on
-// small instances, by annealing archive otherwise.
-func ParetoFront(p *Pipeline, pl *Platform, opts SolveOptions) (*Front, Certainty, error) {
-	s, err := NewSession(p, pl, sessionOptionsFrom(opts)...)
-	if err != nil {
-		return nil, 0, err
-	}
-	return s.Pareto(context.Background())
-}
-
 // Simulate executes a mapped workflow on the discrete-event simulator.
 // WorstCase mode reproduces the analytic latency exactly; MonteCarlo mode
 // draws a crash pattern from the failure probabilities.
@@ -347,25 +278,6 @@ func Simulate(p *Pipeline, pl *Platform, m *Mapping, cfg SimConfig) (SimResult, 
 // (failed[u] = true kills processor u for the whole run).
 func SimulateInjected(p *Pipeline, pl *Platform, m *Mapping, cfg SimConfig, failed []bool) (SimResult, error) {
 	return sim.RunInjected(p, pl, m, cfg, failed)
-}
-
-// EstimateFailureProb estimates a mapping's failure probability by
-// Monte-Carlo sampling of crash patterns.
-func EstimateFailureProb(pl *Platform, m *Mapping, trials int, rng *rand.Rand) (FPEstimate, error) {
-	return sim.EstimateFP(pl, m, trials, rng)
-}
-
-// EstimateFailureProbParallel fans the sampling out over worker
-// goroutines with deterministic per-worker RNG streams (workers ≤ 0 uses
-// GOMAXPROCS).
-func EstimateFailureProbParallel(pl *Platform, m *Mapping, trials, workers int, seed int64) (FPEstimate, error) {
-	return sim.EstimateFPParallel(context.Background(), pl, m, trials, workers, seed)
-}
-
-// MonteCarloCampaign runs trials independent Monte-Carlo simulations in
-// parallel and aggregates failure rate and latency statistics.
-func MonteCarloCampaign(p *Pipeline, pl *Platform, m *Mapping, cfg SimConfig, trials, workers int, seed int64) (MCSummary, error) {
-	return sim.MonteCarloLatencyParallel(context.Background(), p, pl, m, cfg, trials, workers, seed)
 }
 
 // Lemma1SingleInterval applies the paper's Lemma 1 transformation: on
@@ -399,24 +311,6 @@ func PeriodNoOverlap(p *Pipeline, pl *Platform, m *Mapping) (float64, error) {
 // RoundRobinMapping wraps a reliability mapping as an RRMapping with one
 // group per interval; split groups to trade reliability for throughput.
 func RoundRobinMapping(m *Mapping) *RRMapping { return throughput.FromMapping(m) }
-
-// MinPeriodUnderConstraints exhaustively finds the RR mapping of minimum
-// period with latency ≤ maxLatency and FP ≤ maxFailProb (small instances).
-func MinPeriodUnderConstraints(p *Pipeline, pl *Platform, maxLatency, maxFailProb float64) (TriResult, error) {
-	return throughput.MinPeriodUnderConstraints(p, pl, maxLatency, maxFailProb, exact.Options{})
-}
-
-// GreedyRoundRobin splits bottleneck groups round-robin as long as the
-// period improves within both constraints (scalable heuristic).
-func GreedyRoundRobin(p *Pipeline, pl *Platform, m *Mapping, maxLatency, maxFailProb float64) (TriResult, error) {
-	return throughput.GreedyRR(context.Background(), p, pl, m, maxLatency, maxFailProb)
-}
-
-// TriParetoFront enumerates the three-criteria Pareto front (latency, FP,
-// period) over RR mappings of a small instance.
-func TriParetoFront(p *Pipeline, pl *Platform) (*TriFront, error) {
-	return throughput.TriPareto(p, pl, exact.Options{})
-}
 
 // Fig34Instance returns the paper's Section 3 motivating example
 // (Figures 3 and 4): splitting beats any single processor, 7 versus 105.

@@ -1,19 +1,27 @@
 package repro
 
 import (
+	"context"
 	"errors"
 	"math"
-	"math/rand"
 	"testing"
 )
+
+// newTestSession builds a session over (p, pl) or fails the test.
+func newTestSession(t *testing.T, p *Pipeline, pl *Platform, opts ...SessionOption) *Session {
+	t.Helper()
+	s, err := NewSession(p, pl, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
 
 // TestQuickstartFlow exercises the documented public API end to end on
 // the paper's Figure 5 instance.
 func TestQuickstartFlow(t *testing.T) {
 	p, pl := Fig5Instance()
-	res, err := Solve(Problem{
-		Pipeline:   p,
-		Platform:   pl,
+	res, err := newTestSession(t, p, pl).Solve(context.Background(), SolveRequest{
 		Objective:  MinimizeFailureProb,
 		MaxLatency: 22,
 	})
@@ -84,7 +92,7 @@ func TestGeneralMappingAPI(t *testing.T) {
 
 func TestMinFailureProbAPI(t *testing.T) {
 	p, pl := Fig5Instance()
-	res, err := MinFailureProb(p, pl)
+	res, err := newTestSession(t, p, pl).Solve(context.Background(), SolveRequest{Objective: MinimizeFailureProb})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +116,7 @@ func TestSimulationAPI(t *testing.T) {
 	if err != nil || !inj.Completed {
 		t.Errorf("injection with no failures must complete: %v %v", inj, err)
 	}
-	est, err := EstimateFailureProb(pl, m, 5000, rand.New(rand.NewSource(1)))
+	est, err := newTestSession(t, p, pl).EstimateFailureProb(context.Background(), m, 5000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +128,7 @@ func TestSimulationAPI(t *testing.T) {
 func TestParetoFrontAPI(t *testing.T) {
 	p, _ := Fig5Instance()
 	pl, _ := NewCommHomogeneousPlatform([]float64{1, 100, 100}, []float64{0.1, 0.8, 0.8}, 1)
-	front, cert, err := ParetoFront(p, pl, SolveOptions{})
+	front, cert, err := newTestSession(t, p, pl).Pareto(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +160,7 @@ func TestLemma1API(t *testing.T) {
 
 func TestErrorSentinels(t *testing.T) {
 	p, pl := Fig5Instance()
-	_, err := Solve(Problem{Pipeline: p, Platform: pl, Objective: MinimizeFailureProb, MaxLatency: 0.1})
+	_, err := newTestSession(t, p, pl).Solve(context.Background(), SolveRequest{Objective: MinimizeFailureProb, MaxLatency: 0.1})
 	if !errors.Is(err, ErrInfeasible) {
 		t.Errorf("err = %v, want ErrInfeasible", err)
 	}
@@ -198,7 +206,8 @@ func TestThroughputAPI(t *testing.T) {
 		t.Errorf("single-group RR period %g != Period %g", met.Period, per)
 	}
 
-	greedy, err := GreedyRoundRobin(p, pl, m, math.Inf(1), 1)
+	s := newTestSession(t, p, pl)
+	greedy, err := s.GreedyRoundRobin(context.Background(), m, math.Inf(1), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +215,7 @@ func TestThroughputAPI(t *testing.T) {
 		t.Error("greedy RR worsened the period")
 	}
 
-	exactRes, err := MinPeriodUnderConstraints(p, pl, math.Inf(1), 1)
+	exactRes, err := s.MinPeriod(context.Background(), math.Inf(1), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +223,7 @@ func TestThroughputAPI(t *testing.T) {
 		t.Error("exhaustive tri-criteria worse than greedy")
 	}
 
-	front, err := TriParetoFront(p, pl)
+	front, err := s.TriPareto(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,14 +239,15 @@ func TestParallelEstimatorsAPI(t *testing.T) {
 		Alloc:     [][]int{{0}, {1, 2, 3, 4, 5, 6, 7, 8, 9, 10}},
 	}
 	analytic := FailureProb(pl, m)
-	est, err := EstimateFailureProbParallel(pl, m, 20000, 4, 3)
+	s := newTestSession(t, p, pl, WithWorkers(4), WithSeed(3))
+	est, err := s.EstimateFailureProb(context.Background(), m, 20000)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !est.Within(analytic, 4) {
 		t.Errorf("parallel estimate %g ± %g vs analytic %g", est.FP, est.StdErr, analytic)
 	}
-	sum, err := MonteCarloCampaign(p, pl, m, SimConfig{}, 500, 4, 9)
+	sum, err := s.MonteCarloCampaign(context.Background(), m, SimConfig{}, 500)
 	if err != nil {
 		t.Fatal(err)
 	}

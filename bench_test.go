@@ -1,7 +1,7 @@
 package repro
 
-// One benchmark per experiment of DESIGN.md §4. Each benchmark times the
-// computation that regenerates the corresponding table; run
+// One benchmark per experiment table of cmd/paperbench. Each benchmark
+// times the computation that regenerates the corresponding table; run
 //
 //	go test -bench=. -benchmem
 //
@@ -68,7 +68,7 @@ func BenchmarkCommHomExactN5M12(b *testing.B) {
 	pr := core.Problem{Pipeline: p, Platform: pl, Objective: core.MinimizeLatency, MaxFailProb: base.FailureProb}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		res, err := core.Solve(pr)
+		res, err := core.SolveCtx(context.Background(), pr, core.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -441,15 +441,13 @@ func BenchmarkE17BeamSearch(b *testing.B) {
 	}
 }
 
-// BenchmarkSessionReuse quantifies what a long-lived Session amortizes
-// versus the legacy per-call wrappers, which validate the instance and
-// rebuild the evaluator state on every call. The Solve pair measures a
-// full Figure 5 solve; the Evaluate pair isolates the metric evaluation
-// hot path (the session serves it from the cached bitmask evaluator).
+// BenchmarkSessionReuse times a full Figure 5 solve on a long-lived
+// Session, and the metric evaluation hot path both through the session's
+// cached bitmask evaluator and through the package-level slice Evaluate,
+// which validates the mapping and walks the instance on every call.
 func BenchmarkSessionReuse(b *testing.B) {
 	p, pl := workload.Fig5()
 	req := SolveRequest{Objective: MinimizeFailureProb, MaxLatency: 22}
-	prob := Problem{Pipeline: p, Platform: pl, Objective: MinimizeFailureProb, MaxLatency: 22}
 	m := &mapping.Mapping{
 		Intervals: []mapping.Interval{{First: 0, Last: 0}, {First: 1, Last: 1}},
 		Alloc:     [][]int{{0}, {1, 2, 3, 4, 5, 6, 7, 8, 9, 10}},
@@ -465,14 +463,6 @@ func BenchmarkSessionReuse(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			if _, err := s.Solve(ctx, req); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("Solve/percall", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := Solve(prob); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -690,7 +680,7 @@ func BenchmarkRepairM80(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := heuristics.Repair(ctx, pr, g.Mapping, banned, heuristics.RepairBudget{}); err != nil {
+		if _, err := heuristics.Repair(ctx, pr, g.Mapping, banned); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,6 +1,7 @@
 // Command paperbench regenerates every experiment table of the
-// reproduction (DESIGN.md §4): the paper's worked examples, executable
-// validations of each theorem, and the extension experiments.
+// reproduction (paperbench -list names them): the paper's worked
+// examples, executable validations of each theorem, and the extension
+// experiments.
 //
 // Usage:
 //

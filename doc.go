@@ -36,8 +36,7 @@
 // created once per (pipeline, platform) instance via functional options,
 // which validates the instance and caches the zero-allocation evaluator
 // precomputation so every subsequent call — Solve, Pareto, TriPareto,
-// Evaluate, Simulate, MonteCarloCampaign, Bounds, MinPeriod — skips the
-// per-call setup:
+// Evaluate, MonteCarloCampaign, MinPeriod — shares that setup:
 //
 //	pipe, _ := repro.NewPipeline([]float64{1, 100}, []float64{10, 1, 0})
 //	plat, _ := repro.NewCommHomogeneousPlatform(
@@ -69,13 +68,10 @@
 // test them with errors.Is(err, repro.ErrInfeasible) (proven) and
 // errors.Is(err, repro.ErrNotFound) (heuristic exhaustion, unproven).
 //
-// # Legacy per-call surface
-//
-// The package-level functions (Solve, SolveWithOptions, ParetoFront,
-// MonteCarloCampaign, ...) are kept as thin wrappers that build a
-// throwaway Session per call under context.Background(). Existing callers
-// keep compiling and get identical results; they just pay the evaluator
-// rebuild on every call and cannot cancel.
+// Solvers, searches and sampling campaigns are Session methods only.
+// Pure functions of an instance, or of an instance and a mapping
+// (Evaluate, Period, IntervalLatencyBounds, ...), and single simulation
+// runs (Simulate, SimulateInjected) are package-level functions.
 //
 // # Serving
 //
@@ -107,10 +103,10 @@
 // discrete-event simulator pools its per-run state and keeps its event
 // heap free of pointers, so Monte-Carlo sweeps are not GC-bound. Run
 // scripts/bench.sh to record the benchmark suite as a BENCH_<date>.json
-// snapshot; BenchmarkSessionReuse quantifies the session-reuse saving
-// against the per-call wrappers.
+// snapshot.
 //
 // See examples/ for complete programs (examples/quickstart walks the
-// session API end to end) and EXPERIMENTS.md for the reproduction of
-// every result in the paper.
+// session API end to end), cmd/paperbench for the tables that reproduce
+// every result in the paper, and the README for the package that
+// implements each result.
 package repro

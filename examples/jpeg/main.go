@@ -5,9 +5,9 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
-	"math/rand"
 
 	"repro"
 )
@@ -29,8 +29,16 @@ func main() {
 	}
 	fmt.Println("cluster:", plat)
 
+	// One session answers every query below; its seed drives the
+	// Monte-Carlo check at the end.
+	sess, err := repro.NewSession(pipe, plat, repro.WithSeed(42))
+	if err != nil {
+		log.Fatal(err)
+	}
+	ctx := context.Background()
+
 	// Latency floor: the whole pipeline on the fastest desktop.
-	floor, err := repro.Solve(repro.Problem{Pipeline: pipe, Platform: plat, Objective: repro.MinimizeLatency})
+	floor, err := sess.Solve(ctx, repro.SolveRequest{Objective: repro.MinimizeLatency})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -40,9 +48,7 @@ func main() {
 	fmt.Println("\nbudget(xfloor)  intervals  procs  latency      FP          method")
 	for _, factor := range []float64{1.0, 1.3, 1.8, 2.5, 4.0} {
 		budget := floor.Metrics.Latency * factor
-		res, err := repro.Solve(repro.Problem{
-			Pipeline:   pipe,
-			Platform:   plat,
+		res, err := sess.Solve(ctx, repro.SolveRequest{
 			Objective:  repro.MinimizeFailureProb,
 			MaxLatency: budget,
 		})
@@ -56,16 +62,14 @@ func main() {
 	}
 
 	// Validate the most reliable mapping empirically.
-	res, err := repro.Solve(repro.Problem{
-		Pipeline:   pipe,
-		Platform:   plat,
+	res, err := sess.Solve(ctx, repro.SolveRequest{
 		Objective:  repro.MinimizeFailureProb,
 		MaxLatency: floor.Metrics.Latency * 4,
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	est, err := repro.EstimateFailureProb(plat, res.Mapping, 100_000, rand.New(rand.NewSource(42)))
+	est, err := sess.EstimateFailureProb(ctx, res.Mapping, 100_000)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"strings"
@@ -33,7 +34,11 @@ func main() {
 	fmt.Println("application:", pipe)
 	fmt.Println("platform:   ", plat)
 
-	front, certainty, err := repro.ParetoFront(pipe, plat, repro.SolveOptions{})
+	sess, err := repro.NewSession(pipe, plat)
+	if err != nil {
+		log.Fatal(err)
+	}
+	front, certainty, err := sess.Pareto(context.Background())
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -79,7 +79,7 @@ func main() {
 		fastest.Metrics.Latency, fastest.Metrics.FailureProb)
 
 	// Cross-check the analytic metrics on the simulator substrate.
-	simRes, err := sess.Simulate(ctx, res.Mapping, repro.SimConfig{Mode: repro.WorstCase})
+	simRes, err := repro.Simulate(pipe, plat, res.Mapping, repro.SimConfig{Mode: repro.WorstCase})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"log"
@@ -43,10 +44,14 @@ func run(w io.Writer) error {
 	fmt.Fprintln(w, "application:", pipe)
 	fmt.Fprintln(w, "platform:   ", plat)
 
+	sess, err := repro.NewSession(pipe, plat)
+	if err != nil {
+		return err
+	}
+	ctx := context.Background()
+
 	// Reliability-only mapping from the bi-criteria solver.
-	res, err := repro.Solve(repro.Problem{
-		Pipeline:   pipe,
-		Platform:   plat,
+	res, err := sess.Solve(ctx, repro.SolveRequest{
 		Objective:  repro.MinimizeFailureProb,
 		MaxLatency: 40,
 	})
@@ -74,7 +79,7 @@ func run(w io.Writer) error {
 	fmt.Fprintf(w, "simulated steady-state gap: %.4g (analytic %.4g)\n", gap, period)
 
 	// Round-robin: split bottleneck groups while FP stays under 0.5.
-	rr, err := repro.GreedyRoundRobin(pipe, plat, res.Mapping, math.Inf(1), 0.5)
+	rr, err := sess.GreedyRoundRobin(ctx, res.Mapping, math.Inf(1), 0.5)
 	if err != nil {
 		return err
 	}
@@ -83,7 +88,7 @@ func run(w io.Writer) error {
 		rr.Metrics.Period, period, rr.Metrics.FailureProb, res.Metrics.FailureProb, rr.Metrics.Latency)
 
 	// The exhaustive three-criteria front on this small instance.
-	front, err := repro.TriParetoFront(pipe, plat)
+	front, err := sess.TriPareto(ctx)
 	if err != nil {
 		return err
 	}

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"strconv"
@@ -86,7 +87,7 @@ func E12JPEG() *Table {
 	}
 	for _, factor := range []float64{1.0, 1.3, 1.8, 2.5, 4} {
 		L := base.Metrics.Latency * factor
-		res, err := core.SolveWithOptions(core.Problem{
+		res, err := core.SolveCtx(context.Background(), core.Problem{
 			Pipeline:   p,
 			Platform:   pl,
 			Objective:  core.MinimizeFailureProb,

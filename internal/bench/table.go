@@ -1,8 +1,8 @@
 // Package bench regenerates every reproducible artifact of the paper as a
 // formatted table: the worked examples of Section 3, an executable
 // validation of each theorem and algorithm, and the extension experiments
-// described in DESIGN.md (heuristic quality on the open classes, simulator
-// validation, the JPEG case study, scalability and ablation sweeps).
+// (heuristic quality on the open classes, simulator validation, the JPEG
+// case study, scalability and ablation sweeps).
 //
 // Each experiment EXX has a function returning a *Table; cmd/paperbench
 // prints them and the root-level benchmarks time the underlying

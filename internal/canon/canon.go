@@ -5,7 +5,7 @@
 // by a processor permutation have the same optimal metrics and
 // permutation-related optimal mappings. Canonicalizing before hashing lets
 // a serving tier answer every member of such an equivalence class from one
-// cached solution (ROADMAP open item 1).
+// cached solution.
 //
 // Canonicalize relabels the processors deterministically:
 //

@@ -83,9 +83,9 @@ func TestCommHomSolveEquivalence(t *testing.T) {
 				t.Fatalf("%s: oracle: %v", c.name, err)
 			}
 			prs := c.problems()
-			res, err := Solve(prs[0])
+			res, err := solve(prs[0])
 			checkCommHomExact(t, c.name+" minFP", res, err, res.Metrics.FailureProb, wantFP.Metrics.FailureProb)
-			res, err = Solve(prs[1])
+			res, err = solve(prs[1])
 			checkCommHomExact(t, c.name+" minLatency", res, err, res.Metrics.Latency, wantLat.Metrics.Latency)
 		}
 	})
@@ -93,7 +93,7 @@ func TestCommHomSolveEquivalence(t *testing.T) {
 	t.Run("mappings_reproduce_metrics", func(t *testing.T) {
 		for _, c := range cases {
 			for _, pr := range c.problems() {
-				res, err := Solve(pr)
+				res, err := solve(pr)
 				if err != nil {
 					t.Errorf("%s %v: %v", c.name, pr.Objective, err)
 					continue
@@ -125,7 +125,7 @@ func TestCommHomSolveEquivalence(t *testing.T) {
 	// second check needs that optimum well above it.
 	t.Run("infeasible", func(t *testing.T) {
 		for _, c := range cases {
-			if _, err := Solve(Problem{Pipeline: c.p, Platform: c.pl, Objective: MinimizeFailureProb, MaxLatency: 1e-6}); !errors.Is(err, ErrInfeasible) {
+			if _, err := solve(Problem{Pipeline: c.p, Platform: c.pl, Objective: MinimizeFailureProb, MaxLatency: 1e-6}); !errors.Is(err, ErrInfeasible) {
 				t.Errorf("%s: unmeetable latency bound: err = %v, want ErrInfeasible", c.name, err)
 			}
 			allFP := 1.0
@@ -136,7 +136,7 @@ func TestCommHomSolveEquivalence(t *testing.T) {
 				t.Logf("%s: FP optimum %.3g too small for an unmeetable bound", c.name, allFP)
 				continue
 			}
-			if _, err := Solve(Problem{Pipeline: c.p, Platform: c.pl, Objective: MinimizeLatency, MaxFailProb: allFP / 2}); !errors.Is(err, ErrInfeasible) {
+			if _, err := solve(Problem{Pipeline: c.p, Platform: c.pl, Objective: MinimizeLatency, MaxFailProb: allFP / 2}); !errors.Is(err, ErrInfeasible) {
 				t.Errorf("%s: unmeetable FP bound: err = %v, want ErrInfeasible", c.name, err)
 			}
 		}

@@ -127,7 +127,7 @@ func TestAdaptiveRouterColdProfileFallsBackToStructure(t *testing.T) {
 // solve, recorder or not.
 func TestSolveRouteFieldWithoutRecorder(t *testing.T) {
 	pr := hardHetInstance(t)
-	res, err := Solve(pr)
+	res, err := solve(pr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func TestSolveRouteFieldWithoutRecorder(t *testing.T) {
 		t.Fatalf("route = %q, want exact", res.Route)
 	}
 	// Unconstrained min-FP routes through Theorem 1.
-	res, err = Solve(Problem{Pipeline: pr.Pipeline, Platform: pr.Platform, Objective: MinimizeFailureProb})
+	res, err = solve(Problem{Pipeline: pr.Pipeline, Platform: pr.Platform, Objective: MinimizeFailureProb})
 	if err != nil {
 		t.Fatal(err)
 	}

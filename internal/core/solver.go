@@ -167,21 +167,12 @@ func (o Options) exactBudget() float64 {
 	return 5_000_000
 }
 
-// Solve routes the problem with default options.
-func Solve(pr Problem) (Result, error) { return SolveWithOptions(pr, Options{}) }
-
-// SolveWithOptions routes the problem to the strongest applicable method.
-func SolveWithOptions(pr Problem, opts Options) (Result, error) {
-	return SolveCtx(context.Background(), pr, opts)
-}
-
-// SolveCtx is SolveWithOptions under a context: the exact enumeration
-// and the greedy fallback poll ctx and stop early when it is done. A
-// canceled solve returns the best feasible mapping found so far graded
-// Partial (greedy's seed when cancellation struck before the search saw
-// any candidate); the error is non-nil only when no feasible mapping
-// could be produced at all. Uncanceled solves are deterministic and
-// behave exactly like SolveWithOptions.
+// SolveCtx routes the problem to the strongest applicable method. The
+// exact enumeration and the greedy fallback poll ctx and stop early when
+// it is done. A canceled solve returns the best feasible mapping found so
+// far graded Partial (greedy's seed when cancellation struck before the
+// search saw any candidate); the error is non-nil only when no feasible
+// mapping could be produced at all. Uncanceled solves are deterministic.
 func SolveCtx(ctx context.Context, pr Problem, opts Options) (Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -497,17 +488,12 @@ func binom(n, k int) float64 {
 	return r
 }
 
-// Pareto computes the latency/FP trade-off front: exhaustively on small
-// instances, by annealing archive otherwise.
-func Pareto(p *pipeline.Pipeline, pl *platform.Platform, opts Options) (*frontier.Front, Certainty, error) {
-	return ParetoCtx(context.Background(), p, pl, opts)
-}
-
-// ParetoCtx is Pareto under a context. A canceled enumeration returns the
-// non-dominated set of the candidates visited so far graded Partial (the
-// metric points are genuine mappings, but the front may be incomplete);
-// the heuristic fallback is graded Partial likewise when its annealing
-// walks were cut short.
+// ParetoCtx computes the latency/FP trade-off front: exhaustively on
+// small instances, by annealing archive otherwise. A canceled enumeration
+// returns the non-dominated set of the candidates visited so far graded
+// Partial (the metric points are genuine mappings, but the front may be
+// incomplete); the heuristic fallback is graded Partial likewise when its
+// annealing walks were cut short.
 func ParetoCtx(ctx context.Context, p *pipeline.Pipeline, pl *platform.Platform, opts Options) (*frontier.Front, Certainty, error) {
 	if ctx == nil {
 		ctx = context.Background()

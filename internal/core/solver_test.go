@@ -18,25 +18,28 @@ import (
 	"repro/internal/workload"
 )
 
+// solve routes pr with default options under a background context.
+func solve(pr Problem) (Result, error) { return SolveCtx(context.Background(), pr, Options{}) }
+
 func TestSolveValidation(t *testing.T) {
 	p, pl := workload.Fig5()
-	if _, err := Solve(Problem{}); err == nil {
+	if _, err := solve(Problem{}); err == nil {
 		t.Error("empty problem accepted")
 	}
-	if _, err := Solve(Problem{Pipeline: p, Platform: pl, MaxLatency: -1}); err == nil {
+	if _, err := solve(Problem{Pipeline: p, Platform: pl, MaxLatency: -1}); err == nil {
 		t.Error("negative MaxLatency accepted")
 	}
-	if _, err := Solve(Problem{Pipeline: p, Platform: pl, MaxFailProb: 2}); err == nil {
+	if _, err := solve(Problem{Pipeline: p, Platform: pl, MaxFailProb: 2}); err == nil {
 		t.Error("MaxFailProb > 1 accepted")
 	}
-	if _, err := Solve(Problem{Pipeline: p, Platform: pl, MaxFailProb: math.NaN()}); err == nil {
+	if _, err := solve(Problem{Pipeline: p, Platform: pl, MaxFailProb: math.NaN()}); err == nil {
 		t.Error("NaN MaxFailProb accepted")
 	}
 }
 
 func TestSolveTheorem1Routing(t *testing.T) {
 	p, pl := workload.Fig5()
-	res, err := Solve(Problem{Pipeline: p, Platform: pl, Objective: MinimizeFailureProb})
+	res, err := solve(Problem{Pipeline: p, Platform: pl, Objective: MinimizeFailureProb})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +54,7 @@ func TestSolveTheorem1Routing(t *testing.T) {
 
 func TestSolveTheorem2Routing(t *testing.T) {
 	p, pl := workload.Fig5()
-	res, err := Solve(Problem{Pipeline: p, Platform: pl, Objective: MinimizeLatency})
+	res, err := solve(Problem{Pipeline: p, Platform: pl, Objective: MinimizeLatency})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +69,7 @@ func TestSolveTheorem2Routing(t *testing.T) {
 func TestSolveAlgorithm1Routing(t *testing.T) {
 	p := pipeline.MustNew([]float64{1, 1}, []float64{4, 9, 4})
 	pl, _ := platform.NewFullyHomogeneous(5, 1, 2, 0.5)
-	res, err := Solve(Problem{Pipeline: p, Platform: pl, Objective: MinimizeFailureProb, MaxLatency: 11})
+	res, err := solve(Problem{Pipeline: p, Platform: pl, Objective: MinimizeFailureProb, MaxLatency: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +80,7 @@ func TestSolveAlgorithm1Routing(t *testing.T) {
 		t.Errorf("FP = %g, want 0.125", res.Metrics.FailureProb)
 	}
 	// Infeasible threshold surfaces ErrInfeasible.
-	if _, err := Solve(Problem{Pipeline: p, Platform: pl, Objective: MinimizeFailureProb, MaxLatency: 1}); !errors.Is(err, ErrInfeasible) {
+	if _, err := solve(Problem{Pipeline: p, Platform: pl, Objective: MinimizeFailureProb, MaxLatency: 1}); !errors.Is(err, ErrInfeasible) {
 		t.Errorf("err = %v, want ErrInfeasible", err)
 	}
 }
@@ -85,7 +88,7 @@ func TestSolveAlgorithm1Routing(t *testing.T) {
 func TestSolveAlgorithm2Routing(t *testing.T) {
 	p := pipeline.MustNew([]float64{1, 1}, []float64{4, 9, 4})
 	pl, _ := platform.NewFullyHomogeneous(5, 1, 2, 0.5)
-	res, err := Solve(Problem{Pipeline: p, Platform: pl, Objective: MinimizeLatency, MaxFailProb: 0.2})
+	res, err := solve(Problem{Pipeline: p, Platform: pl, Objective: MinimizeLatency, MaxFailProb: 0.2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,14 +100,14 @@ func TestSolveAlgorithm2Routing(t *testing.T) {
 func TestSolveAlgorithms34Routing(t *testing.T) {
 	p := pipeline.MustNew([]float64{6}, []float64{1, 1})
 	pl, _ := platform.NewCommHomogeneous([]float64{4, 3, 2, 1}, []float64{0.5, 0.5, 0.5, 0.5}, 1)
-	res, err := Solve(Problem{Pipeline: p, Platform: pl, Objective: MinimizeFailureProb, MaxLatency: 7})
+	res, err := solve(Problem{Pipeline: p, Platform: pl, Objective: MinimizeFailureProb, MaxLatency: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Method != "Algorithm 3 (Theorem 6)" || math.Abs(res.Metrics.FailureProb-0.125) > 1e-12 {
 		t.Errorf("got %q FP %g, want Algorithm 3 FP 0.125", res.Method, res.Metrics.FailureProb)
 	}
-	res, err = Solve(Problem{Pipeline: p, Platform: pl, Objective: MinimizeLatency, MaxFailProb: 0.2})
+	res, err = solve(Problem{Pipeline: p, Platform: pl, Objective: MinimizeLatency, MaxFailProb: 0.2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +121,7 @@ func TestSolveAlgorithms34Routing(t *testing.T) {
 // two-interval optimum.
 func TestSolveOpenCaseFig5(t *testing.T) {
 	p, pl := workload.Fig5()
-	res, err := Solve(Problem{
+	res, err := solve(Problem{
 		Pipeline:   p,
 		Platform:   pl,
 		Objective:  MinimizeFailureProb,
@@ -139,7 +142,7 @@ func TestSolveOpenCaseFig5(t *testing.T) {
 // TestSolveHeuristicFallback: forcing heuristics still solves Fig5.
 func TestSolveHeuristicFallback(t *testing.T) {
 	p, pl := workload.Fig5()
-	res, err := SolveWithOptions(Problem{
+	res, err := SolveCtx(context.Background(), Problem{
 		Pipeline:   p,
 		Platform:   pl,
 		Objective:  MinimizeFailureProb,
@@ -161,7 +164,7 @@ func TestSolveHeuristicFallback(t *testing.T) {
 // (NP-hard class) returns the split mapping of latency 7.
 func TestSolveFullyHetLatency(t *testing.T) {
 	p, pl := workload.Fig34()
-	res, err := Solve(Problem{Pipeline: p, Platform: pl, Objective: MinimizeLatency})
+	res, err := solve(Problem{Pipeline: p, Platform: pl, Objective: MinimizeLatency})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +175,7 @@ func TestSolveFullyHetLatency(t *testing.T) {
 
 func TestSolveHeuristicNotFound(t *testing.T) {
 	p, pl := workload.Fig5()
-	_, err := SolveWithOptions(Problem{
+	_, err := SolveCtx(context.Background(), Problem{
 		Pipeline:   p,
 		Platform:   pl,
 		Objective:  MinimizeFailureProb,
@@ -182,7 +185,7 @@ func TestSolveHeuristicNotFound(t *testing.T) {
 		t.Errorf("err = %v, want ErrNotFound", err)
 	}
 	// Exact path proves infeasibility instead.
-	_, err = Solve(Problem{Pipeline: p, Platform: pl, Objective: MinimizeFailureProb, MaxLatency: 0.5})
+	_, err = solve(Problem{Pipeline: p, Platform: pl, Objective: MinimizeFailureProb, MaxLatency: 0.5})
 	if !errors.Is(err, ErrInfeasible) {
 		t.Errorf("err = %v, want ErrInfeasible", err)
 	}
@@ -219,7 +222,7 @@ func TestEstimateMappingCount(t *testing.T) {
 func TestParetoExactSmall(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	inst := workload.Random(rng, platform.CommHomogeneous, 2, 4)
-	front, cert, err := Pareto(inst.Pipeline, inst.Platform, Options{})
+	front, cert, err := ParetoCtx(context.Background(), inst.Pipeline, inst.Platform, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +233,7 @@ func TestParetoExactSmall(t *testing.T) {
 		t.Fatal("empty front")
 	}
 	// The extremes must agree with the mono-criterion optima.
-	minFP, _ := Solve(Problem{Pipeline: inst.Pipeline, Platform: inst.Platform, Objective: MinimizeFailureProb})
+	minFP, _ := solve(Problem{Pipeline: inst.Pipeline, Platform: inst.Platform, Objective: MinimizeFailureProb})
 	es := front.Entries()
 	tail := es[len(es)-1]
 	if math.Abs(tail.Metrics.FailureProb-minFP.Metrics.FailureProb) > 1e-12 {
@@ -241,7 +244,7 @@ func TestParetoExactSmall(t *testing.T) {
 func TestParetoHeuristicLarge(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	inst := workload.Random(rng, platform.CommHomogeneous, 6, 14)
-	front, cert, err := Pareto(inst.Pipeline, inst.Platform, Options{})
+	front, cert, err := ParetoCtx(context.Background(), inst.Pipeline, inst.Platform, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +263,7 @@ func TestSolveMatchesExactOnEasyClasses(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		inst := workload.RandomFailureHomogeneous(rng, 1+rng.Intn(3), 2+rng.Intn(3))
 		L := 10 + rng.Float64()*200
-		got, gotErr := Solve(Problem{Pipeline: inst.Pipeline, Platform: inst.Platform, Objective: MinimizeFailureProb, MaxLatency: L})
+		got, gotErr := solve(Problem{Pipeline: inst.Pipeline, Platform: inst.Platform, Objective: MinimizeFailureProb, MaxLatency: L})
 		want, wantErr := exact.MinFPUnderLatency(inst.Pipeline, inst.Platform, L, exact.Options{})
 		if (gotErr == nil) != (wantErr == nil) {
 			return false
@@ -293,7 +296,7 @@ func TestObjectiveAndCertaintyStrings(t *testing.T) {
 func TestSolveFullyHetConstrained(t *testing.T) {
 	p, pl := workload.Fig34()
 	// Min FP under a latency bound on the fully heterogeneous platform.
-	res, err := Solve(Problem{
+	res, err := solve(Problem{
 		Pipeline:   p,
 		Platform:   pl,
 		Objective:  MinimizeFailureProb,
@@ -310,7 +313,7 @@ func TestSolveFullyHetConstrained(t *testing.T) {
 	}
 	// Min latency under an FP bound: with fp = 0.1 each, a single replica
 	// gives FP 0.1; demanding 0.05 forces replication somewhere.
-	res2, err := Solve(Problem{
+	res2, err := solve(Problem{
 		Pipeline:    p,
 		Platform:    pl,
 		Objective:   MinimizeLatency,
@@ -324,7 +327,7 @@ func TestSolveFullyHetConstrained(t *testing.T) {
 	}
 	// Infeasible FP bound: single-stage intervals need a replica each and
 	// 0.1·0.1 = 0.01 is the best single-interval FP; ask for less.
-	if _, err := Solve(Problem{
+	if _, err := solve(Problem{
 		Pipeline:    p,
 		Platform:    pl,
 		Objective:   MinimizeLatency,
@@ -350,7 +353,7 @@ func TestSolveBoundsFallbackPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Solve(Problem{Pipeline: p, Platform: pl, Objective: MinimizeLatency})
+	res, err := solve(Problem{Pipeline: p, Platform: pl, Objective: MinimizeLatency})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -383,7 +386,7 @@ func TestMinLatencyNonTightRelaxation(t *testing.T) {
 		if bounds.Tight {
 			t.Fatalf("seed %d (n=%d, m=%d): relaxation is tight, want a non-tight instance", seed, n, m)
 		}
-		res, err := Solve(Problem{Pipeline: inst.Pipeline, Platform: inst.Platform, Objective: MinimizeLatency})
+		res, err := solve(Problem{Pipeline: inst.Pipeline, Platform: inst.Platform, Objective: MinimizeLatency})
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -409,7 +412,7 @@ func TestMinLatencyNonTightRelaxation(t *testing.T) {
 func TestSolveCustomExactBudget(t *testing.T) {
 	p, pl := workload.Fig34()
 	// A tiny budget forces the heuristic even on this small instance.
-	res, err := SolveWithOptions(Problem{
+	res, err := SolveCtx(context.Background(), Problem{
 		Pipeline:   p,
 		Platform:   pl,
 		Objective:  MinimizeFailureProb,
@@ -430,7 +433,7 @@ func TestSolveMoreStagesThanProcessors(t *testing.T) {
 	p := pipeline.Random(rng, 6, 1, 5, 1, 5)
 
 	plHom, _ := platform.NewFullyHomogeneous(2, 2, 2, 0.3)
-	res, err := Solve(Problem{Pipeline: p, Platform: plHom, Objective: MinimizeFailureProb, MaxLatency: 1e6})
+	res, err := solve(Problem{Pipeline: p, Platform: plHom, Objective: MinimizeFailureProb, MaxLatency: 1e6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -439,7 +442,7 @@ func TestSolveMoreStagesThanProcessors(t *testing.T) {
 	}
 
 	plHet := platform.RandomFullyHeterogeneous(rng, 3, 1, 10, 0.1, 0.5, 1, 10)
-	res2, err := Solve(Problem{Pipeline: p, Platform: plHet, Objective: MinimizeLatency})
+	res2, err := solve(Problem{Pipeline: p, Platform: plHet, Objective: MinimizeLatency})
 	if err != nil {
 		t.Fatal(err)
 	}

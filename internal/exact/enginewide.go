@@ -37,8 +37,10 @@ type searchWide struct {
 	rest  []uint64 // task-level scratch: {p+1, …, m−1} and the T iterator
 	// sib is the batch-evaluation scratch: every replication-free level
 	// scores all singleton siblings of one (start, end) prefix through a
-	// single Evaluator.EvaluateManyW call (m entries, allocated once per
-	// worker, so the per-node path stays allocation-free).
+	// single Evaluator.EvaluateManyW call. Depth d owns entries
+	// [d·m, (d+1)·m): a level still walks its block while deeper levels
+	// fill theirs. Allocated once per worker, so the per-node path stays
+	// allocation-free.
 	sib []mapping.Sibling
 	// prevProc[d] is interval d's sole replica on non-replication levels,
 	// tracked so the batch prefix never has to scan mask rows for it.
@@ -84,7 +86,7 @@ func (g *engine) workerWide(prune pruneFunc, visit visitFunc) {
 	}
 	s.succ[0] = 1
 	if g.ev != nil && !g.replication {
-		s.sib = make([]mapping.Sibling, g.m)
+		s.sib = make([]mapping.Sibling, g.m*g.n)
 		s.prevProc = make([]int, g.n)
 	}
 	defer g.flushStats(&s.localStats)
@@ -270,19 +272,20 @@ func (s *searchWide) rec(start, depth int) bool {
 		if end < last && freeSingleton {
 			continue // the lone free processor must serve the final interval
 		}
-		nb := ev.EvaluateManyW(pre, start, end, free, s.sib)
+		sib := s.sib[depth*g.m : (depth+1)*g.m]
+		nb := ev.EvaluateManyW(pre, start, end, free, sib)
 		s.batchCalls++
 		s.batchCands += int64(nb)
 		s.nodes += int64(nb)
 		if end == last {
-			if !s.completeBatch(depth, end, nb) {
+			if !s.completeBatch(depth, end, sib[:nb]) {
 				return false
 			}
 			continue
 		}
 		tail := ev.TailLatencyLB(end + 1)
 		for i := 0; i < nb; i++ {
-			sb := &s.sib[i]
+			sb := &sib[i]
 			if s.prune != nil && s.prune(sb.LB+tail, 1-sb.Succ) {
 				s.prunes++
 				continue
@@ -307,12 +310,12 @@ func (s *searchWide) rec(start, depth int) bool {
 // surviving candidate is budget-charged and visited with the metrics
 // EvaluateManyW already produced — bitwise those of the push/complete
 // chain it replaces.
-func (s *searchWide) completeBatch(depth, end, nb int) bool {
+func (s *searchWide) completeBatch(depth, end int, sibs []mapping.Sibling) bool {
 	g := s.eng
 	tailN := g.ev.TailLatencyLB(g.n)
 	var met mapping.Metrics
-	for i := 0; i < nb; i++ {
-		sb := &s.sib[i]
+	for i := range sibs {
+		sb := &sibs[i]
 		if s.prune != nil && s.prune(sb.LB+tailN, 1-sb.Succ) {
 			s.prunes++
 			continue

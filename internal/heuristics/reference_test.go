@@ -142,7 +142,7 @@ func TestAnnealDeltaMatchesClonePath(t *testing.T) {
 // every point-move round score bitwise identically to the clone path. The
 // start is a random mapping and the banned set always hits interval 0
 // plus a few random processors, so the repair restaffs or merges before
-// it re-optimizes. Four rounds keep the clone path's cost down at m = 80.
+// it re-optimizes.
 func TestRepairDeltaMatchesClonePath(t *testing.T) {
 	for _, m := range []int{12, 80} {
 		for seed := int64(0); seed < 6; seed++ {
@@ -155,7 +155,7 @@ func TestRepairDeltaMatchesClonePath(t *testing.T) {
 			}
 			scores := 0
 			uninstall := installCloneCheck(t, &scores)
-			res, err := Repair(context.Background(), pr, start, banned, RepairBudget{Rounds: 4})
+			res, err := Repair(context.Background(), pr, start, banned)
 			uninstall()
 			if err != nil {
 				t.Fatalf("m=%d seed=%d: repair: %v", m, seed, err)
@@ -367,7 +367,7 @@ func TestAnnealIterationsZeroAlloc(t *testing.T) {
 // referenceRepair is Repair before the FP preview: every point move of
 // every round is applied and scored, none is ruled out on its failure
 // probability first. It is the reference the preview is proven against.
-func referenceRepair(pr *Problem, start *mapping.Mapping, banned bitset.Set, budget RepairBudget) (Result, error) {
+func referenceRepair(pr *Problem, start *mapping.Mapping, banned bitset.Set) (Result, error) {
 	s, err := newSearcher(pr)
 	if err != nil {
 		return Result{}, err
@@ -378,7 +378,7 @@ func referenceRepair(pr *Problem, start *mapping.Mapping, banned bitset.Set, bud
 		return Result{}, err
 	}
 	met, _ := s.score()
-	for r := 0; r < budget.rounds(); r++ {
+	for r := 0; r < repairRounds; r++ {
 		improved, next := referenceRepairRound(s, met)
 		if !improved {
 			break
@@ -498,9 +498,9 @@ func TestRepairPreviewEquivalence(t *testing.T) {
 					}
 					n := scored[goal]
 					testScoreCheck = func(*Problem, *mapping.EvalState, mapping.Metrics) { n[0]++ }
-					got, err := Repair(context.Background(), &pr, start, banned, RepairBudget{})
+					got, err := Repair(context.Background(), &pr, start, banned)
 					testScoreCheck = func(*Problem, *mapping.EvalState, mapping.Metrics) { n[1]++ }
-					want, refErr := referenceRepair(&pr, start, banned, RepairBudget{})
+					want, refErr := referenceRepair(&pr, start, banned)
 					testScoreCheck = nil
 					scored[goal] = n
 					if err != nil || refErr != nil {

@@ -19,25 +19,15 @@ import (
 // when the problem's bound can no longer be met (the caller grades the
 // violation), because a degraded-but-running mapping beats none.
 
-// RepairBudget bounds the warm repair.
-type RepairBudget struct {
-	// Rounds caps the best-improvement point-move rounds after eviction
-	// (default 16). Each round sweeps add/remove/replace/migrate moves
-	// and commits the single best strictly-improving one, stopping early
-	// at a local optimum, so the repair cost is at most rounds × one
-	// point sweep — warm-restart fast, never a full solve. The default
-	// leaves room to walk back from a catastrophic failure (e.g. shed
-	// most of a big replica set to restore a latency bound) while a
-	// typical single-crash repair converges in two or three rounds.
-	Rounds int
-}
-
-func (b RepairBudget) rounds() int {
-	if b.Rounds <= 0 {
-		return 16
-	}
-	return b.Rounds
-}
+// repairRounds caps the best-improvement point-move rounds after
+// eviction. Each round sweeps add/remove/replace/migrate moves and
+// commits the single best strictly-improving one, stopping early at a
+// local optimum, so the repair cost is at most repairRounds × one point
+// sweep — warm-restart fast, never a full solve. 16 leaves room to walk
+// back from a catastrophic failure (e.g. shed most of a big replica set
+// to restore a latency bound) while a typical single-crash repair
+// converges in two or three rounds.
+const repairRounds = 16
 
 // ErrNoAliveProcs is returned when eviction cannot produce any valid
 // mapping because every processor is banned.
@@ -47,7 +37,7 @@ var ErrNoAliveProcs = fmt.Errorf("heuristics: repair: no alive processor left")
 // set: dead replicas are evicted in place on the incremental state,
 // intervals that lost every replica are restaffed with the best free
 // alive processor (or merged into a neighbor when none is free), and up
-// to budget.Rounds point-move improvement rounds then re-optimize the
+// to repairRounds point-move improvement rounds then re-optimize the
 // survivor placement. Moves never enroll banned processors.
 //
 // The returned mapping is always a valid interval mapping that uses no
@@ -59,7 +49,7 @@ var ErrNoAliveProcs = fmt.Errorf("heuristics: repair: no alive processor left")
 //
 // Repair is deterministic: sweeps enumerate moves in a fixed order and
 // ties keep the earlier candidate.
-func Repair(ctx context.Context, pr *Problem, start *mapping.Mapping, banned bitset.Set, budget RepairBudget) (Result, error) {
+func Repair(ctx context.Context, pr *Problem, start *mapping.Mapping, banned bitset.Set) (Result, error) {
 	s, err := newSearcher(pr)
 	if err != nil {
 		return Result{}, err
@@ -71,7 +61,7 @@ func Repair(ctx context.Context, pr *Problem, start *mapping.Mapping, banned bit
 	}
 	done := ctxDone(ctx)
 	met, _ := s.score()
-	for r := 0; r < budget.rounds(); r++ {
+	for r := 0; r < repairRounds; r++ {
 		if fired(done) {
 			return s.result(met), canceledErr(ctx)
 		}

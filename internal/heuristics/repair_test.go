@@ -42,7 +42,7 @@ func TestRepairEvictsBannedReplicas(t *testing.T) {
 		Alloc:     [][]int{{0, 1}, {2, 3, 4}},
 	}
 	banned := bannedSet(pl.NumProcs(), 1, 3)
-	res, err := Repair(context.Background(), pr, start, banned, RepairBudget{})
+	res, err := Repair(context.Background(), pr, start, banned)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func TestRepairRestaffsEmptiedInterval(t *testing.T) {
 	// Interval 0 loses its only replica; free processors exist, so the
 	// interval must survive (restaffed), not be merged away.
 	banned := bannedSet(pl.NumProcs(), 0)
-	res, err := Repair(context.Background(), pr, start, banned, RepairBudget{})
+	res, err := Repair(context.Background(), pr, start, banned)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestRepairMergesWhenNoFreeProcessor(t *testing.T) {
 	}
 	pr := &Problem{Pipe: p, Plat: pl, Goal: MinFP, Bound: 1e18}
 	banned := bannedSet(pl.NumProcs(), 0)
-	res, err := Repair(context.Background(), pr, start, banned, RepairBudget{})
+	res, err := Repair(context.Background(), pr, start, banned)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestRepairAllBanned(t *testing.T) {
 	start := mapping.NewSingleInterval(p.NumStages(), []int{0, 1})
 	pr := &Problem{Pipe: p, Plat: pl, Goal: MinFP, Bound: 1e18}
 	banned := bannedSet(pl.NumProcs(), 0, 1)
-	_, err := Repair(context.Background(), pr, start, banned, RepairBudget{})
+	_, err := Repair(context.Background(), pr, start, banned)
 	if !errors.Is(err, ErrNoAliveProcs) {
 		t.Fatalf("expected ErrNoAliveProcs, got %v", err)
 	}
@@ -132,7 +132,7 @@ func TestRepairRestoresFeasibility(t *testing.T) {
 		}
 	}
 	banned := bannedSet(pl.NumProcs(), hit...)
-	res, err := Repair(context.Background(), pr, g.Mapping, banned, RepairBudget{})
+	res, err := Repair(context.Background(), pr, g.Mapping, banned)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,11 +154,11 @@ func TestRepairDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	banned := bannedSet(20, g.Mapping.Alloc[0][0])
-	a, err := Repair(context.Background(), pr, g.Mapping, banned, RepairBudget{})
+	a, err := Repair(context.Background(), pr, g.Mapping, banned)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Repair(context.Background(), pr, g.Mapping, banned, RepairBudget{})
+	b, err := Repair(context.Background(), pr, g.Mapping, banned)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -39,6 +39,7 @@ import (
 	"time"
 
 	"repro/internal/bitset"
+	"repro/internal/canon"
 	"repro/internal/core"
 	"repro/internal/heuristics"
 	"repro/internal/mapping"
@@ -420,7 +421,7 @@ func (c *Controller) repairLocked(ctx context.Context, ev sim.FaultEvent, start 
 	rctx, cancel := context.WithTimeout(ctx, deadline)
 	defer cancel()
 
-	res, rerr := heuristics.Repair(rctx, c.hp, c.cur, c.banned, heuristics.RepairBudget{})
+	res, rerr := heuristics.Repair(rctx, c.hp, c.cur, c.banned)
 	if res.Mapping == nil {
 		if rerr == nil {
 			rerr = fmt.Errorf("remap: repair produced no mapping")
@@ -521,7 +522,8 @@ func (c *Controller) escalate(ctx context.Context, remaining time.Duration) (*ma
 		// repair's claim; keep the greedy result.
 		return nil, mapping.Metrics{}, 0, "", escSkipped
 	}
-	translated := translateMapping(exres.Mapping, ids)
+	// ids ascend, so the translated replica lists keep their order.
+	translated := canon.TranslateMapping(exres.Mapping, ids)
 	met, mErr := c.hp.Eval.EvaluateMapping(translated)
 	if mErr != nil {
 		return nil, mapping.Metrics{}, 0, "", escSkipped
@@ -559,21 +561,4 @@ func alivePlatform(pl *platform.Platform, failed []bool) (*platform.Platform, []
 		sub.B[i] = row
 	}
 	return sub, ids
-}
-
-// translateMapping rewrites a sub-platform mapping back to original
-// processor ids.
-func translateMapping(m *mapping.Mapping, ids []int) *mapping.Mapping {
-	out := &mapping.Mapping{
-		Intervals: append([]mapping.Interval(nil), m.Intervals...),
-		Alloc:     make([][]int, len(m.Alloc)),
-	}
-	for j, procs := range m.Alloc {
-		row := make([]int, len(procs))
-		for i, u := range procs {
-			row[i] = ids[u]
-		}
-		out.Alloc[j] = row
-	}
-	return out
 }

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/exact"
 	"repro/internal/mapping"
 	"repro/internal/pipeline"
 	"repro/internal/platform"
@@ -286,6 +287,65 @@ func TestEscalationCompletes(t *testing.T) {
 	}
 	_, _, failed := c.Current()
 	assertRepairInvariant(t, p, pl, rep, failed)
+}
+
+// TestEscalationMatchesSubPlatformOptimum: crashing processor 1 of the
+// Figure 5 instance leaves a failure-heterogeneous platform, so the
+// escalation runs branch and bound on the alive processors. The installed
+// mapping and metrics are exact.MinFPUnderLatency's answer on a hand-built
+// alive sub-platform, with sub-platform ids translated back to the
+// original ones (every id from 1 on shifts up by one).
+func TestEscalationMatchesSubPlatformOptimum(t *testing.T) {
+	p, pl := workload.Fig5()
+	pr := core.Problem{Pipeline: p, Platform: pl, Objective: core.MinimizeFailureProb, MaxLatency: 22}
+	c, err := New(p, pl, solveStart(t, pr), Config{
+		Objective:   core.MinimizeFailureProb,
+		MaxLatency:  22,
+		Deadline:    5 * time.Second,
+		ExactBudget: 5_000_000,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const victim = 1
+	rep, err := c.Apply(context.Background(), sim.FaultEvent{Proc: victim, Kind: sim.FaultCrash})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var ids []int
+	var speeds, fps []float64
+	for u := 0; u < pl.NumProcs(); u++ {
+		if u != victim {
+			ids = append(ids, u)
+			speeds = append(speeds, pl.Speed[u])
+			fps = append(fps, pl.FailProb[u])
+		}
+	}
+	sub, err := platform.NewCommHomogeneous(speeds, fps, pl.B[0][1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := exact.MinFPUnderLatency(p, sub, 22, exact.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantMap := &mapping.Mapping{Intervals: want.Mapping.Intervals, Alloc: make([][]int, len(want.Mapping.Alloc))}
+	for j, procs := range want.Mapping.Alloc {
+		for _, u := range procs {
+			wantMap.Alloc[j] = append(wantMap.Alloc[j], ids[u])
+		}
+	}
+
+	if rep.Certainty != core.ExhaustivelyOptimal {
+		t.Errorf("certainty = %v (%s), want exhaustively optimal", rep.Certainty, rep.Method)
+	}
+	if rep.Mapping.String() != wantMap.String() {
+		t.Errorf("installed mapping %s, want the sub-platform optimum translated back %s", rep.Mapping, wantMap)
+	}
+	if rep.Metrics != want.Metrics {
+		t.Errorf("installed metrics %+v, want %+v", rep.Metrics, want.Metrics)
+	}
 }
 
 // TestRecoveryReEnrolls: after a crash and a recovery the controller

@@ -3,7 +3,8 @@
 #
 #   1. gofmt -l over the tracked Go source (fails on any unformatted file);
 #   2. go vet ./...;
-#   3. every relative markdown link in README.md and docs/ must resolve;
+#   3. every relative markdown link in README.md and docs/ must resolve,
+#      and every *.md file a Go comment names must exist;
 #   4. every ```go code block in README.md is extracted into its own
 #      throwaway main package (with a replace directive pointing at this
 #      repository) and compiled, so README examples break CI instead of
@@ -43,6 +44,20 @@ for doc in README.md docs/*.md; do
     done < <(grep -o '](\([^)]*\))' "${doc}" | sed -e 's/^](//' -e 's/)$//' \
         | grep -v -E '^(https?|mailto):' | grep -v '^#' || true)
 done
+[ "${FAIL}" -eq 0 ] || exit 1
+
+echo "== markdown files named in Go comments" >&2
+# A name resolves against the repository root or the Go file's directory.
+while IFS= read -r gofile; do
+    dir="$(dirname "${gofile}")"
+    while IFS= read -r target; do
+        if [ ! -e "${dir}/${target}" ] && [ ! -e "${ROOT}/${target}" ]; then
+            echo "${gofile}: comment names missing file ${target}" >&2
+            FAIL=1
+        fi
+    done < <(grep -o '//.*' "${gofile}" | sed -E 's#[a-z]+://[^ ]*##g' \
+        | grep -oE '[A-Za-z0-9_][A-Za-z0-9_./-]*\.md\b' | sort -u || true)
+done < <(git ls-files -- '*.go')
 [ "${FAIL}" -eq 0 ] || exit 1
 
 echo "== README Go blocks" >&2

@@ -219,21 +219,27 @@ func (s *Service) handleRemapStream(w http.ResponseWriter, r *http.Request, spec
 		ExactBudget: spec.ExactBudget,
 		Workers:     spec.Workers,
 	}
-	_, err = sess.RunReactive(ctx, start, schedule, cfg, func(rep repro.RemapResult) error {
-		ev := rep.Event
-		return emit(RemapEvent{
-			Event:        &ev,
-			Mapping:      rep.Mapping,
-			Latency:      rep.Metrics.Latency,
-			FailureProb:  rep.Metrics.FailureProb,
-			Certainty:    rep.Certainty.String(),
-			Method:       rep.Method,
-			Changed:      rep.Changed,
-			Violation:    rep.Violation,
-			Down:         rep.Down,
-			RepairMicros: rep.Elapsed.Microseconds(),
+	// The stream's session has no per-call deadline, so the controller
+	// runs under ctx as it is; each record goes out as its repair
+	// completes and nothing is collected.
+	c, err := sess.NewRemapController(start, cfg)
+	if err == nil {
+		err = c.Campaign(ctx, schedule, func(rep repro.RemapResult) error {
+			ev := rep.Event
+			return emit(RemapEvent{
+				Event:        &ev,
+				Mapping:      rep.Mapping,
+				Latency:      rep.Metrics.Latency,
+				FailureProb:  rep.Metrics.FailureProb,
+				Certainty:    rep.Certainty.String(),
+				Method:       rep.Method,
+				Changed:      rep.Changed,
+				Violation:    rep.Violation,
+				Down:         rep.Down,
+				RepairMicros: rep.Elapsed.Microseconds(),
+			})
 		})
-	})
+	}
 	if err != nil {
 		// The connection may already be gone (emit error); writing the
 		// in-band record is best effort either way.

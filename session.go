@@ -3,14 +3,12 @@ package repro
 import (
 	"context"
 	"fmt"
-	"math/rand"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/exact"
 	"repro/internal/heuristics"
 	"repro/internal/mapping"
-	"repro/internal/poly"
 	"repro/internal/sim"
 	"repro/internal/throughput"
 )
@@ -19,7 +17,7 @@ import (
 // (pipeline, platform) instance. It validates the instance and builds the
 // mapping.Evaluator precomputation once at construction, so repeated
 // solves, evaluations, Pareto sweeps and simulation campaigns against the
-// same instance skip the per-call setup the package-level functions pay.
+// same instance share that setup.
 //
 // Every long-running method takes a context.Context and stops early when
 // it is done: a canceled Solve returns the best feasible mapping found so
@@ -77,10 +75,10 @@ func WithDeadline(d time.Duration) SessionOption {
 	return func(c *sessionConfig) { c.deadline = d }
 }
 
-// WithSeed sets the seed for every stochastic component — the annealing
-// archive of Pareto's heuristic front and the Monte-Carlo campaigns —
-// making session results reproducible end to end (default 1). Solve is
-// deterministic without it: its heuristic route is greedy.
+// WithSeed sets the seed of the session's stochastic calls — the
+// annealing archive of Pareto's heuristic front, MonteCarloCampaign and
+// EstimateFailureProb — making their results reproducible (default 1).
+// Solve is deterministic without it: its heuristic route is greedy.
 func WithSeed(seed int64) SessionOption {
 	return func(c *sessionConfig) { c.seed = seed }
 }
@@ -159,8 +157,8 @@ func (s *Session) callCtx(ctx context.Context) (context.Context, context.CancelF
 }
 
 // coreOptions materializes the session configuration as solver options.
-func (s *Session) coreOptions() SolveOptions {
-	return SolveOptions{
+func (s *Session) coreOptions() core.Options {
+	return core.Options{
 		ExactBudget:    s.cfg.exactBudget,
 		Workers:        s.cfg.workers,
 		Anneal:         s.cfg.anneal,
@@ -177,7 +175,7 @@ func (s *Session) exactOptions(ctx context.Context) exact.Options {
 }
 
 // SolveRequest states one bi-criteria query against the session's
-// instance; it mirrors Problem minus the pipeline and platform.
+// instance: the criterion to minimize and the bound on the other.
 type SolveRequest struct {
 	// Objective selects the minimized criterion.
 	Objective Objective
@@ -206,7 +204,7 @@ func (s *Session) Solve(ctx context.Context, req SolveRequest) (Result, error) {
 	defer cancel()
 	opts := s.coreOptions()
 	opts.ForceHeuristic = opts.ForceHeuristic || req.ForceHeuristic
-	return core.SolveCtx(ctx, Problem{
+	return core.SolveCtx(ctx, core.Problem{
 		Pipeline:    s.pipe,
 		Platform:    s.plat,
 		Objective:   req.Objective,
@@ -230,13 +228,6 @@ func (s *Session) Evaluate(m *Mapping) (Metrics, error) {
 	return s.ev.EvaluateMapping(m)
 }
 
-// Bounds computes the polynomial two-sided bounds on the latency-optimal
-// interval mapping of a Fully Heterogeneous platform (paper §4.1 leaves
-// the exact complexity open).
-func (s *Session) Bounds() (IntervalBounds, error) {
-	return poly.IntervalLatencyBounds(s.pipe, s.plat)
-}
-
 // BeamSearchMinLatency runs the scalable beam-search heuristic for
 // latency-minimal interval mappings (beamWidth ≤ 0 selects the default).
 // On cancellation the best complete mapping reached so far is returned
@@ -249,33 +240,6 @@ func (s *Session) BeamSearchMinLatency(ctx context.Context, beamWidth int) (*Map
 		return nil, Metrics{}, err
 	}
 	return res.Mapping, res.Metrics, err
-}
-
-// Simulate executes a mapped workflow on the discrete-event simulator.
-// In MonteCarlo mode a nil cfg.RNG is seeded from the session seed. The
-// context only gates the start of the run (single runs are short); use
-// MonteCarloCampaign for cancellable sweeps.
-func (s *Session) Simulate(ctx context.Context, m *Mapping, cfg SimConfig) (SimResult, error) {
-	ctx, cancel := s.callCtx(ctx)
-	defer cancel()
-	if err := ctx.Err(); err != nil {
-		return SimResult{}, fmt.Errorf("repro: simulate: %w", context.Cause(ctx))
-	}
-	if cfg.Mode == MonteCarlo && cfg.RNG == nil {
-		cfg.RNG = rand.New(rand.NewSource(s.cfg.seed))
-	}
-	return sim.Run(s.pipe, s.plat, m, cfg)
-}
-
-// SimulateInjected executes the workflow under an explicit crash pattern
-// (failed[u] = true kills processor u for the whole run).
-func (s *Session) SimulateInjected(ctx context.Context, m *Mapping, cfg SimConfig, failed []bool) (SimResult, error) {
-	ctx, cancel := s.callCtx(ctx)
-	defer cancel()
-	if err := ctx.Err(); err != nil {
-		return SimResult{}, fmt.Errorf("repro: simulate: %w", context.Cause(ctx))
-	}
-	return sim.RunInjected(s.pipe, s.plat, m, cfg, failed)
 }
 
 // MonteCarloCampaign runs trials independent Monte-Carlo simulations
@@ -297,12 +261,6 @@ func (s *Session) EstimateFailureProb(ctx context.Context, m *Mapping, trials in
 	ctx, cancel := s.callCtx(ctx)
 	defer cancel()
 	return sim.EstimateFPParallel(ctx, s.plat, m, trials, s.cfg.workers, s.cfg.seed)
-}
-
-// Period computes the worst-case steady-state period (inverse throughput)
-// of an interval mapping under the overlap model.
-func (s *Session) Period(m *Mapping) (float64, error) {
-	return throughput.PeriodOverlap(s.pipe, s.plat, m)
 }
 
 // MinPeriod exhaustively finds the RR mapping of minimum period with

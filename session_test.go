@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro"
+	"repro/internal/core"
 )
 
 // hetPlatform builds a fully heterogeneous platform of m processors with
@@ -56,6 +57,9 @@ func rampPipeline(t *testing.T, n int) *repro.Pipeline {
 	return p
 }
 
+// TestSessionSolveMatchesTopLevel: repeated solves through the session's
+// cached evaluator answer exactly what the router answers when it builds
+// its own evaluator.
 func TestSessionSolveMatchesTopLevel(t *testing.T) {
 	pipe, plat := repro.Fig5Instance()
 	s, err := repro.NewSession(pipe, plat)
@@ -63,10 +67,10 @@ func TestSessionSolveMatchesTopLevel(t *testing.T) {
 		t.Fatal(err)
 	}
 	req := repro.SolveRequest{Objective: repro.MinimizeFailureProb, MaxLatency: 22}
-	want, err := repro.Solve(repro.Problem{
+	want, err := core.SolveCtx(context.Background(), core.Problem{
 		Pipeline: pipe, Platform: plat,
 		Objective: repro.MinimizeFailureProb, MaxLatency: 22,
-	})
+	}, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +80,7 @@ func TestSessionSolveMatchesTopLevel(t *testing.T) {
 			t.Fatal(err)
 		}
 		if got.Metrics != want.Metrics || got.Certainty != want.Certainty {
-			t.Errorf("run %d: session result %+v differs from top-level %+v", i, got, want)
+			t.Errorf("run %d: session result %+v differs from the router's %+v", i, got, want)
 		}
 	}
 }
@@ -344,8 +348,9 @@ func TestSessionMonteCarloCancel(t *testing.T) {
 	}
 }
 
-// TestSessionPareto: the session Pareto front matches the per-call
-// surface and degrades to a Partial grade under cancellation.
+// TestSessionPareto: the session Pareto front matches the router's front
+// built without the session's evaluator, and degrades to a Partial grade
+// under cancellation.
 func TestSessionPareto(t *testing.T) {
 	pipe, plat := repro.Fig5Instance()
 	s, err := repro.NewSession(pipe, plat)
@@ -356,12 +361,12 @@ func TestSessionPareto(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantFront, wantCert, err := repro.ParetoFront(pipe, plat, repro.SolveOptions{})
+	wantFront, wantCert, err := core.ParetoCtx(context.Background(), pipe, plat, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cert != wantCert || front.Len() != wantFront.Len() {
-		t.Errorf("session front (%d pts, %v) differs from top-level (%d pts, %v)",
+		t.Errorf("session front (%d pts, %v) differs from the router's (%d pts, %v)",
 			front.Len(), cert, wantFront.Len(), wantCert)
 	}
 
@@ -386,7 +391,10 @@ func TestSessionPareto(t *testing.T) {
 	cancel()
 }
 
-// TestSessionBounds sanity-checks the cached-instance bounds call.
+// TestSessionBounds sanity-checks the interval latency bounds of a
+// session's instance: the lower bound sits below the upper mapping's
+// latency, and the session's evaluator scores that mapping as the bounds
+// report it.
 func TestSessionBounds(t *testing.T) {
 	pipe := rampPipeline(t, 5)
 	plat := hetPlatform(t, 5)
@@ -394,12 +402,19 @@ func TestSessionBounds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bounds, err := s.Bounds()
+	bounds, err := repro.IntervalLatencyBounds(s.Pipeline(), s.Platform())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !(bounds.Lower <= bounds.Upper.Metrics.Latency+1e-9) || math.IsNaN(bounds.Lower) {
 		t.Errorf("inconsistent bounds: %+v", bounds)
+	}
+	met, err := s.Evaluate(bounds.Upper.Mapping)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if met != bounds.Upper.Metrics {
+		t.Errorf("session scores the upper mapping %+v, bounds report %+v", met, bounds.Upper.Metrics)
 	}
 }
 
