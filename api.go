@@ -6,7 +6,6 @@ import (
 	"repro/internal/canon"
 	"repro/internal/core"
 	"repro/internal/frontier"
-	"repro/internal/heuristics"
 	"repro/internal/mapping"
 	"repro/internal/pipeline"
 	"repro/internal/platform"
@@ -51,9 +50,6 @@ type (
 	// RouteSnapshot is one (instance class, route) latency profile cell
 	// exported by Recorder.SolveStats.
 	RouteSnapshot = telemetry.RouteSnapshot
-	// AnnealConfig tunes the simulated-annealing archive of heuristic
-	// Pareto fronts.
-	AnnealConfig = heuristics.AnnealConfig
 	// Front is a Pareto front over (latency, failure probability).
 	Front = frontier.Front
 	// SimConfig parameterizes a simulation run.

@@ -140,9 +140,10 @@ type Options struct {
 	// (0 = GOMAXPROCS, 1 = sequential). Forwarded to exact.Options.Workers;
 	// results are identical for every worker count.
 	Workers int
-	// Anneal configures the annealing archive of the heuristic Pareto
-	// front (Pareto only; Solve never anneals).
-	Anneal heuristics.AnnealConfig
+	// Seed seeds the annealing archive of the heuristic Pareto front
+	// (ParetoCtx only; SolveCtx never anneals). Zero selects the
+	// annealer's default seed.
+	Seed int64
 	// ForceHeuristic skips exact enumeration even on small instances.
 	ForceHeuristic bool
 	// Eval, when non-nil, is a prebuilt evaluator for the problem's
@@ -165,6 +166,17 @@ func (o Options) exactBudget() float64 {
 		return o.ExactBudget
 	}
 	return 5_000_000
+}
+
+// maxEnum is the exact search's enumeration cap: twice the exact budget,
+// saturating at math.MaxInt64 where that exceeds the int64 range, so a
+// larger budget never gives a smaller cap.
+func (o Options) maxEnum() int64 {
+	limit := 2 * o.exactBudget()
+	if limit >= math.MaxInt64 {
+		return math.MaxInt64
+	}
+	return int64(limit)
 }
 
 // SolveCtx routes the problem to the strongest applicable method. The
@@ -356,7 +368,7 @@ func solveHard(ctx context.Context, pr Problem, opts Options, tr *solveTrace) (R
 }
 
 func solveExact(ctx context.Context, pr Problem, opts Options) (Result, error) {
-	exOpts := exact.Options{MaxEnum: int64(opts.exactBudget()) * 2, Workers: opts.Workers, Ctx: ctx, Eval: opts.Eval, Recorder: opts.Recorder}
+	exOpts := exact.Options{MaxEnum: opts.maxEnum(), Workers: opts.Workers, Ctx: ctx, Eval: opts.Eval, Recorder: opts.Recorder}
 	var res exact.Result
 	var err error
 	var method string
@@ -506,7 +518,7 @@ func ParetoCtx(ctx context.Context, p *pipeline.Pipeline, pl *platform.Platform,
 	}
 	n, m := p.NumStages(), pl.NumProcs()
 	if !opts.ForceHeuristic && EstimateMappingCount(n, m) <= opts.exactBudget() {
-		results, err := exact.ParetoFront(p, pl, exact.Options{MaxEnum: int64(opts.exactBudget()) * 2, Workers: opts.Workers, Ctx: ctx, Eval: opts.Eval})
+		results, err := exact.ParetoFront(p, pl, exact.Options{MaxEnum: opts.maxEnum(), Workers: opts.Workers, Ctx: ctx, Eval: opts.Eval})
 		if err == nil || (errors.Is(err, exact.ErrCanceled) && len(results) > 0) {
 			front := &frontier.Front{}
 			for _, r := range results {
@@ -518,7 +530,7 @@ func ParetoCtx(ctx context.Context, p *pipeline.Pipeline, pl *platform.Platform,
 			return front, ExhaustivelyOptimal, nil
 		}
 	}
-	front, hErr := heuristics.ParetoSearch(ctx, &heuristics.Problem{Pipe: p, Plat: pl, Eval: opts.Eval}, opts.Anneal)
+	front, hErr := heuristics.ParetoSearch(ctx, &heuristics.Problem{Pipe: p, Plat: pl, Eval: opts.Eval}, heuristics.AnnealConfig{Seed: opts.Seed})
 	if hErr != nil || ctx.Err() != nil {
 		// A truncated sweep that archived nothing is a failure, not an
 		// empty trade-off curve: mirror Solve's contract (result or

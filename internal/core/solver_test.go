@@ -514,3 +514,24 @@ func TestHeuristicRouteIsGreedy(t *testing.T) {
 		}
 	}
 }
+
+// TestMaxEnumMonotone: the exact search's enumeration cap never shrinks
+// as the budget grows. Past the int64 range it must saturate: a doubled
+// budget converted as it is overflows into a negative or zero cap, which
+// exact.Options reads as its 5M default.
+func TestMaxEnumMonotone(t *testing.T) {
+	for _, c := range []struct {
+		budget float64
+		want   int64
+	}{
+		{0, 10_000_000},
+		{4e18, 8e18},
+		{5e18, math.MaxInt64},
+		{1e19, math.MaxInt64},
+		{math.Inf(1), math.MaxInt64},
+	} {
+		if got := (Options{ExactBudget: c.budget}).maxEnum(); got != c.want {
+			t.Errorf("budget %g: cap %d, want %d", c.budget, got, c.want)
+		}
+	}
+}

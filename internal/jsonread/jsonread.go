@@ -4,7 +4,7 @@
 // schema with the Decoder's readers, each of which reads the value at the
 // current position: objects (Object, matched against a key list), arrays
 // of any element (Array), arrays of numbers (Floats) and arrays of such
-// arrays (Matrix), strings, float64 and integer numbers, and bools; End
+// arrays (Matrix), strings, and float64 and int64 numbers; End
 // then requires that nothing but whitespace follows the top-level value.
 // Each number is checked against the JSON number grammar and converted in
 // the same scan when its decimal form is exact in float64 arithmetic, else
@@ -22,7 +22,7 @@
 //     be valid JSON, nested at most 10000 levels deep;
 //   - a value of the wrong type, such as a string for a number, is an
 //     error;
-//   - null leaves a string, number or bool as it was and yields a nil
+//   - null leaves a string or number as it was and yields a nil
 //     slice; a null element of a number array leaves its slot as it was —
 //     zero, unless an earlier member with the same key wrote it;
 //   - a repeated key decodes again over what the earlier member left:
@@ -309,10 +309,10 @@ func (d *Decoder) Float(prev float64) (float64, error) {
 	return prev, d.errAt("looking for a number")
 }
 
-// Int decodes a number into a bitSize-bit signed integer, or null, which
-// leaves prev. A fraction, an exponent or a value out of range is an
-// error, even when the value is integral.
-func (d *Decoder) Int(prev int64, bitSize int) (int64, error) {
+// Int decodes a number into an int64, or null, which leaves prev. A
+// fraction, an exponent or a value out of range is an error, even when
+// the value is integral.
+func (d *Decoder) Int(prev int64) (int64, error) {
 	switch c := d.next(); {
 	case c == 'n':
 		return prev, d.literal("null")
@@ -324,24 +324,11 @@ func (d *Decoder) Int(prev int64, bitSize int) (int64, error) {
 		return prev, err
 	}
 	lit := d.data[start:d.pos]
-	n, err := strconv.ParseInt(string(lit), 10, bitSize)
+	n, err := strconv.ParseInt(string(lit), 10, 64)
 	if err != nil {
-		return prev, fmt.Errorf("json: number %s at offset %d does not fit a %d-bit integer", lit, start, bitSize)
+		return prev, fmt.Errorf("json: number %s at offset %d does not fit a 64-bit integer", lit, start)
 	}
 	return n, nil
-}
-
-// Bool decodes true or false, or null, which leaves prev.
-func (d *Decoder) Bool(prev bool) (bool, error) {
-	switch d.next() {
-	case 'n':
-		return prev, d.literal("null")
-	case 't':
-		return true, d.literal("true")
-	case 'f':
-		return false, d.literal("false")
-	}
-	return prev, d.errAt("looking for a bool")
 }
 
 // Exact returns s with capacity equal to its length, copying only when a

@@ -21,8 +21,8 @@
 //     valid interval mapping that assigns no failed processor, and
 //     sim.SurvivesFailures(mapping, failed) holds;
 //   - event application is serialized (internal mutex): the controller
-//     is safe for concurrent Apply/Current use and for a Run event loop
-//     fed from another goroutine;
+//     is safe for concurrent Apply/Current use, including Current polls
+//     while a Campaign replays a schedule on another goroutine;
 //   - repair sequences are deterministic for a fixed (instance, start,
 //     schedule, config) as long as the escalation decision is stable —
 //     the mapping-count gate is deterministic, and the wall-clock gate
@@ -69,8 +69,8 @@ const DefaultEscalateReserve = 5 * time.Millisecond
 // down: no valid mapping exists. The controller keeps the last installed
 // mapping and waits for recoveries — the accompanying Repair record
 // reports the hold (its mapping is the held one, so it necessarily
-// enrolls failed processors). Run and Campaign treat it as a non-fatal
-// per-event outcome: they emit the hold record and keep folding events,
+// enrolls failed processors). Campaign treats it as a non-fatal
+// per-event outcome: it emits the hold record and keeps folding events,
 // so a later recovery resumes repairs.
 var ErrAllFailed = errors.New("remap: every processor has failed")
 
@@ -305,33 +305,6 @@ func (c *Controller) Sync(ctx context.Context, failed []bool) (Repair, error) {
 		}
 	}
 	return c.repairLocked(ctx, sim.FaultEvent{Seq: -1}, start)
-}
-
-// Run consumes fault events until the channel closes or ctx is done,
-// emitting one Repair per event. A nil emit just drives the controller.
-// Emit errors abort the loop (e.g. a disconnected stream consumer).
-// ErrAllFailed is non-fatal: the hold record is emitted and the loop
-// keeps folding events so later recoveries resume repairs.
-func (c *Controller) Run(ctx context.Context, events <-chan sim.FaultEvent, emit func(Repair) error) error {
-	for {
-		select {
-		case <-ctx.Done():
-			return fmt.Errorf("remap: run canceled: %w", context.Cause(ctx))
-		case ev, ok := <-events:
-			if !ok {
-				return nil
-			}
-			rep, err := c.Apply(ctx, ev)
-			if err != nil && !errors.Is(err, ErrAllFailed) {
-				return err
-			}
-			if emit != nil {
-				if err := emit(rep); err != nil {
-					return err
-				}
-			}
-		}
-	}
 }
 
 // Campaign replays a scripted schedule synchronously, emitting one

@@ -474,8 +474,8 @@ func TestSyncOneShot(t *testing.T) {
 	}
 }
 
-// TestControllerConcurrentEventLoop drives Run from one goroutine while
-// another polls Current — the -race exercise for the controller's
+// TestControllerConcurrentEventLoop replays a Campaign on one goroutine
+// while another polls Current — the -race exercise for the controller's
 // serialization.
 func TestControllerConcurrentEventLoop(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
@@ -487,13 +487,6 @@ func TestControllerConcurrentEventLoop(t *testing.T) {
 		t.Fatal(err)
 	}
 	schedule := sim.RandomFaultSchedule(rng, 16, sim.RandomFaultConfig{Events: 30})
-	events := make(chan sim.FaultEvent)
-	go func() {
-		defer close(events)
-		for _, ev := range schedule {
-			events <- ev
-		}
-	}()
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -515,25 +508,25 @@ func TestControllerConcurrentEventLoop(t *testing.T) {
 	}()
 
 	count := 0
-	if err := c.Run(context.Background(), events, func(rep Repair) error {
+	err = c.Campaign(context.Background(), schedule, func(rep Repair) error {
 		count++
 		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
+	})
 	close(stop)
 	wg.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if count != len(schedule) {
 		t.Errorf("emitted %d repairs for %d events", count, len(schedule))
 	}
-	_, _, failed := c.Current()
-	m, met, _ := c.Current()
+	m, met, failed := c.Current()
 	assertRepairInvariant(t, inst.Pipeline, inst.Platform, Repair{Mapping: m, Metrics: met}, failed)
 }
 
-// TestRunEmitErrorAborts: an emit error (disconnected stream consumer)
-// stops the loop.
-func TestRunEmitErrorAborts(t *testing.T) {
+// TestCampaignEmitErrorAborts: an emit error (disconnected stream
+// consumer) stops the replay at the event that failed to emit.
+func TestCampaignEmitErrorAborts(t *testing.T) {
 	p, pl := workload.Fig5()
 	pr := core.Problem{Pipeline: p, Platform: pl, Objective: core.MinimizeFailureProb, MaxLatency: 22}
 	start := solveStart(t, pr)
@@ -541,12 +534,21 @@ func TestRunEmitErrorAborts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	events := make(chan sim.FaultEvent, 2)
-	events <- sim.FaultEvent{Proc: usedProcs(start)[0], Kind: sim.FaultCrash}
-	close(events)
+	schedule := sim.FaultSchedule{
+		{Time: 1, Proc: usedProcs(start)[0], Kind: sim.FaultCrash},
+		{Time: 2, Proc: usedProcs(start)[0], Kind: sim.FaultRecover},
+	}
+	schedule.Renumber()
 	sentinel := errors.New("consumer gone")
-	if err := c.Run(context.Background(), events, func(Repair) error { return sentinel }); !errors.Is(err, sentinel) {
+	emitted := 0
+	if err := c.Campaign(context.Background(), schedule, func(Repair) error {
+		emitted++
+		return sentinel
+	}); !errors.Is(err, sentinel) {
 		t.Fatalf("got %v, want the emit error", err)
+	}
+	if emitted != 1 {
+		t.Errorf("emit called %d times, want 1: the replay must stop at the first emit error", emitted)
 	}
 }
 

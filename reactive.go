@@ -19,8 +19,8 @@ import (
 // bound to the session's instance, warm-started from start (typically a
 // prior Solve result). The controller shares the session's cached
 // evaluator and inherits the session worker count when cfg.Workers is
-// zero. It is safe for concurrent use; feed it events with Apply or Run,
-// or replay a schedule with Campaign.
+// zero. It is safe for concurrent use; feed it events one at a time with
+// Apply, or replay a schedule with Campaign.
 func (s *Session) NewRemapController(start *Mapping, cfg RemapConfig) (*RemapController, error) {
 	if cfg.Eval == nil {
 		cfg.Eval = s.ev

@@ -20,6 +20,13 @@
 #
 #   scripts/bench.sh -guard BENCH_old.json BENCH_new.json 'Evaluate|WideM80' 40
 #
+# Without the threshold the guard checks allocs/op only (ns/op deltas are
+# printed but never fail). allocs/op does not depend on the machine, so
+# this mode compares against a committed snapshot; ns/op is worth
+# guarding only against a run of the base commit on the same machine:
+#
+#   scripts/bench.sh -guard BENCH_20261018_121129.json BENCH_new.json 'ColdM80Solve'
+#
 # Environment:
 #   BENCHTIME  go test -benchtime value (default 1s)
 #   COUNT      repetitions per benchmark (default 1)
@@ -81,11 +88,11 @@ BEGIN { side = 0 }
 '
 
 if [[ "${1:-}" == "-guard" ]]; then
-    if [[ $# -ne 5 ]]; then
-        echo "usage: $0 -guard old.json new.json 'name-regex' max-ns-regress-pct" >&2
+    if [[ $# -ne 4 && $# -ne 5 ]]; then
+        echo "usage: $0 -guard old.json new.json 'name-regex' [max-ns-regress-pct]" >&2
         exit 2
     fi
-    old_file="$2" new_file="$3" regex="$4" maxpct="$5"
+    old_file="$2" new_file="$3" regex="$4" maxpct="${5:-}"
     { extract_lines "${old_file}"; echo "===SPLIT==="; extract_lines "${new_file}"; } \
         | awk -v regex="${regex}" -v maxpct="${maxpct}" "${MEDIANS_AWK}"'
             END {
@@ -103,7 +110,7 @@ if [[ "${1:-}" == "-guard" ]]; then
                     status = "ok"
                     if (oldAllocs != "" && newAllocs != "" && newAllocs > oldAllocs) {
                         status = "FAIL: allocs/op grew"; bad = 1
-                    } else if (d > maxpct + 0) {
+                    } else if (maxpct != "" && d > maxpct + 0) {
                         status = sprintf("FAIL: ns/op regressed past %s%%", maxpct); bad = 1
                     }
                     printf "guard %-44s ns/op %+8.1f%%  allocs %s\xe2\x86\x92%s  %s\n", \

@@ -175,7 +175,7 @@ func TestLargeBodyBufferNotPooled(t *testing.T) {
 // admission does, then the buffer is overwritten; the request must still
 // equal a decode of an untouched copy.
 func TestDecodedRequestsDoNotAliasBody(t *testing.T) {
-	solve := fig5Spec(t, `, "objective": "minFailureProb", "deadlineMillis": 40, "workers": 2`)
+	solve := fig5Spec(t, `, "objective": "minFailureProb", "deadlineMillis": 40`)
 	batch := []byte(`{"problems": [` + string(solve) + `, ` + string(solve) + `]}`)
 	remap := fig5RemapSpec(t, `, "objective": "minFailureProb", "start": {"intervals": [{"first": 0, "last": 1}], "alloc": [[0, 2]]},
 		"events": [{"seq": 0, "time": 1, "proc": 0, "kind": 0}, {"seq": 1, "time": 2, "proc": 0, "kind": 1}]`)

@@ -88,9 +88,9 @@ func TestChaosCampaign(t *testing.T) {
 	srv := httptest.NewServer(chaos)
 
 	fig5 := fig5Spec(t, "")
-	fig5Alt := fig5Spec(t, `, "workers": 1`)
+	fig5Alt := fig5Spec(t, `, "maxLatency": 30`)
 	hard := hardInstanceDoc(t, 1)
-	batch := []byte(fmt.Sprintf(`{"problems": [%s, %s, %s]}`, fig5Spec(t, ""), fig5Spec(t, `, "objective": "minLatency", "maxLatency": 0`), fig5Spec(t, `, "workers": 2`)))
+	batch := []byte(fmt.Sprintf(`{"problems": [%s, %s, %s]}`, fig5Spec(t, ""), fig5Spec(t, `, "objective": "minLatency", "maxLatency": 0`), fig5Spec(t, `, "maxLatency": 40`)))
 	p, pl := fig5PipelinePlatformJSON(t)
 	stream := []byte(fmt.Sprintf(`{"pipeline": %s, "platform": %s, "randomEvents": 3, "repairDeadlineMillis": 5, "deadlineMillis": 5000}`, p, pl))
 

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"encoding/json"
-	"strconv"
 
 	"repro/internal/jsonread"
 	"repro/internal/pipeline"
@@ -17,8 +16,7 @@ import (
 
 // solveSpecFields lists SolveSpec's JSON keys in SolveSpec.decode's field
 // order.
-var solveSpecFields = []string{"pipeline", "platform", "objective", "maxLatency", "maxFailProb",
-	"deadlineMillis", "workers", "exactBudget", "forceHeuristic"}
+var solveSpecFields = []string{"pipeline", "platform", "objective", "maxLatency", "maxFailProb", "deadlineMillis"}
 
 // batchRequestFields lists BatchRequest's JSON keys.
 var batchRequestFields = []string{"problems"}
@@ -81,15 +79,7 @@ func (spec *SolveSpec) decode(d *jsonread.Decoder) error {
 		case 4:
 			spec.MaxFailProb, err = d.Float(spec.MaxFailProb)
 		case 5:
-			spec.DeadlineMillis, err = d.Int(spec.DeadlineMillis, 64)
-		case 6:
-			var n int64
-			n, err = d.Int(int64(spec.Workers), strconv.IntSize)
-			spec.Workers = int(n)
-		case 7:
-			spec.ExactBudget, err = d.Float(spec.ExactBudget)
-		case 8:
-			spec.ForceHeuristic, err = d.Bool(spec.ForceHeuristic)
+			spec.DeadlineMillis, err = d.Int(spec.DeadlineMillis)
 		}
 		return err
 	})

@@ -47,22 +47,22 @@ var requestJSONSeeds = []string{
 		`{"pipeline":{"w":[2,3],"delta":[1,1,1]},"platform":{"speed":[1],"failProb":[0],"b":[[0]],"bIn":[1],"bOut":[1]},"objective":"minLatency","maxFailProb":0.5}]}`,
 	// Every scalar field; case-folded and escaped keys (U+017F, the long
 	// s, folds to "s" and the Kelvin sign U+212A to "k").
-	`{"objective":"minLatency","maxLatency":1.5,"maxFailProb":0.25,"deadlineMillis":100,"workers":2,"exactBudget":1e6,"forceHeuristic":true}`,
+	`{"objective":"minLatency","maxLatency":1.5,"maxFailProb":0.25,"deadlineMillis":100}`,
 	`{"OBJECTIVE":"x","MaxLatency":2,"DEADLINEMILLIS":3,"wor\u212aers":4,"deadlineMilliſ":5,"\u006daxFailProb":0.5,"FORCEheuristic":false}`,
 	`{"PIPELINE":{"W":[1],"Delta":[1,1]},"pLaTfOrM":{"SPEED":[1],"failprob":[0],"B":[[0]],"bin":[1],"BOUT":[1]}}`,
 	// Repeated keys: the last wins; a repeated "problems" decodes over
 	// the elements the earlier one left, and [] or null drops them.
-	`{"objective":"a","objective":"b","workers":1,"workers":2}`,
+	`{"objective":"a","objective":"b","deadlineMillis":1,"deadlineMillis":2}`,
 	`{"pipeline":{"w":[1],"delta":[1,1]},"pipeline":null}`,
 	`{"pipeline":{"w":[1],"delta":[1,1]},"pipeline":{"w":[2,3],"delta":[1,1,1]}}`,
-	`{"problems":[{"workers":1,"objective":"a"},{"workers":2},{"workers":3}],"problems":[{"objective":"b"}]}`,
-	`{"problems":[{"workers":1},{"workers":2},{"workers":3}],"problems":[{}],"problems":[null,null,{"workers":1}]}`,
-	`{"problems":[{"workers":1},{"workers":2}],"problems":[],"problems":[null,null]}`,
-	`{"problems":[{"workers":1},{"workers":2}],"problems":null,"problems":[null]}`,
+	`{"problems":[{"deadlineMillis":1,"objective":"a"},{"deadlineMillis":2},{"deadlineMillis":3}],"problems":[{"objective":"b"}]}`,
+	`{"problems":[{"deadlineMillis":1},{"deadlineMillis":2},{"deadlineMillis":3}],"problems":[{}],"problems":[null,null,{"deadlineMillis":1}]}`,
+	`{"problems":[{"deadlineMillis":1},{"deadlineMillis":2}],"problems":[],"problems":[null,null]}`,
+	`{"problems":[{"deadlineMillis":1},{"deadlineMillis":2}],"problems":null,"problems":[null]}`,
 	`{"problems":[{"maxLatency":5}],"problems":[{"maxLatency":null,"pipeline":{"w":[1],"delta":[1,1]}}]}`,
 	// null: scalars keep their value, pointers and slices become nil, and
 	// a top-level null is a zero request.
-	`{"objective":null,"maxLatency":null,"deadlineMillis":null,"forceHeuristic":null,"pipeline":null,"platform":null}`,
+	`{"objective":null,"maxLatency":null,"maxFailProb":null,"deadlineMillis":null,"pipeline":null,"platform":null}`,
 	`{"problems":null}`,
 	`{"problems":[null]}`,
 	`null`,
@@ -76,12 +76,12 @@ var requestJSONSeeds = []string{
 	`{"deadlineMillis":9223372036854775808}`,
 	`{"deadlineMillis":-9223372036854775808}`,
 	`{"deadlineMillis":-9223372036854775809}`,
-	`{"workers":1.5}`,
+	`{"deadlineMillis":1.5}`,
 	`{"deadlineMillis":18446744073710}`,
 	`{"deadlineMillis":01}`,
 	// Floats.
 	`{"maxLatency":1e400}`,
-	`{"maxLatency":1e-400,"exactBudget":-0}`,
+	`{"maxLatency":1e-400,"maxFailProb":-0}`,
 	`{"maxFailProb":-}`,
 	// Strings: escapes, unpaired surrogates and bytes that are not UTF-8.
 	`{"objective":"min\u004catency\n\/\u00e9"}`,
@@ -93,7 +93,7 @@ var requestJSONSeeds = []string{
 	// Values of the wrong type.
 	`{"objective":5}`,
 	`{"maxLatency":"5"}`,
-	`{"forceHeuristic":1}`,
+	`{"maxFailProb":[1]}`,
 	`{"deadlineMillis":true}`,
 	`{"pipeline":5}`,
 	`{"pipeline":[]}`,
@@ -105,15 +105,20 @@ var requestJSONSeeds = []string{
 	`"x"`,
 	`5`,
 	// Unknown members, validated but not converted; invalid instances.
-	`{"extra":{"a":[1,{"b":null}],"c":"x\n\u00e9","d":[true,false,-0.5e+3]},"workers":3}`,
-	`{"extra":[1,],"workers":3}`,
+	`{"extra":{"a":[1,{"b":null}],"c":"x\n\u00e9","d":[true,false,-0.5e+3]},"deadlineMillis":3}`,
+	`{"extra":[1,],"deadlineMillis":3}`,
+	// Search-tuning members a client may send are unknown members, of
+	// any value.
+	`{"workers":3,"exactBudget":1e18,"forceHeuristic":true,"deadlineMillis":7}`,
+	`{"workers":1.5,"exactBudget":"x","forceHeuristic":1,"objective":"minLatency"}`,
+	`{"problems":[{"workers":1000000,"maxLatency":5},{"exactBudget":4e18,"forceHeuristic":null}]}`,
 	`{"pipeline":{"w":[1],"delta":[1]}}`,
 	`{"platform":{"speed":[1],"failProb":[2],"b":[[0]],"bIn":[1],"bOut":[1]}}`,
 	// What may follow the top-level value.
 	`{} `,
 	`{}{}`,
 	`null x`,
-	`{"workers":1`,
+	`{"deadlineMillis":1`,
 	``,
 }
 

@@ -4,6 +4,12 @@
 // Sessions keyed by instance hash so repeated traffic against the same
 // (pipeline, platform) pair skips the evaluator precomputation.
 //
+// A request states what to solve — the instance, the minimized
+// criterion, the bound on the other criterion and a deadline — and the
+// service decides how: every session runs the library's default search
+// tuning, and members a request carries beyond these are ignored, as
+// encoding/json ignores them.
+//
 // Both the warm-session LRU and the cross-request solution cache key on
 // the instance's canonical form (internal/canon): the mapping problem is
 // invariant under processor relabeling, so two requests that differ only
@@ -78,16 +84,6 @@ type SolveSpec struct {
 	// solver returns its best-so-far answer marked partial. 0 falls back
 	// to the service default.
 	DeadlineMillis int64 `json:"deadlineMillis,omitempty"`
-
-	// Session-level tuning; these participate in the warm-session cache
-	// key, so vary them only when actually needed.
-
-	// Workers is the solver goroutine count (0 = GOMAXPROCS).
-	Workers int `json:"workers,omitempty"`
-	// ExactBudget overrides the exact-vs-heuristic routing budget.
-	ExactBudget float64 `json:"exactBudget,omitempty"`
-	// ForceHeuristic skips exact enumeration regardless of size.
-	ForceHeuristic bool `json:"forceHeuristic,omitempty"`
 }
 
 // SolveResult is the answer to one SolveSpec.
@@ -120,7 +116,7 @@ type SolveResult struct {
 	// Cached is true when this answer was served from the cross-request
 	// solution cache: a previously completed solve of the same canonical
 	// instance — any processor labeling — under the same objective,
-	// bounds and tuning. The mapping is translated into this request's
+	// bounds and deadline. The mapping is translated into this request's
 	// processor ids before the response is written.
 	Cached bool `json:"cached,omitempty"`
 	// Degraded is true when the circuit breaker forced the heuristic

@@ -14,24 +14,20 @@ import (
 )
 
 // canonicalSessionKey derives the warm-session cache key from the
-// instance's canonical encoding: every processor relabeling of one
+// instance's canonical encoding alone: every processor relabeling of one
 // platform hashes identically, so permuted variants of the same request
-// warm (and reuse) a single session. The session-level options are mixed
-// in because they shape session construction.
-func canonicalSessionKey(canonBytes []byte, workers int, budget float64, force bool) string {
-	h := sha256.New()
-	h.Write(canonBytes)
-	fmt.Fprintf(h, "|%d|%x|%t", workers, math.Float64bits(budget), force)
-	return hex.EncodeToString(h.Sum(nil))
+// warm (and reuse) a single session.
+func canonicalSessionKey(canonBytes []byte) string {
+	sum := sha256.Sum256(canonBytes)
+	return hex.EncodeToString(sum[:])
 }
 
 // requestKey names one canonical solve request: the canonical session
-// key (which already digests the canonical instance bytes and the
-// session-level tuning) plus everything else that shapes the answer —
-// objective, the bi-criteria bounds, and the deadline (the adaptive
-// router steers by it, so different deadlines may legitimately produce
-// different complete answers). Relabeled copies of one request therefore
-// share one key. It keys the solution cache as it is and the singleflight
+// key (which already digests the canonical instance bytes) plus
+// everything else that shapes the answer — objective, the bi-criteria
+// bounds, and the deadline (the adaptive router steers by it, so
+// different deadlines may legitimately produce different complete
+// answers). Relabeled copies of one request therefore share one key. It keys the solution cache as it is and the singleflight
 // through flightKey. Building on the session key avoids a second SHA-256
 // pass over the O(m²) canonical bytes on the request path.
 func requestKey(sessionKey string, objective repro.Objective, spec SolveSpec) string {

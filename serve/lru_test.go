@@ -119,32 +119,19 @@ func TestSessionCacheEvictionUnderPressure(t *testing.T) {
 }
 
 // TestCanonicalSessionKeyOptions pins the option half of the request
-// keys: equal canonical bytes and options give equal keys, and changing
-// any session-level option, any answer-shaping field or the breaker's
-// verdict gives a new one. The byte half (relabelings collide, distinct
-// instances don't) is internal/canon's to test.
+// keys: equal canonical bytes give equal session keys, and on one
+// session key, changing any answer-shaping field or the breaker's
+// verdict gives a new request key. The byte half (relabelings collide,
+// distinct instances don't) is internal/canon's to test.
 func TestCanonicalSessionKeyOptions(t *testing.T) {
 	p, pl := workload.Fig5()
 	cn, err := repro.CanonicalizeInstance(p, pl)
 	if err != nil {
 		t.Fatal(err)
 	}
-	const (
-		workers = 2
-		budget  = 5e6
-	)
-	base := canonicalSessionKey(cn.Bytes, workers, budget, false)
-	if got := canonicalSessionKey(append([]byte(nil), cn.Bytes...), workers, budget, false); got != base {
-		t.Fatal("equal bytes and options hash to different session keys")
-	}
-	for name, key := range map[string]string{
-		"workers": canonicalSessionKey(cn.Bytes, workers+1, budget, false),
-		"budget":  canonicalSessionKey(cn.Bytes, workers, math.Nextafter(budget, 0), false),
-		"force":   canonicalSessionKey(cn.Bytes, workers, budget, true),
-	} {
-		if key == base {
-			t.Errorf("changing %s left the session key unchanged", name)
-		}
+	base := canonicalSessionKey(cn.Bytes)
+	if got := canonicalSessionKey(append([]byte(nil), cn.Bytes...)); got != base {
+		t.Fatal("equal bytes hash to different session keys")
 	}
 
 	spec := SolveSpec{MaxLatency: 22, MaxFailProb: 0.5, DeadlineMillis: 100}
@@ -155,7 +142,6 @@ func TestCanonicalSessionKeyOptions(t *testing.T) {
 		return v
 	}
 	for name, key := range map[string]string{
-		"session":     requestKey(canonicalSessionKey(cn.Bytes, workers, budget, true), repro.MinimizeFailureProb, spec),
 		"objective":   requestKey(base, repro.MinimizeLatency, spec),
 		"maxLatency":  requestKey(base, repro.MinimizeFailureProb, variant(func(v *SolveSpec) { v.MaxLatency = math.Nextafter(22, 0) })),
 		"maxFailProb": requestKey(base, repro.MinimizeFailureProb, variant(func(v *SolveSpec) { v.MaxFailProb = 0.25 })),

@@ -50,14 +50,14 @@ func TestAdmissionShedsQueueOverflow(t *testing.T) {
 
 	// B fills the one queue position.
 	go func() {
-		resp := postJSON(t, srv, "/v1/solve", fig5Spec(t, `, "workers": 1`))
+		resp := postJSON(t, srv, "/v1/solve", fig5Spec(t, `, "maxLatency": 30`))
 		resp.Body.Close()
 		status <- resp.StatusCode
 	}()
 	waitUntil(t, "request B to queue", func() bool { return svc.limiter.Stats().Waiting == 1 })
 
 	// C finds the queue full: shed up front.
-	resp := postJSON(t, srv, "/v1/solve", fig5Spec(t, `, "workers": 2`))
+	resp := postJSON(t, srv, "/v1/solve", fig5Spec(t, `, "maxLatency": 40`))
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("status = %d, want 429", resp.StatusCode)
 	}
@@ -104,7 +104,7 @@ func TestCoalescedSolvesShareOneSolve(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	key := flightKey(requestKey(canonicalSessionKey(cn.Bytes, 0, 0, false), repro.MinimizeFailureProb, SolveSpec{MaxLatency: 22}), false)
+	key := flightKey(requestKey(canonicalSessionKey(cn.Bytes), repro.MinimizeFailureProb, SolveSpec{MaxLatency: 22}), false)
 
 	const callers = 4
 	results := make(chan SolveResult, callers)
@@ -271,7 +271,7 @@ func TestMalformedBodyRejectedWithoutQueueing(t *testing.T) {
 	}()
 	waitUntil(t, "a solve to hold the slot", func() bool { return svc.limiter.Stats().InUse == 1 })
 	go func() {
-		resp := postJSON(t, srv, "/v1/solve", fig5Spec(t, `, "workers": 1`))
+		resp := postJSON(t, srv, "/v1/solve", fig5Spec(t, `, "maxLatency": 30`))
 		resp.Body.Close()
 		status <- resp.StatusCode
 	}()
@@ -279,7 +279,7 @@ func TestMalformedBodyRejectedWithoutQueueing(t *testing.T) {
 
 	for _, body := range [][]byte{
 		[]byte("{not json"),
-		append(fig5Spec(t, `, "workers": 2`), "{}"...),
+		append(fig5Spec(t, `, "maxLatency": 40`), "{}"...),
 		[]byte(`{"pipeline": {"w": [1], "delta": [1, 1]}, "platform": {"speed": []}}`),
 	} {
 		resp := postJSON(t, srv, "/v1/solve", body)

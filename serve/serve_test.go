@@ -22,7 +22,10 @@ import (
 )
 
 // fig5Spec renders the paper's Figure 5 instance as a request document,
-// exercising the full JSON decode path (not just struct literals).
+// exercising the full JSON decode path (not just struct literals). extra
+// is appended after the "maxLatency": 22 member; a later "maxLatency"
+// overrides it (the last member wins), which tests use to mint a
+// distinct request key for the same instance.
 func fig5Spec(t *testing.T, extra string) []byte {
 	t.Helper()
 	p, pl := workload.Fig5()
@@ -203,6 +206,39 @@ func TestSessionCacheReuseAcrossRequests(t *testing.T) {
 	stats := decodeBody[Stats](t, mustGet(t, srv, "/v1/stats"))
 	if stats.CacheSize != 1 || stats.CacheHits != 2 || stats.CacheMisses != 1 {
 		t.Errorf("stats = %+v, want 1 warm session with 2 hits / 1 miss", stats)
+	}
+}
+
+// tuningMembers ask for a worker count, an exact budget and a forced
+// heuristic route. A request states what to solve, not how, so the
+// service ignores them like any other unknown member.
+const tuningMembers = `, "workers": 3, "exactBudget": 1e18, "forceHeuristic": true`
+
+// TestSolveIgnoresTuningMembers: a solve body that carries the tuning
+// members is answered from the same warm session, with the same answer,
+// as the body without them.
+func TestSolveIgnoresTuningMembers(t *testing.T) {
+	srv := httptest.NewServer(New(Config{}))
+	defer srv.Close()
+
+	plain := decodeBody[SolveResult](t, postJSON(t, srv, "/v1/solve", fig5Spec(t, "")))
+	tuned := decodeBody[SolveResult](t, postJSON(t, srv, "/v1/solve", fig5Spec(t, tuningMembers)))
+	if plain.Error != "" || tuned.Error != "" {
+		t.Fatalf("errors: %q, %q", plain.Error, tuned.Error)
+	}
+	if !tuned.CacheHit {
+		t.Error("the tuned request built a session of its own")
+	}
+	pm, _ := json.Marshal(plain.Mapping)
+	tm, _ := json.Marshal(tuned.Mapping)
+	if !bytes.Equal(pm, tm) || plain.Latency != tuned.Latency || plain.FailureProb != tuned.FailureProb ||
+		plain.Route != tuned.Route || plain.Certainty != tuned.Certainty {
+		t.Errorf("tuned answer %s (%v, %v, %s, %s), plain %s (%v, %v, %s, %s)",
+			tm, tuned.Latency, tuned.FailureProb, tuned.Route, tuned.Certainty,
+			pm, plain.Latency, plain.FailureProb, plain.Route, plain.Certainty)
+	}
+	if stats := decodeBody[Stats](t, mustGet(t, srv, "/v1/stats")); stats.CacheSize != 1 {
+		t.Errorf("cacheSize = %d, want 1 warm session", stats.CacheSize)
 	}
 }
 

@@ -395,15 +395,15 @@ func (s *Service) solveOne(ctx context.Context, spec SolveSpec) SolveResult {
 	)
 	cn, cerr := repro.CanonicalizeInstance(spec.Pipeline, spec.Platform)
 	if cerr == nil {
-		key := canonicalSessionKey(cn.Bytes, spec.Workers, spec.ExactBudget, spec.ForceHeuristic)
+		key := canonicalSessionKey(cn.Bytes)
 		// Materialize the canonical relabeling only on a build — a cache
 		// hit must not pay the O(m²) platform copy.
 		sess, hit, err = s.cache.getOrCreate(key, func() (*repro.Session, error) {
-			return s.newSession(cn.Pipeline(), cn.Platform(), spec)
+			return s.newSession(cn.Pipeline(), cn.Platform())
 		})
 		reqKey = requestKey(key, objective, spec)
 	} else {
-		sess, err = s.newSession(spec.Pipeline, spec.Platform, spec)
+		sess, err = s.newSession(spec.Pipeline, spec.Platform)
 	}
 	if err != nil {
 		return finish(SolveResult{Error: err.Error()})
@@ -425,15 +425,8 @@ func (s *Service) solveOne(ctx context.Context, spec SolveSpec) SolveResult {
 	// Breaker-guarded exact escalation: while open, the request runs
 	// the heuristic route regardless of instance size, so a train of
 	// deadline-blown exact searches degrades instead of stacking up.
-	forced, probing := false, false
-	var token uint64
-	if !spec.ForceHeuristic {
-		if gen, ok := s.breaker.Allow(); ok {
-			token, probing = gen, true
-		} else {
-			forced = true
-		}
-	}
+	token, probing := s.breaker.Allow()
+	forced := !probing
 
 	leaderSolved := false
 	solve := func() (SolveResult, error) {
@@ -543,16 +536,11 @@ func parseObjective(name string) (repro.Objective, error) {
 	}
 }
 
-// newSession builds a session for (p, pl) under the spec's session-level
+// newSession builds a session for (p, pl) with the library's default
 // tuning. Every session shares the service recorder: solves feed the
 // per-class route profiles, and the adaptive router reads them back to
 // skip routes whose warm p95 cannot fit a request's remaining deadline
 // budget.
-func (s *Service) newSession(p *repro.Pipeline, pl *repro.Platform, spec SolveSpec) (*repro.Session, error) {
-	return repro.NewSession(p, pl,
-		repro.WithWorkers(spec.Workers),
-		repro.WithExactBudget(spec.ExactBudget),
-		repro.WithForceHeuristic(spec.ForceHeuristic),
-		repro.WithRecorder(s.rec),
-	)
+func (s *Service) newSession(p *repro.Pipeline, pl *repro.Platform) (*repro.Session, error) {
+	return repro.NewSession(p, pl, repro.WithRecorder(s.rec))
 }

@@ -56,13 +56,6 @@ type RemapSpec struct {
 	RepairDeadlineMillis int64 `json:"repairDeadlineMillis,omitempty"`
 	// DeadlineMillis caps the whole stream (0 = the service default).
 	DeadlineMillis int64 `json:"deadlineMillis,omitempty"`
-
-	// Session-level tuning of the stream's own session. ExactBudget also
-	// gates the controller's per-event exact escalation (0 = the
-	// controller default; negative disables escalation).
-	Workers        int     `json:"workers,omitempty"`
-	ExactBudget    float64 `json:"exactBudget,omitempty"`
-	ForceHeuristic bool    `json:"forceHeuristic,omitempty"`
 }
 
 // RemapEvent is one NDJSON record of the stream: a repair (per fault
@@ -127,9 +120,7 @@ func (s *Service) handleRemapStream(w http.ResponseWriter, r *http.Request, spec
 	// passed validation. The stream builds its own session, in the
 	// requester's labels: every emitted mapping and fault id must be in
 	// that labeling, and a crash-then-recover campaign seldom repeats.
-	sess, err := s.newSession(spec.Pipeline, spec.Platform, SolveSpec{
-		Workers: spec.Workers, ExactBudget: spec.ExactBudget, ForceHeuristic: spec.ForceHeuristic,
-	})
+	sess, err := s.newSession(spec.Pipeline, spec.Platform)
 	if err != nil {
 		writeJSON(w, http.StatusUnprocessableEntity, errorBody{Error: err.Error()})
 		return
@@ -216,8 +207,6 @@ func (s *Service) handleRemapStream(w http.ResponseWriter, r *http.Request, spec
 		MaxLatency:  spec.MaxLatency,
 		MaxFailProb: spec.MaxFailProb,
 		Deadline:    millis(spec.RepairDeadlineMillis),
-		ExactBudget: spec.ExactBudget,
-		Workers:     spec.Workers,
 	}
 	// The stream's session has no per-call deadline, so the controller
 	// runs under ctx as it is; each record goes out as its repair

@@ -129,6 +129,38 @@ func TestRemapStreamRandomCampaignDeterministic(t *testing.T) {
 	}
 }
 
+// TestRemapStreamIgnoresTuningMembers: a stream body that carries the
+// tuning members streams the same records as the body without them;
+// only the wall times may differ.
+func TestRemapStreamIgnoresTuningMembers(t *testing.T) {
+	srv := httptest.NewServer(New(Config{}))
+	defer srv.Close()
+
+	const events = `, "events": [
+		{"seq": 0, "time": 1, "proc": 0, "kind": 0},
+		{"seq": 1, "time": 2, "proc": 2, "kind": 0},
+		{"seq": 2, "time": 3, "proc": 0, "kind": 1}
+	]`
+	_, plain := postStream(t, srv, fig5RemapSpec(t, events))
+	_, tuned := postStream(t, srv, fig5RemapSpec(t, events+tuningMembers))
+	if len(plain) != 4 {
+		t.Fatalf("got %d records, want 3 repairs + 1 terminal", len(plain))
+	}
+	if len(tuned) != len(plain) {
+		t.Fatalf("tuned stream has %d records, plain %d", len(tuned), len(plain))
+	}
+	for i := range plain {
+		a, b := plain[i], tuned[i]
+		a.RepairMicros, b.RepairMicros = 0, 0
+		a.ElapsedMillis, b.ElapsedMillis = 0, 0
+		aj, _ := json.Marshal(a)
+		bj, _ := json.Marshal(b)
+		if !bytes.Equal(aj, bj) {
+			t.Errorf("record %d: tuned %s, plain %s", i, bj, aj)
+		}
+	}
+}
+
 func TestRemapStreamBadRequests(t *testing.T) {
 	srv := httptest.NewServer(New(Config{}))
 	defer srv.Close()

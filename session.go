@@ -42,7 +42,6 @@ type sessionConfig struct {
 	exactBudget    float64
 	deadline       time.Duration
 	seed           int64
-	anneal         AnnealConfig
 	forceHeuristic bool
 	recorder       *Recorder
 }
@@ -75,19 +74,13 @@ func WithDeadline(d time.Duration) SessionOption {
 	return func(c *sessionConfig) { c.deadline = d }
 }
 
-// WithSeed sets the seed of the session's stochastic calls — the
-// annealing archive of Pareto's heuristic front, MonteCarloCampaign and
-// EstimateFailureProb — making their results reproducible (default 1).
-// Solve is deterministic without it: its heuristic route is greedy.
+// WithSeed sets the seed of the session's stochastic calls, making their
+// results reproducible (default 1): the annealing archive of Pareto's
+// heuristic front, which otherwise runs the annealer's defaults, and the
+// sampling of MonteCarloCampaign and EstimateFailureProb. Solve is
+// deterministic without it: its heuristic route is greedy.
 func WithSeed(seed int64) SessionOption {
 	return func(c *sessionConfig) { c.seed = seed }
-}
-
-// WithAnneal overrides the simulated-annealing configuration of Pareto's
-// heuristic front (Pareto only; Solve never anneals). Its Seed, when
-// zero, is filled from WithSeed.
-func WithAnneal(cfg AnnealConfig) SessionOption {
-	return func(c *sessionConfig) { c.anneal = cfg }
 }
 
 // WithForceHeuristic makes Solve and Pareto skip exact enumeration even
@@ -124,9 +117,6 @@ func NewSession(p *Pipeline, pl *Platform, opts ...SessionOption) (*Session, err
 	for _, o := range opts {
 		o(&s.cfg)
 	}
-	if s.cfg.anneal.Seed == 0 {
-		s.cfg.anneal.Seed = s.cfg.seed
-	}
 	// The evaluator covers every platform width: replica sets are rows of
 	// bitset words (one word up to 64 processors), zero-allocation in the
 	// solvers' hot paths.
@@ -161,7 +151,7 @@ func (s *Session) coreOptions() core.Options {
 	return core.Options{
 		ExactBudget:    s.cfg.exactBudget,
 		Workers:        s.cfg.workers,
-		Anneal:         s.cfg.anneal,
+		Seed:           s.cfg.seed,
 		ForceHeuristic: s.cfg.forceHeuristic,
 		Eval:           s.ev,
 		Recorder:       s.cfg.recorder,
