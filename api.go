@@ -43,9 +43,9 @@ type (
 	// Result is a solved problem.
 	Result = core.Result
 	// Recorder aggregates solve telemetry — counters, gauges, streaming
-	// latency sketches and per-instance-class route profiles — and powers
-	// deadline-adaptive routing (see WithRecorder). Create one with
-	// NewRecorder and share it across sessions.
+	// latency sketches and per-instance-class route profiles — without
+	// changing any answer (see WithRecorder). Create one with NewRecorder
+	// and share it across sessions.
 	Recorder = telemetry.Recorder
 	// RouteSnapshot is one (instance class, route) latency profile cell
 	// exported by Recorder.SolveStats.

@@ -1,36 +1,26 @@
 package core
 
 import (
-	"context"
 	"errors"
 	"time"
 
 	"repro/internal/telemetry"
 )
 
-// minRouteSamples is the per-(class, route) sample count the adaptive
-// router requires before it trusts a latency profile over the structural
-// gates. Below it a route's p95 is noise, and acting on noise would flap
-// between routes during warm-up.
-const minRouteSamples = 20
-
 // solveTrace accumulates one solve's telemetry — the instance class, the
-// timed route attempts, and the final outcome — and answers the adaptive
-// router's deadline-fit queries from the recorder's per-class latency
-// profiles. A nil *solveTrace (no Recorder configured) is valid and makes
-// every method a no-op, so the instrumented paths cost one pointer test
-// when telemetry is off.
+// timed route attempts, and the final outcome — for the recorder. It
+// only records: no routing decision reads it. A nil *solveTrace (no Recorder
+// configured) is valid and makes every method a no-op, so the
+// instrumented paths cost one pointer test when telemetry is off.
 type solveTrace struct {
-	rec      *telemetry.Recorder
-	class    telemetry.Class
-	obs      telemetry.SolveObservation
-	start    time.Time
-	deadline time.Time // zero when the context carries no deadline
+	rec   *telemetry.Recorder
+	obs   telemetry.SolveObservation
+	start time.Time
 }
 
 // startTrace opens a trace for one solve; returns nil when telemetry is
 // disabled.
-func startTrace(ctx context.Context, pr Problem, opts Options) *solveTrace {
+func startTrace(pr Problem, opts Options) *solveTrace {
 	if opts.Recorder == nil {
 		return nil
 	}
@@ -39,16 +29,11 @@ func startTrace(ctx context.Context, pr Problem, opts Options) *solveTrace {
 		obj = telemetry.ObjFP
 	}
 	_, commHom := pr.Platform.CommHomogeneous()
-	tr := &solveTrace{
+	return &solveTrace{
 		rec:   opts.Recorder,
-		class: telemetry.ClassOf(pr.Pipeline.NumStages(), pr.Platform.NumProcs(), commHom, obj),
+		obs:   telemetry.SolveObservation{Class: telemetry.ClassOf(pr.Pipeline.NumStages(), pr.Platform.NumProcs(), commHom, obj)},
 		start: time.Now(),
 	}
-	if d, ok := ctx.Deadline(); ok {
-		tr.deadline = d
-	}
-	tr.obs.Class = tr.class
-	return tr
 }
 
 // begin stamps the start of a route attempt (zero time when disabled).
@@ -65,27 +50,6 @@ func (t *solveTrace) end(route telemetry.Route, began time.Time, out telemetry.O
 		return
 	}
 	t.obs.AddAttempt(route, time.Since(began), out)
-}
-
-// fits reports whether the route's warm p95 latency for this instance
-// class fits the remaining deadline budget. It answers true — deferring
-// entirely to the structural gates, i.e. pre-telemetry behavior — when
-// the trace is nil, the context has no deadline, or the profile is cold
-// (fewer than minRouteSamples). A false answer is counted on the
-// recorder's per-route skip counter.
-func (t *solveTrace) fits(route telemetry.Route) bool {
-	if t == nil || t.deadline.IsZero() {
-		return true
-	}
-	p95, n := t.rec.RouteQuantile(t.class, route, 0.95)
-	if n < minRouteSamples {
-		return true
-	}
-	if p95 <= time.Until(t.deadline) {
-		return true
-	}
-	t.rec.RecordRouteSkip(route)
-	return false
 }
 
 // finish folds the completed solve into the recorder. Single-leaf solves

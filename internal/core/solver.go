@@ -151,13 +151,10 @@ type Options struct {
 	// evaluator precomputation across calls. It is forwarded to the exact
 	// solvers, which otherwise rebuild it per call.
 	Eval *mapping.Evaluator
-	// Recorder, when non-nil, receives per-solve telemetry (route attempts
-	// with phase durations, outcome, certainty) and powers deadline-adaptive
-	// routing: on the hard classes, a route whose warm per-class p95 exceeds
-	// the context's remaining deadline budget is skipped up front in favor
-	// of a faster route, instead of starting a search that is statistically
-	// certain to be truncated to a Partial answer. Nil keeps the purely
-	// structural routing and adds no overhead.
+	// Recorder, when non-nil, receives per-solve telemetry: route attempts
+	// with their durations, outcome and certainty. It only observes: the
+	// route, the mapping and the metrics are the same with or without
+	// one. Nil adds no overhead.
 	Recorder *telemetry.Recorder
 }
 
@@ -192,7 +189,7 @@ func SolveCtx(ctx context.Context, pr Problem, opts Options) (Result, error) {
 	if err := validate(pr); err != nil {
 		return Result{}, err
 	}
-	tr := startTrace(ctx, pr, opts)
+	tr := startTrace(pr, opts)
 	var res Result
 	var err error
 	if pr.Objective == MinimizeFailureProb {
@@ -337,18 +334,13 @@ const commHomExactProcs = 16
 // search yields the incumbent graded Partial; when the context fired
 // before any candidate was seen, greedy serves its seed (the better of
 // the single-interval sweep and full replication) graded Partial.
-//
-// With a warm telemetry profile, each structural gate is additionally
-// conditioned on tr.fits: a route whose per-class p95 latency exceeds the
-// remaining deadline budget is skipped up front — the next route serves a
-// complete (if weaker-certainty) answer instead of a truncated Partial.
 func solveHard(ctx context.Context, pr Problem, opts Options, tr *solveTrace) (Result, error) {
 	n, m := pr.Pipeline.NumStages(), pr.Platform.NumProcs()
 	// An already-done context must not start the exact search; greedy
 	// then returns its seed without searching.
 	if !opts.ForceHeuristic && ctx.Err() == nil {
 		_, commHom := pr.Platform.CommHomogeneous()
-		if (commHom && m <= commHomExactProcs || EstimateMappingCount(n, m) <= opts.exactBudget()) && tr.fits(telemetry.RouteExact) {
+		if commHom && m <= commHomExactProcs || EstimateMappingCount(n, m) <= opts.exactBudget() {
 			began := tr.begin()
 			res, err := solveExact(ctx, pr, opts)
 			if err == nil || errors.Is(err, ErrInfeasible) {

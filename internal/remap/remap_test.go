@@ -15,6 +15,7 @@ import (
 	"repro/internal/pipeline"
 	"repro/internal/platform"
 	"repro/internal/sim"
+	"repro/internal/telemetry"
 	"repro/internal/workload"
 )
 
@@ -287,6 +288,45 @@ func TestEscalationCompletes(t *testing.T) {
 	}
 	_, _, failed := c.Current()
 	assertRepairInvariant(t, p, pl, rep, failed)
+}
+
+// TestRecorderDoesNotSteerEscalation: the controller's recorder only
+// observes. Seeded with a warm profile saying the exact route takes 10s
+// on the alive sub-platform's class, a crash under a 5s per-event
+// deadline still escalates to the exact search, and no greedy solve runs
+// on the sub-platform.
+func TestRecorderDoesNotSteerEscalation(t *testing.T) {
+	p, pl := workload.Fig5()
+	pr := core.Problem{Pipeline: p, Platform: pl, Objective: core.MinimizeFailureProb, MaxLatency: 22}
+	rec := telemetry.NewRecorder()
+	subClass := telemetry.ClassOf(p.NumStages(), pl.NumProcs()-1, true, telemetry.ObjFP)
+	for i := 0; i < 25; i++ {
+		rec.ObserveRoute(subClass, telemetry.RouteExact, 10*time.Second, telemetry.OutcomeOK)
+	}
+	c, err := New(p, pl, solveStart(t, pr), Config{
+		Objective:   core.MinimizeFailureProb,
+		MaxLatency:  22,
+		Deadline:    5 * time.Second,
+		ExactBudget: 5_000_000,
+		Recorder:    rec,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Crashing processor 1 leaves a failure-heterogeneous platform, so
+	// the escalation reaches branch and bound.
+	rep, err := c.Apply(context.Background(), sim.FaultEvent{Proc: 1, Kind: sim.FaultCrash})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Certainty != core.ExhaustivelyOptimal {
+		t.Fatalf("certainty = %v (%s), want ExhaustivelyOptimal", rep.Certainty, rep.Method)
+	}
+	for _, snap := range rec.SolveStats() {
+		if snap.Class == subClass && snap.Route == telemetry.RouteHeuristic {
+			t.Fatalf("greedy ran on the alive sub-platform: %+v", snap)
+		}
+	}
 }
 
 // TestEscalationMatchesSubPlatformOptimum: crashing processor 1 of the

@@ -2,9 +2,9 @@
 // lock-cheap metrics registry (counters, gauges, streaming duration
 // sketches) plus a solve Recorder that aggregates per-phase solve
 // timings into latency distributions keyed by instance class and route.
-// The serve tier exposes the aggregates on /v1/stats and /metrics, and
-// internal/core consults them to pick the strongest solve route whose
-// observed p95 fits the caller's remaining deadline budget.
+// The serve tier exposes the aggregates on /v1/stats and /metrics. The
+// recorder only observes: no solver reads it back, so an answer is the
+// same with or without one.
 //
 // Invariants the tests enforce:
 //

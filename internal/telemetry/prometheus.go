@@ -38,24 +38,6 @@ func (r *Recorder) WritePrometheus(w io.Writer) error {
 		},
 	)
 
-	// Adaptive-router skip counters (only routes that skipped).
-	wroteSkips := false
-	for route := 0; route < numRoutes; route++ {
-		n := r.skips[route].Load()
-		if n == 0 {
-			continue
-		}
-		if !wroteSkips {
-			writeTypeLine(bw, "solve_route_skips_total", "counter")
-			wroteSkips = true
-		}
-		bw.WriteString("solve_route_skips_total{route=\"")
-		bw.WriteString(Route(route).String())
-		bw.WriteString("\"} ")
-		bw.WriteString(strconv.FormatInt(n, 10))
-		bw.WriteByte('\n')
-	}
-
 	// Final (route, outcome) solve counters.
 	wroteFinals := false
 	for route := 0; route < numRoutes; route++ {

@@ -9,9 +9,8 @@ import (
 )
 
 // Route identifies a solve strategy of the core router. Routes double as
-// profile keys: the Recorder keeps one latency sketch per (Class, Route)
-// and the adaptive router compares a route's warm p95 against the
-// caller's remaining deadline budget.
+// profile keys: the Recorder keeps one latency sketch per (Class, Route),
+// exported on /v1/stats and /metrics.
 type Route uint8
 
 const (
@@ -39,16 +38,6 @@ func (r Route) String() string {
 		return routeNames[r]
 	}
 	return "unknown"
-}
-
-// Routes lists every real route (RouteNone excluded), in enum order, so
-// exporters can walk the per-route counters without hard-coding names.
-func Routes() []Route {
-	rs := make([]Route, 0, numRoutes-1)
-	for r := RoutePoly; int(r) < numRoutes; r++ {
-		rs = append(rs, r)
-	}
-	return rs
 }
 
 // ParseRoute maps a route name back to its enum (RouteNone when unknown).
@@ -183,8 +172,8 @@ func (o *SolveObservation) AddAttempt(route Route, d time.Duration, out Outcome)
 	o.NAttempts++
 }
 
-// routeStats aggregates one (Class, Route) cell: the duration sketch the
-// adaptive router queries plus per-outcome counters.
+// routeStats aggregates one (Class, Route) cell: the duration sketch
+// plus per-outcome counters.
 type routeStats struct {
 	sketch   Sketch
 	outcomes [numOutcomes]Counter
@@ -206,7 +195,6 @@ type Recorder struct {
 	mu     sync.RWMutex
 	routes map[classRoute]*routeStats
 
-	skips  [numRoutes]Counter // adaptive-router skips per route
 	finals [numRoutes][numOutcomes]Counter
 }
 
@@ -247,39 +235,6 @@ func (r *Recorder) ObserveRoute(class Class, route Route, d time.Duration, out O
 	if int(out) < numOutcomes {
 		st.outcomes[out].Inc()
 	}
-}
-
-// RouteQuantile returns the q-quantile of the (class, route) duration
-// distribution together with its sample count. A nil recorder or an
-// unseen cell returns (0, 0).
-func (r *Recorder) RouteQuantile(class Class, route Route, q float64) (time.Duration, int64) {
-	if r == nil {
-		return 0, 0
-	}
-	r.mu.RLock()
-	st := r.routes[classRoute{class, route}]
-	r.mu.RUnlock()
-	if st == nil {
-		return 0, 0
-	}
-	return st.sketch.Quantile(q), st.sketch.Count()
-}
-
-// RecordRouteSkip counts an adaptive-router decision to skip a route
-// whose warm p95 did not fit the remaining deadline budget.
-func (r *Recorder) RecordRouteSkip(route Route) {
-	if r == nil || int(route) >= numRoutes {
-		return
-	}
-	r.skips[route].Inc()
-}
-
-// RouteSkips returns how many times the adaptive router skipped route.
-func (r *Recorder) RouteSkips(route Route) int64 {
-	if r == nil || int(route) >= numRoutes {
-		return 0
-	}
-	return r.skips[route].Load()
 }
 
 // RecordSolve folds one completed solve into the aggregates: every

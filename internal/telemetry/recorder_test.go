@@ -78,24 +78,24 @@ func TestRecorderRouteProfile(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		rec.ObserveRoute(class, RouteExact, 50*time.Millisecond, OutcomeOK)
 	}
-	p95, n := rec.RouteQuantile(class, RouteExact, 0.95)
-	if n != 100 {
+	snaps := rec.SolveStats()
+	// Unseen cells have no snapshot.
+	if len(snaps) != 1 || snaps[0].Class != class || snaps[0].Route != RouteExact {
+		t.Fatalf("snapshots = %+v, want the one (class, exact) cell", snaps)
+	}
+	if n := snaps[0].Count; n != 100 {
 		t.Fatalf("samples = %d, want 100", n)
 	}
-	if p95 < 40*time.Millisecond || p95 > 60*time.Millisecond {
+	if p95 := snaps[0].P95; p95 < 40*time.Millisecond || p95 > 60*time.Millisecond {
 		t.Fatalf("p95 = %v, want ≈50ms", p95)
 	}
-	// Unseen cells and nil recorders answer (0, 0).
-	if _, n := rec.RouteQuantile(class, RouteRepair, 0.95); n != 0 {
-		t.Fatal("unseen cell should have 0 samples")
-	}
+	// Nil recorders record nothing and snapshot nothing.
 	var nilRec *Recorder
-	if d, n := nilRec.RouteQuantile(class, RouteExact, 0.95); d != 0 || n != 0 {
-		t.Fatal("nil recorder should answer (0, 0)")
-	}
 	nilRec.ObserveRoute(class, RouteExact, time.Second, OutcomeOK)
 	nilRec.RecordSolve(SolveObservation{})
-	nilRec.RecordRouteSkip(RouteExact)
+	if snaps := nilRec.SolveStats(); snaps != nil {
+		t.Fatalf("nil recorder snapshots = %+v, want nil", snaps)
+	}
 }
 
 func TestRecordSolveAggregates(t *testing.T) {
@@ -121,10 +121,6 @@ func TestRecordSolveAggregates(t *testing.T) {
 	if got := rec.Counter("solve_certainty_exhaustively_optimal_total").Load(); got != 2 {
 		t.Fatalf("certainty counter = %d, want 2", got)
 	}
-	if _, n := rec.RouteQuantile(class, RouteExact, 0.5); n != 2 {
-		t.Fatalf("profile samples = %d, want 2", n)
-	}
-
 	snaps := rec.SolveStats()
 	if len(snaps) != 1 {
 		t.Fatalf("snapshots = %d, want 1", len(snaps))
@@ -134,18 +130,6 @@ func TestRecordSolveAggregates(t *testing.T) {
 	}
 	if snaps[0].Outcomes[OutcomeOK] != 2 {
 		t.Fatalf("snapshot outcomes = %v", snaps[0].Outcomes)
-	}
-}
-
-func TestRecorderSkipCounter(t *testing.T) {
-	rec := NewRecorder()
-	rec.RecordRouteSkip(RouteExact)
-	rec.RecordRouteSkip(RouteExact)
-	if got := rec.RouteSkips(RouteExact); got != 2 {
-		t.Fatalf("skips = %d, want 2", got)
-	}
-	if got := rec.RouteSkips(RouteRepair); got != 0 {
-		t.Fatalf("repair skips = %d, want 0", got)
 	}
 }
 
@@ -192,7 +176,6 @@ func TestRecorderWarmPathAllocs(t *testing.T) {
 	allocs := testing.AllocsPerRun(500, func() {
 		rec.ObserveRoute(class, RouteExact, time.Millisecond, OutcomeOK)
 		c.Add(1)
-		rec.RecordRouteSkip(RouteExact)
 	})
 	if allocs != 0 {
 		t.Fatalf("warm record path allocates %.1f/op, want 0", allocs)
@@ -208,7 +191,6 @@ func TestWritePrometheus(t *testing.T) {
 	obs := SolveObservation{Class: class, Route: RouteExact, Outcome: OutcomeOK, Certainty: "exhaustively_optimal", Total: time.Millisecond}
 	obs.AddAttempt(RouteExact, time.Millisecond, OutcomeOK)
 	rec.RecordSolve(obs)
-	rec.RecordRouteSkip(RouteExact)
 
 	var sb strings.Builder
 	if err := rec.WritePrometheus(&sb); err != nil {
@@ -221,7 +203,6 @@ func TestWritePrometheus(t *testing.T) {
 		"serve_cache_size 3",
 		"# TYPE exact_search_duration_seconds histogram",
 		"exact_search_duration_seconds_count 1",
-		`solve_route_skips_total{route="exact"} 1`,
 		`solve_outcomes_total{route="exact",outcome="ok"} 1`,
 		`solve_route_duration_seconds_count{class="n2.m16.hom.fp",route="exact"} 1`,
 		`le="+Inf"`,

@@ -65,7 +65,7 @@ func TestSketchQuantileUniform(t *testing.T) {
 
 func TestSketchQuantileBimodal(t *testing.T) {
 	// Fast mode around 200µs, slow exact-route-like mode around 80ms —
-	// the shape the adaptive router actually sees.
+	// the shape a hard class's route profile takes.
 	rng := rand.New(rand.NewSource(2))
 	values := make([]time.Duration, 20000)
 	for i := range values {

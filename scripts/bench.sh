@@ -27,12 +27,28 @@
 #
 #   scripts/bench.sh -guard BENCH_20261018_121129.json BENCH_new.json 'ColdM80Solve'
 #
+# Snapshot paths given to -compare and -guard are resolved against the
+# directory the script is called from; an unreadable one exits 2.
+#
 # Environment:
 #   BENCHTIME  go test -benchtime value (default 1s)
 #   COUNT      repetitions per benchmark (default 1)
 set -euo pipefail
 
+caller_dir="$(pwd)"
 cd "$(dirname "$0")/.."
+
+# snapshot prints its snapshot argument resolved against the caller's
+# directory, or fails when the file cannot be read.
+snapshot() {
+    local path="$1"
+    [[ "${path}" == /* ]] || path="${caller_dir}/${path}"
+    if [[ ! -f "${path}" || ! -r "${path}" ]]; then
+        echo "no such snapshot: $1" >&2
+        return 1
+    fi
+    printf '%s\n' "${path}"
+}
 
 # extract_lines reassembles the Output fragments of a -json stream (the
 # stream splits benchmark lines across events) and prints the measurement
@@ -92,7 +108,9 @@ if [[ "${1:-}" == "-guard" ]]; then
         echo "usage: $0 -guard old.json new.json 'name-regex' [max-ns-regress-pct]" >&2
         exit 2
     fi
-    old_file="$2" new_file="$3" regex="$4" maxpct="${5:-}"
+    old_file="$(snapshot "$2")" || exit 2
+    new_file="$(snapshot "$3")" || exit 2
+    regex="$4" maxpct="${5:-}"
     { extract_lines "${old_file}"; echo "===SPLIT==="; extract_lines "${new_file}"; } \
         | awk -v regex="${regex}" -v maxpct="${maxpct}" "${MEDIANS_AWK}"'
             END {
@@ -127,7 +145,8 @@ if [[ "${1:-}" == "-compare" ]]; then
         echo "usage: $0 -compare old.json new.json" >&2
         exit 2
     fi
-    old_file="$2" new_file="$3"
+    old_file="$(snapshot "$2")" || exit 2
+    new_file="$(snapshot "$3")" || exit 2
     { extract_lines "${old_file}"; echo "===SPLIT==="; extract_lines "${new_file}"; } \
         | awk "${MEDIANS_AWK}"'
             END {

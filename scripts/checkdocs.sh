@@ -4,7 +4,9 @@
 #   1. gofmt -l over the tracked Go source (fails on any unformatted file);
 #   2. go vet ./...;
 #   3. every relative markdown link in README.md and docs/ must resolve,
-#      and every *.md file a Go comment names must exist;
+#      every in-page anchor link (](#anchor)) there must name a heading
+#      of the same file, and every *.md file a Go comment names must
+#      exist;
 #   4. every ```go code block in README.md is extracted into its own
 #      throwaway main package (with a replace directive pointing at this
 #      repository) and compiled, so README examples break CI instead of
@@ -43,6 +45,22 @@ for doc in README.md docs/*.md; do
         fi
     done < <(grep -o '](\([^)]*\))' "${doc}" | sed -e 's/^](//' -e 's/)$//' \
         | grep -v -E '^(https?|mailto):' | grep -v '^#' || true)
+done
+[ "${FAIL}" -eq 0 ] || exit 1
+
+echo "== in-page anchors" >&2
+# Headings outside code fences, slugged the way GitHub does: lowercase,
+# keep only letters, digits, space, '-' and '_', then spaces become '-'.
+for doc in README.md docs/*.md; do
+    [ -f "${doc}" ] || continue
+    slugs="$(awk '/^```/ { fence = !fence; next } !fence && /^#+ / { sub(/^#+ +/, ""); print }' "${doc}" \
+        | LC_ALL=C tr '[:upper:]' '[:lower:]' | LC_ALL=C sed -e 's/[^a-z0-9 _-]//g' -e 's/ /-/g')"
+    while IFS= read -r anchor; do
+        if ! grep -qxF -- "${anchor}" <<<"${slugs}"; then
+            echo "${doc}: broken anchor -> #${anchor}" >&2
+            FAIL=1
+        fi
+    done < <(grep -o '](#[^)]*)' "${doc}" | sed -e 's/^](#//' -e 's/)$//' | sort -u || true)
 done
 [ "${FAIL}" -eq 0 ] || exit 1
 

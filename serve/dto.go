@@ -174,13 +174,9 @@ type Stats struct {
 	// Absent until the first exact solve.
 	Engine map[string]int64 `json:"engine,omitempty"`
 
-	// RouteSkips counts, per route, the adaptive router's decisions to
-	// skip a route whose warm p95 latency did not fit the request's
-	// remaining deadline budget. Absent until the first skip.
-	RouteSkips map[string]int64 `json:"routeSkips,omitempty"`
-	// Latency holds the per-instance-class solve-latency profiles the
-	// adaptive router steers by, keyed class label (e.g. "n8.m16.het.lat")
-	// then route. Absent until the first recorded solve.
+	// Latency holds the per-instance-class solve-latency profiles, keyed
+	// by class label (e.g. "n8.m16.het.lat") then route. They describe
+	// past solves and steer none. Absent until the first recorded solve.
 	Latency map[string]map[string]RouteLatency `json:"latency,omitempty"`
 }
 

@@ -23,13 +23,14 @@ func canonicalSessionKey(canonBytes []byte) string {
 }
 
 // requestKey names one canonical solve request: the canonical session
-// key (which already digests the canonical instance bytes) plus
-// everything else that shapes the answer — objective, the bi-criteria
-// bounds, and the deadline (the adaptive router steers by it, so
-// different deadlines may legitimately produce different complete
-// answers). Relabeled copies of one request therefore share one key. It keys the solution cache as it is and the singleflight
-// through flightKey. Building on the session key avoids a second SHA-256
-// pass over the O(m²) canonical bytes on the request path.
+// key (which already digests the canonical instance bytes) plus the
+// objective, the bi-criteria bounds and the deadline. Relabeled copies
+// of one request therefore share one key. It keys the solution cache as
+// it is and the singleflight through flightKey. The deadline is in the
+// key for the singleflight: a duplicate gets its leader's answer,
+// Partial included, so only requests with equal deadlines may share a
+// flight. Building on the session key avoids a second SHA-256 pass over
+// the O(m²) canonical bytes on the request path.
 func requestKey(sessionKey string, objective repro.Objective, spec SolveSpec) string {
 	h := sha256.New()
 	h.Write([]byte(sessionKey))

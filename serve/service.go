@@ -115,9 +115,9 @@ type Service struct {
 	solutions *lru[SolveResult]
 
 	// rec is the service-wide telemetry recorder: the serve-tier counters
-	// below live in its registry, every warm session records its per-class
-	// solve profiles into it, and the adaptive router reads those profiles
-	// back. Exported via Recorder, /v1/stats and /metrics.
+	// below live in its registry, and every session records its per-class
+	// solve profiles into it. Exported via Recorder, /v1/stats and
+	// /metrics.
 	rec            *telemetry.Recorder
 	requests       *telemetry.Counter
 	panics         *telemetry.Counter
@@ -250,14 +250,6 @@ func (s *Service) handleStats(w http.ResponseWriter, _ *http.Request) {
 		_, _, st.SolutionEvicted, st.SolutionSize = s.solutions.stats()
 	}
 	st.Engine = s.rec.CounterValues("exact_")
-	for _, route := range telemetry.Routes() {
-		if n := s.rec.RouteSkips(route); n > 0 {
-			if st.RouteSkips == nil {
-				st.RouteSkips = make(map[string]int64)
-			}
-			st.RouteSkips[route.String()] = n
-		}
-	}
 	for _, snap := range s.rec.SolveStats() {
 		if st.Latency == nil {
 			st.Latency = make(map[string]map[string]RouteLatency)
@@ -537,10 +529,8 @@ func parseObjective(name string) (repro.Objective, error) {
 }
 
 // newSession builds a session for (p, pl) with the library's default
-// tuning. Every session shares the service recorder: solves feed the
-// per-class route profiles, and the adaptive router reads them back to
-// skip routes whose warm p95 cannot fit a request's remaining deadline
-// budget.
+// tuning. Every session shares the service recorder, so its solves feed
+// the per-class route profiles of /v1/stats and /metrics.
 func (s *Service) newSession(p *repro.Pipeline, pl *repro.Platform) (*repro.Session, error) {
 	return repro.NewSession(p, pl, repro.WithRecorder(s.rec))
 }

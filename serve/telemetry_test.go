@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -19,7 +20,7 @@ import (
 // hetInstanceSpec renders the small fully-heterogeneous constrained
 // instance (the core router-test fixture) as a solve request: minimize
 // latency under an FP bound, so the solver lands in the hard class where
-// exact and heuristic compete and the adaptive router has a choice.
+// exact and heuristic compete.
 func hetInstanceSpec(t *testing.T, extra string) []byte {
 	t.Helper()
 	p := pipeline.MustNew([]float64{2, 1, 3, 2}, []float64{1, 2, 1, 2, 1})
@@ -174,13 +175,13 @@ func TestMetricsHandlerStandalone(t *testing.T) {
 	}
 }
 
-// TestAdaptiveRoutingEndToEnd drives the full loop at the HTTP layer:
-// with the service recorder pre-seeded so the exact route's p95 for this
-// instance class reads 10s, a request whose deadlineMillis cannot absorb
-// that must be routed to the heuristic up front — a complete answer, not
-// a budget-blown partial — while a generous deadline still reaches the
-// exhaustive search.
-func TestAdaptiveRoutingEndToEnd(t *testing.T) {
+// TestRecorderDoesNotSteerServe drives the recorder through the HTTP
+// layer: with the service recorder pre-seeded so the exact route's p95
+// for this instance class reads 10s, a request with a 2s deadline still
+// takes the exact route to its exhaustive answer, and an identical
+// second request is served that same answer from the solution cache.
+// Neither /v1/stats nor /metrics carries a route-skip series.
+func TestRecorderDoesNotSteerServe(t *testing.T) {
 	svc := New(Config{})
 	for i := 0; i < 25; i++ {
 		svc.Recorder().ObserveRoute(hetClass(), telemetry.RouteExact, 10*time.Second, telemetry.OutcomeOK)
@@ -188,37 +189,49 @@ func TestAdaptiveRoutingEndToEnd(t *testing.T) {
 	srv := httptest.NewServer(svc)
 	defer srv.Close()
 
-	res := decodeBody[SolveResult](t, postJSON(t, srv, "/v1/solve", hetInstanceSpec(t, `, "deadlineMillis": 2000`)))
-	if res.Error != "" {
-		t.Fatal(res.Error)
+	spec := hetInstanceSpec(t, `, "deadlineMillis": 2000`)
+	first := decodeBody[SolveResult](t, postJSON(t, srv, "/v1/solve", spec))
+	if first.Error != "" {
+		t.Fatal(first.Error)
 	}
-	if res.Route != "heuristic" {
-		t.Fatalf("route = %q (method %q), want heuristic under a 2s deadline vs a 10s exact p95", res.Route, res.Method)
+	if first.Route != "exact" || first.Certainty != "exhaustively optimal" || first.Partial {
+		t.Fatalf("route = %q certainty = %q partial = %v, want a complete exact answer", first.Route, first.Certainty, first.Partial)
 	}
-	if res.Partial {
-		t.Fatalf("adaptive routing must yield a complete heuristic answer, got partial: %+v", res)
-	}
-	if res.Mapping == nil {
-		t.Fatal("no mapping returned")
+	if first.Mapping == nil || first.Cached {
+		t.Fatalf("first answer: %+v, want a solved (uncached) mapping", first)
 	}
 
-	stats := decodeBody[Stats](t, mustGet(t, srv, "/v1/stats"))
-	if stats.RouteSkips["exact"] != 1 {
-		t.Errorf("routeSkips = %v, want exact:1", stats.RouteSkips)
+	second := decodeBody[SolveResult](t, postJSON(t, srv, "/v1/solve", spec))
+	if !second.Cached {
+		t.Fatalf("identical second request not served from the solution cache: %+v", second)
+	}
+	if second.Route != first.Route || second.Certainty != first.Certainty || second.Method != first.Method ||
+		second.Latency != first.Latency || second.FailureProb != first.FailureProb ||
+		!reflect.DeepEqual(second.Mapping, first.Mapping) {
+		t.Fatalf("cached answer %+v differs from the solved one %+v", second, first)
 	}
 
-	// Same instance, generous deadline: the exact route fits again. The
-	// deadline participates in the coalescing key, so this is a fresh
-	// solve despite the warm session.
-	res = decodeBody[SolveResult](t, postJSON(t, srv, "/v1/solve", hetInstanceSpec(t, `, "deadlineMillis": 3600000`)))
-	if res.Error != "" {
-		t.Fatal(res.Error)
+	resp := mustGet(t, srv, "/v1/stats")
+	raw, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if res.Route != "exact" {
-		t.Fatalf("route = %q, want exact under a generous deadline", res.Route)
+	var stats map[string]any
+	if err := json.Unmarshal(raw, &stats); err != nil {
+		t.Fatal(err)
 	}
-	if res.Certainty != "exhaustively optimal" {
-		t.Errorf("certainty = %q, want exhaustively optimal", res.Certainty)
+	if _, ok := stats["routeSkips"]; ok {
+		t.Errorf("/v1/stats carries routeSkips: %s", raw)
+	}
+	resp = mustGet(t, srv, "/metrics")
+	metrics, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(string(metrics), "solve_route_skips_total") {
+		t.Errorf("/metrics carries solve_route_skips_total:\n%s", metrics)
 	}
 }
 

@@ -91,12 +91,10 @@ func WithForceHeuristic(force bool) SessionOption {
 
 // WithRecorder attaches a telemetry recorder to every solve made through
 // the session: each call reports its route attempts, phase durations,
-// outcome and certainty, and — when the call's context carries a
-// deadline — the solver routes adaptively, skipping any route whose warm
-// per-class p95 latency cannot fit the remaining budget. A shared
-// recorder (e.g. one per serving process) accumulates the latency
-// profiles across sessions. Nil (the default) disables telemetry with
-// zero overhead.
+// outcome and certainty. The recorder only observes: every answer is the
+// same with or without one. A shared recorder (e.g. one per serving
+// process) accumulates the latency profiles across sessions. Nil (the
+// default) disables telemetry with zero overhead.
 func WithRecorder(rec *Recorder) SessionOption {
 	return func(c *sessionConfig) { c.recorder = rec }
 }
