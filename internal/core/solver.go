@@ -211,26 +211,12 @@ func validate(pr Problem) error {
 	if err := pr.Platform.Validate(); err != nil {
 		return err
 	}
-	if pr.MaxLatency < 0 || math.IsNaN(pr.MaxLatency) {
-		return fmt.Errorf("core: invalid MaxLatency %v", pr.MaxLatency)
-	}
-	if pr.MaxFailProb < 0 || pr.MaxFailProb > 1 || math.IsNaN(pr.MaxFailProb) {
-		return fmt.Errorf("core: invalid MaxFailProb %v", pr.MaxFailProb)
-	}
-	return nil
-}
-
-func (pr Problem) latencyUnconstrained() bool {
-	return pr.MaxLatency == 0 || math.IsInf(pr.MaxLatency, 1)
-}
-
-func (pr Problem) fpUnconstrained() bool {
-	return pr.MaxFailProb == 0 || pr.MaxFailProb == 1
+	return mapping.CheckBounds(pr.MaxLatency, pr.MaxFailProb)
 }
 
 func solveMinFP(ctx context.Context, pr Problem, opts Options, tr *solveTrace) (Result, error) {
 	// Unconstrained: Theorem 1 on every platform class.
-	if pr.latencyUnconstrained() {
+	if mapping.LatencyUnconstrained(pr.MaxLatency) {
 		res, err := poly.MinFailureProb(pr.Pipeline, pr.Platform)
 		if err != nil {
 			return Result{}, err
@@ -263,7 +249,7 @@ func solveMinFP(ctx context.Context, pr Problem, opts Options, tr *solveTrace) (
 
 func solveMinLatency(ctx context.Context, pr Problem, opts Options, tr *solveTrace) (Result, error) {
 	cls := pr.Platform.Classify()
-	if pr.fpUnconstrained() {
+	if mapping.FailProbUnconstrained(pr.MaxFailProb) {
 		if cls == platform.FullyHomogeneous || cls == platform.CommHomogeneous {
 			res, err := poly.MinLatencyCommHom(pr.Pipeline, pr.Platform)
 			if err != nil {
@@ -368,11 +354,7 @@ func solveExact(ctx context.Context, pr Problem, opts Options) (Result, error) {
 		res, err = exact.MinFPUnderLatency(pr.Pipeline, pr.Platform, pr.MaxLatency, exOpts)
 		method = "exhaustive search (min FP s.t. latency)"
 	} else {
-		bound := pr.MaxFailProb
-		if pr.fpUnconstrained() {
-			bound = 1
-		}
-		res, err = exact.MinLatencyUnderFP(pr.Pipeline, pr.Platform, bound, exOpts)
+		res, err = exact.MinLatencyUnderFP(pr.Pipeline, pr.Platform, mapping.FailProbBound(pr.MaxFailProb), exOpts)
 		method = "exhaustive search (min latency s.t. FP)"
 	}
 	if errors.Is(err, exact.ErrCanceled) {
@@ -401,10 +383,7 @@ func heuristicProblem(pr Problem, opts Options) *heuristics.Problem {
 		hp.Bound = pr.MaxLatency
 	} else {
 		hp.Goal = heuristics.MinLatency
-		hp.Bound = pr.MaxFailProb
-		if pr.fpUnconstrained() {
-			hp.Bound = 1
-		}
+		hp.Bound = mapping.FailProbBound(pr.MaxFailProb)
 	}
 	return hp
 }

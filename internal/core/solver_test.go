@@ -257,8 +257,33 @@ func TestParetoHeuristicLarge(t *testing.T) {
 }
 
 // Property: on the provably-polynomial classes, Solve agrees with
-// exhaustive enumeration.
+// exhaustive enumeration; so does a minimum-latency solve whose FP bound
+// sits exactly on an achievable value (fp = 0.1 meets 0.001 with three
+// replicas, though 0.1³ evaluates to 0.0010000000000000002).
 func TestSolveMatchesExactOnEasyClasses(t *testing.T) {
+	p := pipeline.MustNew([]float64{6}, []float64{1, 1})
+	fullyHom, _ := platform.NewFullyHomogeneous(6, 1, 1, 0.1)
+	commHom, _ := platform.NewCommHomogeneous([]float64{1, 2, 3, 4, 5, 6}, []float64{0.1, 0.1, 0.1, 0.1, 0.1, 0.1}, 1)
+	for _, tc := range []struct {
+		pl      *platform.Platform
+		latency float64
+	}{{fullyHom, 10}, {commHom, 5.5}} {
+		pr := Problem{Pipeline: p, Platform: tc.pl, Objective: MinimizeLatency, MaxFailProb: 0.001}
+		got, err := solve(pr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := exact.MinLatencyUnderFP(p, tc.pl, pr.MaxFailProb, exact.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Certainty != ProvablyOptimal || len(got.Mapping.UsedProcs()) != 3 ||
+			got.Metrics.Latency != tc.latency || want.Metrics.Latency != tc.latency {
+			t.Errorf("%v at FP ≤ 0.001: %s with %d replicas at latency %v, exhaustive latency %v; want 3 replicas at %v",
+				tc.pl.Classify(), got.Method, len(got.Mapping.UsedProcs()), got.Metrics.Latency, want.Metrics.Latency, tc.latency)
+		}
+	}
+
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		inst := workload.RandomFailureHomogeneous(rng, 1+rng.Intn(3), 2+rng.Intn(3))

@@ -152,14 +152,6 @@ func (o Options) WorkerCount() int {
 
 func defaultWorkers() int { return runtime.GOMAXPROCS(0) }
 
-// latencyTol mirrors package poly: thresholds sitting exactly on an
-// achievable latency stay feasible despite float accumulation.
-const latencyTol = 1e-9
-
-func leqTol(x, bound float64) bool {
-	return x <= bound+latencyTol*math.Max(1, math.Abs(bound))
-}
-
 // ForEachMapping enumerates every valid interval mapping of n stages onto
 // m processors, invoking visit for each. The *mapping.Mapping passed to
 // visit is reused between calls — clone it to retain it. Enumeration stops
@@ -365,7 +357,7 @@ func MinLatencyInterval(p *pipeline.Pipeline, pl *platform.Platform, opts Option
 	inc := newIncumbent(p.NumStages(), g.stride, cmpLatency, objLatency)
 	runErr := g.run(opts.WorkerCount(), func(int) (pruneFunc, visitFunc) {
 		prune := func(lb, _ float64) bool {
-			return latencyStrictlyWorse(lb, inc.bound.load())
+			return lb > mapping.LatencyCap(inc.bound.load())
 		}
 		visit := func(task int64, ends []int, masks []uint64, met mapping.Metrics) bool {
 			inc.offer(task, ends, masks, met)
@@ -393,12 +385,13 @@ func MinFPUnderLatency(p *pipeline.Pipeline, pl *platform.Platform, maxLatency f
 		return Result{}, err
 	}
 	inc := newIncumbent(p.NumStages(), g.stride, cmpFPThenLatency, objFP)
+	latCap := mapping.LatencyCap(maxLatency)
 	runErr := g.run(opts.WorkerCount(), func(int) (pruneFunc, visitFunc) {
 		prune := func(lb, prefixFP float64) bool {
-			return latencyStrictlyWorse(lb, maxLatency) || prefixFP > inc.bound.load()
+			return lb > latCap || prefixFP > inc.bound.load()
 		}
 		visit := func(task int64, ends []int, masks []uint64, met mapping.Metrics) bool {
-			if leqTol(met.Latency, maxLatency) {
+			if met.Latency <= latCap {
 				inc.offer(task, ends, masks, met)
 			}
 			return true
@@ -422,12 +415,13 @@ func MinLatencyUnderFP(p *pipeline.Pipeline, pl *platform.Platform, maxFailurePr
 		return Result{}, err
 	}
 	inc := newIncumbent(p.NumStages(), g.stride, cmpLatencyThenFP, objLatency)
+	fpCap := mapping.FailProbCap(maxFailureProb)
 	runErr := g.run(opts.WorkerCount(), func(int) (pruneFunc, visitFunc) {
 		prune := func(lb, prefixFP float64) bool {
-			return prefixFP > maxFailureProb+1e-12 || latencyStrictlyWorse(lb, inc.bound.load())
+			return prefixFP > fpCap || lb > mapping.LatencyCap(inc.bound.load())
 		}
 		visit := func(task int64, ends []int, masks []uint64, met mapping.Metrics) bool {
-			if met.FailureProb <= maxFailureProb+1e-12 {
+			if met.FailureProb <= fpCap {
 				inc.offer(task, ends, masks, met)
 			}
 			return true
@@ -469,7 +463,7 @@ func ParetoFront(p *pipeline.Pipeline, pl *platform.Platform, opts Options) ([]R
 			// Cut only when an entry is strictly better in latency than the
 			// whole subtree can be (tolerance guards rounding of the bound)
 			// and no worse in FP.
-			return f.DominatesPoint(lb-latencyTol*math.Max(1, math.Abs(lb)), prefixFP)
+			return f.DominatesPoint(lb-mapping.LatencySlack*math.Max(1, math.Abs(lb)), prefixFP)
 		}
 		visit := func(task int64, ends []int, masks []uint64, met mapping.Metrics) bool {
 			// InsertTagged rejects dominated candidates without cloning and

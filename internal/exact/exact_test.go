@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"strconv"
 	"testing"
 	"testing/quick"
 
@@ -147,36 +148,70 @@ func TestMinFPUnderLatencyFig5(t *testing.T) {
 	}
 }
 
+// agreesWithExhaustive reports whether a provably optimal pair — minFP
+// under the latency bound L (Algorithm 1 or 3) and minLat under the
+// failure-probability bound F (Algorithm 2 or 4) — matches the
+// exhaustive optimum, feasibility included.
+func agreesWithExhaustive(p *pipeline.Pipeline, pl *platform.Platform, L, F float64,
+	minFP, minLat func(*pipeline.Pipeline, *platform.Platform, float64) (poly.Result, error)) bool {
+	got, gotErr := minFP(p, pl, L)
+	want, wantErr := MinFPUnderLatency(p, pl, L, Options{})
+	if (gotErr == nil) != (wantErr == nil) {
+		return false
+	}
+	if gotErr == nil && math.Abs(got.Metrics.FailureProb-want.Metrics.FailureProb) > 1e-9 {
+		return false
+	}
+	got2, gotErr2 := minLat(p, pl, F)
+	want2, wantErr2 := MinLatencyUnderFP(p, pl, F, Options{})
+	if (gotErr2 == nil) != (wantErr2 == nil) {
+		return false
+	}
+	return gotErr2 != nil || math.Abs(got2.Metrics.Latency-want2.Metrics.Latency) <= 1e-9
+}
+
+// decimal rounds x to 12 significant digits: a bound as a user writes
+// it, which may sit a few ulps below the value it names (0.1³ evaluates
+// to 0.0010000000000000002, its decimal is 0.001).
+func decimal(x float64) float64 {
+	v, _ := strconv.ParseFloat(strconv.FormatFloat(x, 'g', 12, 64), 64)
+	return v
+}
+
+// achievableBounds returns the latency and failure probability of the
+// whole pipeline replicated on procs, as decimals: thresholds that the
+// optimum meets exactly, up to float rounding.
+func achievableBounds(p *pipeline.Pipeline, pl *platform.Platform, procs []int) (L, F float64) {
+	met, err := mapping.Evaluate(p, pl, mapping.NewSingleInterval(p.NumStages(), procs))
+	if err != nil {
+		panic(err)
+	}
+	return decimal(met.Latency), decimal(met.FailureProb)
+}
+
+// homogeneousFP draws a processor failure probability: half the time a
+// decimal tenth (0.1 … 0.5), whose powers round away from their decimals,
+// otherwise uniform in [0.1, 0.9).
+func homogeneousFP(rng *rand.Rand) float64 {
+	if rng.Intn(2) == 0 {
+		return float64(1+rng.Intn(5)) / 10
+	}
+	return 0.1 + 0.8*rng.Float64()
+}
+
 // Property (Theorem 5): Algorithm 1 and 2 match the exhaustive optimum on
-// fully homogeneous platforms.
+// fully homogeneous platforms, at random thresholds and at thresholds set
+// exactly on an achievable single-interval mapping.
 func TestAlgorithms12MatchExhaustive(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := 1 + rng.Intn(3)
 		m := 2 + rng.Intn(3)
 		p := pipeline.Random(rng, n, 1, 5, 1, 5)
-		pl, _ := platform.NewFullyHomogeneous(m, 1+rng.Float64()*4, 1+rng.Float64()*4, 0.1+0.8*rng.Float64())
-
-		L := 1 + rng.Float64()*30
-		got, gotErr := poly.Algorithm1(p, pl, L)
-		want, wantErr := MinFPUnderLatency(p, pl, L, Options{})
-		if (gotErr == nil) != (wantErr == nil) {
-			return false
-		}
-		if gotErr == nil && math.Abs(got.Metrics.FailureProb-want.Metrics.FailureProb) > 1e-9 {
-			return false
-		}
-
-		F := rng.Float64()
-		got2, gotErr2 := poly.Algorithm2(p, pl, F)
-		want2, wantErr2 := MinLatencyUnderFP(p, pl, F, Options{})
-		if (gotErr2 == nil) != (wantErr2 == nil) {
-			return false
-		}
-		if gotErr2 == nil && math.Abs(got2.Metrics.Latency-want2.Metrics.Latency) > 1e-9 {
-			return false
-		}
-		return true
+		pl, _ := platform.NewFullyHomogeneous(m, 1+rng.Float64()*4, 1+rng.Float64()*4, homogeneousFP(rng))
+		L, F := achievableBounds(p, pl, pl.ProcsByReliabilityDesc()[:1+rng.Intn(m)])
+		return agreesWithExhaustive(p, pl, 1+rng.Float64()*30, rng.Float64(), poly.Algorithm1, poly.Algorithm2) &&
+			agreesWithExhaustive(p, pl, L, F, poly.Algorithm1, poly.Algorithm2)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
@@ -184,7 +219,8 @@ func TestAlgorithms12MatchExhaustive(t *testing.T) {
 }
 
 // Property (Theorem 6): Algorithm 3 and 4 match the exhaustive optimum on
-// CommHom + FailureHom platforms.
+// CommHom + FailureHom platforms, at random thresholds and at thresholds
+// set exactly on an achievable single-interval mapping.
 func TestAlgorithms34MatchExhaustive(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -193,33 +229,15 @@ func TestAlgorithms34MatchExhaustive(t *testing.T) {
 		p := pipeline.Random(rng, n, 1, 5, 1, 5)
 		speeds := make([]float64, m)
 		fps := make([]float64, m)
-		fp := 0.1 + 0.8*rng.Float64()
+		fp := homogeneousFP(rng)
 		for i := range speeds {
 			speeds[i] = 1 + rng.Float64()*9
 			fps[i] = fp
 		}
 		pl, _ := platform.NewCommHomogeneous(speeds, fps, 1+rng.Float64()*4)
-
-		L := 1 + rng.Float64()*30
-		got, gotErr := poly.Algorithm3(p, pl, L)
-		want, wantErr := MinFPUnderLatency(p, pl, L, Options{})
-		if (gotErr == nil) != (wantErr == nil) {
-			return false
-		}
-		if gotErr == nil && math.Abs(got.Metrics.FailureProb-want.Metrics.FailureProb) > 1e-9 {
-			return false
-		}
-
-		F := rng.Float64()
-		got2, gotErr2 := poly.Algorithm4(p, pl, F)
-		want2, wantErr2 := MinLatencyUnderFP(p, pl, F, Options{})
-		if (gotErr2 == nil) != (wantErr2 == nil) {
-			return false
-		}
-		if gotErr2 == nil && math.Abs(got2.Metrics.Latency-want2.Metrics.Latency) > 1e-9 {
-			return false
-		}
-		return true
+		L, F := achievableBounds(p, pl, pl.ProcsBySpeedDesc()[:1+rng.Intn(m)])
+		return agreesWithExhaustive(p, pl, 1+rng.Float64()*30, rng.Float64(), poly.Algorithm3, poly.Algorithm4) &&
+			agreesWithExhaustive(p, pl, L, F, poly.Algorithm3, poly.Algorithm4)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)

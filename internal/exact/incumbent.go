@@ -17,8 +17,8 @@ import (
 // scheduling):
 //
 //  1. Strict-better pruning. Subtrees are cut only when their lower bound
-//     is provably worse than the published bound — beyond latencyTol for
-//     latency objectives (latencyStrictlyWorse), and never on ties. A
+//     is provably worse than the published bound — beyond
+//     mapping.LatencyCap for latency objectives, and never on ties. A
 //     tie-cutting bound would let worker A's incumbent suppress the
 //     equal-metric candidate worker B would have reported, and the
 //     task-order tie-break below needs to see both.
@@ -121,11 +121,4 @@ func (inc *incumbent) result(ev *mapping.Evaluator) (Result, error) {
 	}
 	mp := ev.ToMappingW(inc.ends[:inc.nEnds], inc.masks[:inc.nEnds*inc.stride])
 	return Result{Mapping: mp, Metrics: inc.met}, nil
-}
-
-// latencyStrictlyWorse reports lb > bound beyond the shared latency
-// tolerance, i.e. the subtree is provably worse and safe to cut even in
-// the presence of float accumulation ties.
-func latencyStrictlyWorse(lb, bound float64) bool {
-	return lb > bound+latencyTol*math.Max(1, math.Abs(bound))
 }

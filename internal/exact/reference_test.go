@@ -55,7 +55,7 @@ func minFPUnderLatencyWide(p *pipeline.Pipeline, pl *platform.Platform, maxLaten
 		if err != nil {
 			return true
 		}
-		if !leqTol(met.Latency, maxLatency) {
+		if !mapping.LatencyWithin(met.Latency, maxLatency) {
 			return true
 		}
 		if met.FailureProb < best.Metrics.FailureProb ||

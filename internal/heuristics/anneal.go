@@ -101,12 +101,12 @@ func Anneal(ctx context.Context, pr *Problem, cfg AnnealConfig) (Result, error) 
 
 	cost := func(met mapping.Metrics) float64 {
 		if pr.Goal == MinFP {
-			if leqTol(met.Latency, pr.Bound) {
+			if mapping.LatencyWithin(met.Latency, pr.Bound) {
 				return met.FailureProb
 			}
 			return 2 + (met.Latency-pr.Bound)/latScale // any feasible beats any infeasible
 		}
-		if met.FailureProb <= pr.Bound+1e-12 {
+		if mapping.FailProbWithin(met.FailureProb, pr.Bound) {
 			return met.Latency / latScale
 		}
 		return 2 + refMet.Latency/latScale + (met.FailureProb - pr.Bound)

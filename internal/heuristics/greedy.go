@@ -222,7 +222,7 @@ func (s *searcher) pointMoveLoses(mv *move, best mapping.Metrics) bool {
 		return skipped(gateFP, mv)
 	}
 	return s.pr.Goal == MinFP && mv.kind == mvAdd &&
-		!leqTol(s.st.LatencyFloorWithAdd(mv.j, mv.u), s.pr.Bound) && skipped(gateFloor, mv)
+		!mapping.LatencyWithin(s.st.LatencyFloorWithAdd(mv.j, mv.u), s.pr.Bound) && skipped(gateFloor, mv)
 }
 
 // offerLoses reports, without applying mv, that a structural candidate
@@ -250,7 +250,7 @@ func (s *searcher) offerLoses(mv *move, top []rankEntry, quota int) bool {
 	if s.pr.Goal == MinFP {
 		return fp >= top[len(top)-1].key.val && skipped(gateOffer, mv)
 	}
-	return fp > s.pr.Bound+1e-12 && skipped(gateOffer, mv)
+	return fp > mapping.FailProbCap(s.pr.Bound) && skipped(gateOffer, mv)
 }
 
 // rankKey orders structural candidates for the saturated lookahead:

@@ -41,13 +41,6 @@ type Result struct {
 	Metrics mapping.Metrics
 }
 
-// latencyTol mirrors package poly's threshold slack.
-const latencyTol = 1e-9
-
-func leqTol(x, bound float64) bool {
-	return x <= bound+latencyTol*math.Max(1, math.Abs(bound))
-}
-
 // Goal states which criterion is minimized; the other is constrained.
 type Goal int
 
@@ -103,9 +96,9 @@ func (pr *Problem) evaluator() (*mapping.Evaluator, error) {
 // feasible reports whether metrics satisfy the problem's constraint.
 func (pr *Problem) feasible(met mapping.Metrics) bool {
 	if pr.Goal == MinFP {
-		return leqTol(met.Latency, pr.Bound)
+		return mapping.LatencyWithin(met.Latency, pr.Bound)
 	}
-	return met.FailureProb <= pr.Bound+1e-12
+	return mapping.FailProbWithin(met.FailureProb, pr.Bound)
 }
 
 // objective returns the minimized criterion value.

@@ -71,7 +71,7 @@ func TestGreedyFig5(t *testing.T) {
 	if math.Abs(res.Metrics.FailureProb-want) > 1e-12 {
 		t.Errorf("greedy FP = %g, want %g (two-interval optimum)", res.Metrics.FailureProb, want)
 	}
-	if !leqTol(res.Metrics.Latency, 22) {
+	if !mapping.LatencyWithin(res.Metrics.Latency, 22) {
 		t.Errorf("latency %g exceeds bound 22", res.Metrics.Latency)
 	}
 	if res.Mapping.NumIntervals() != 2 {
@@ -152,7 +152,7 @@ func TestHeuristicsNeverBeatExact(t *testing.T) {
 			if err := res.Mapping.Validate(n, m); err != nil {
 				return false
 			}
-			if !leqTol(res.Metrics.Latency, L) {
+			if !mapping.LatencyWithin(res.Metrics.Latency, L) {
 				return false
 			}
 			if res.Metrics.FailureProb < ex.Metrics.FailureProb-1e-9 {

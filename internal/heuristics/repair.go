@@ -181,7 +181,7 @@ func (pr *Problem) fpCap(best mapping.Metrics) float64 {
 	if pr.Goal == MinFP {
 		return best.FailureProb
 	}
-	return pr.Bound + 1e-12
+	return mapping.FailProbCap(pr.Bound)
 }
 
 // repairRound sweeps the point-move neighborhood (add, remove, replace,

@@ -1,0 +1,39 @@
+package mapping
+
+import (
+	"math"
+	"testing"
+)
+
+// TestBoundRule pins what a threshold means: the rejected values, the
+// unconstrained sentinels and the slack that keeps a threshold set on an
+// achievable value feasible.
+func TestBoundRule(t *testing.T) {
+	for _, b := range [][2]float64{{-1, 0.5}, {math.NaN(), 0.5}, {math.Inf(-1), 0.5}, {10, -0.1}, {10, 1.5}, {10, math.NaN()}} {
+		if CheckBounds(b[0], b[1]) == nil {
+			t.Errorf("CheckBounds(%v, %v) accepted", b[0], b[1])
+		}
+	}
+	for _, b := range [][2]float64{{0, 0}, {math.Inf(1), 1}, {22, 0.001}} {
+		if err := CheckBounds(b[0], b[1]); err != nil {
+			t.Errorf("CheckBounds(%v, %v): %v", b[0], b[1], err)
+		}
+	}
+
+	if LatencyBound(0) != math.Inf(1) || LatencyBound(math.Inf(1)) != math.Inf(1) || LatencyBound(22) != 22 {
+		t.Error("LatencyBound: 0 and +Inf must read +Inf, any other bound itself")
+	}
+	if FailProbBound(0) != 1 || FailProbBound(1) != 1 || FailProbBound(0.25) != 0.25 {
+		t.Error("FailProbBound: 0 and 1 must read 1, any other bound itself")
+	}
+
+	fp := 0.1 // a variable: constant arithmetic would be exact
+	cube := fp * fp * fp
+	if cube <= 0.001 || !FailProbWithin(cube, 0.001) || FailProbWithin(0.001+2*failProbSlack, 0.001) {
+		t.Errorf("FailProbWithin: 0.1³ = %v must meet 0.001, 0.001 + 2·slack must not", cube)
+	}
+	if !LatencyWithin(22*(1+LatencySlack/2), 22) || LatencyWithin(22*(1+2*LatencySlack), 22) ||
+		!LatencyWithin(LatencySlack/2, 0) || !LatencyWithin(1e300, math.Inf(1)) {
+		t.Error("LatencyWithin: want a relative slack at |L| ≥ 1, an absolute one below, and +Inf to admit all")
+	}
+}

@@ -26,7 +26,7 @@ func Algorithm1(p *pipeline.Pipeline, pl *platform.Platform, maxLatency float64)
 	// so scan downward for the largest feasible replication factor.
 	k := 0
 	for cand := m; cand >= 1; cand-- {
-		if leqTol(float64(cand)*perReplica+base, maxLatency) {
+		if mapping.LatencyWithin(float64(cand)*perReplica+base, maxLatency) {
 			k = cand
 			break
 		}
@@ -42,7 +42,9 @@ func Algorithm1(p *pipeline.Pipeline, pl *platform.Platform, maxLatency float64)
 // Homogeneous platform, minimize the latency under a failure-probability
 // threshold FP. Latency grows with the replica count, so the algorithm
 // finds the smallest k whose best achievable failure probability — the
-// product of the k smallest fp_u — meets the threshold.
+// product of the k smallest fp_u — meets the threshold
+// (mapping.FailProbWithin: fp = 0.1 meets F = 0.001 at k = 3, though
+// 0.1³ rounds to 0.0010000000000000002).
 func Algorithm2(p *pipeline.Pipeline, pl *platform.Platform, maxFailureProb float64) (Result, error) {
 	_, ok := pl.CommHomogeneous()
 	if !ok || !pl.SpeedHomogeneous() {
@@ -52,7 +54,7 @@ func Algorithm2(p *pipeline.Pipeline, pl *platform.Platform, maxFailureProb floa
 	prod := 1.0
 	for k := 1; k <= len(byReliability); k++ {
 		prod *= pl.FailProb[byReliability[k-1]]
-		if prod <= maxFailureProb {
+		if mapping.FailProbWithin(prod, maxFailureProb) {
 			return evaluate(p, pl, mapping.NewSingleInterval(p.NumStages(), byReliability[:k]))
 		}
 	}
@@ -78,7 +80,7 @@ func Algorithm3(p *pipeline.Pipeline, pl *platform.Platform, maxLatency float64)
 	k := 0
 	for cand := len(bySpeed); cand >= 1; cand-- {
 		lat := float64(cand)*perReplica + work/pl.Speed[bySpeed[cand-1]] + out
-		if leqTol(lat, maxLatency) {
+		if mapping.LatencyWithin(lat, maxLatency) {
 			k = cand
 			break
 		}
@@ -91,8 +93,9 @@ func Algorithm3(p *pipeline.Pipeline, pl *platform.Platform, maxLatency float64)
 
 // Algorithm4 implements the paper's Algorithm 4 (Theorem 6): on a
 // Communication Homogeneous + Failure Homogeneous platform, minimize the
-// latency under a failure-probability threshold. The smallest k with
-// fp^k ≤ FP is selected and mapped on the k fastest processors.
+// latency under a failure-probability threshold. The smallest k whose
+// fp^k meets FP (mapping.FailProbWithin) is selected and mapped on the k
+// fastest processors.
 func Algorithm4(p *pipeline.Pipeline, pl *platform.Platform, maxFailureProb float64) (Result, error) {
 	_, ok := pl.CommHomogeneous()
 	if !ok || !pl.FailureHomogeneous() {
@@ -102,30 +105,9 @@ func Algorithm4(p *pipeline.Pipeline, pl *platform.Platform, maxFailureProb floa
 	prod := 1.0
 	for k := 1; k <= len(bySpeed); k++ {
 		prod *= pl.FailProb[0]
-		if prod <= maxFailureProb {
+		if mapping.FailProbWithin(prod, maxFailureProb) {
 			return evaluate(p, pl, mapping.NewSingleInterval(p.NumStages(), bySpeed[:k]))
 		}
 	}
 	return Result{}, ErrInfeasible
-}
-
-// MinFPUnderLatency routes a "minimize FP subject to latency ≤ L" query to
-// the provably optimal algorithm for the platform class, or reports
-// ErrWrongClass when the paper gives none (CommHom+FailureHet is open,
-// FullyHet is NP-hard — use the exact or heuristic solvers instead).
-func MinFPUnderLatency(p *pipeline.Pipeline, pl *platform.Platform, maxLatency float64) (Result, error) {
-	if pl.Classify() == platform.FullyHomogeneous {
-		return Algorithm1(p, pl, maxLatency)
-	}
-	return Algorithm3(p, pl, maxLatency)
-}
-
-// MinLatencyUnderFP routes a "minimize latency subject to FP ≤ F" query to
-// the provably optimal algorithm for the platform class (see
-// MinFPUnderLatency for the unsupported classes).
-func MinLatencyUnderFP(p *pipeline.Pipeline, pl *platform.Platform, maxFailureProb float64) (Result, error) {
-	if pl.Classify() == platform.FullyHomogeneous {
-		return Algorithm2(p, pl, maxFailureProb)
-	}
-	return Algorithm4(p, pl, maxFailureProb)
 }

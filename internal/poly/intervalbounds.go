@@ -79,7 +79,7 @@ func IntervalLatencyBounds(p *pipeline.Pipeline, pl *platform.Platform) (Interva
 	if best.Mapping == nil {
 		return IntervalBounds{}, ErrInfeasible // unreachable for valid inputs
 	}
-	tight := best.Metrics.Latency <= lower+latencyTol*math.Max(1, lower)
+	tight := mapping.LatencyWithin(best.Metrics.Latency, lower)
 	return IntervalBounds{Lower: lower, Upper: best, Tight: tight}, nil
 }
 

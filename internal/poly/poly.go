@@ -21,7 +21,6 @@ package poly
 
 import (
 	"errors"
-	"math"
 
 	"repro/internal/graph"
 	"repro/internal/mapping"
@@ -42,16 +41,6 @@ var ErrWrongClass = errors.New("poly: platform outside the algorithm's class")
 type Result struct {
 	Mapping *mapping.Mapping
 	Metrics mapping.Metrics
-}
-
-// latencyTol is the relative tolerance used when comparing a computed
-// latency against a user threshold, absorbing float accumulation error so
-// that thresholds chosen exactly at an achievable latency (as in the
-// paper's Figure 5 example, L = 22) remain feasible.
-const latencyTol = 1e-9
-
-func leqTol(x, bound float64) bool {
-	return x <= bound+latencyTol*math.Max(1, math.Abs(bound))
 }
 
 // evaluate builds a Result for a mapping, computing both metrics.

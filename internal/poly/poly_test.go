@@ -143,7 +143,7 @@ func TestAlgorithm1HandComputed(t *testing.T) {
 	if math.Abs(res.Metrics.FailureProb-0.125) > 1e-12 {
 		t.Errorf("FP = %g, want 0.125", res.Metrics.FailureProb)
 	}
-	if !leqTol(res.Metrics.Latency, 11) {
+	if !mapping.LatencyWithin(res.Metrics.Latency, 11) {
 		t.Errorf("latency %g exceeds threshold 11", res.Metrics.Latency)
 	}
 	// Exactly achievable threshold: L = 14 → k = 5 (all processors).
@@ -329,7 +329,7 @@ func TestAlgorithm1OptimalAgainstSubsets(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return leqTol(res.Metrics.Latency, L) && res.Metrics.FailureProb <= bestFP+1e-12
+		return mapping.LatencyWithin(res.Metrics.Latency, L) && res.Metrics.FailureProb <= bestFP+1e-12
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
@@ -354,7 +354,7 @@ func bestSingleIntervalFP(p *pipeline.Pipeline, pl *platform.Platform, L float64
 		if err != nil {
 			continue
 		}
-		if leqTol(met.Latency, L) {
+		if mapping.LatencyWithin(met.Latency, L) {
 			feasible = true
 			if met.FailureProb < best {
 				best = met.FailureProb
@@ -424,29 +424,6 @@ func TestLemma1TransformWrongClass(t *testing.T) {
 	bad := &mapping.Mapping{Intervals: []mapping.Interval{{First: 0, Last: 0}}, Alloc: [][]int{{0}}}
 	if _, err := Lemma1Transform(p, pl, bad); err == nil {
 		t.Error("invalid mapping accepted")
-	}
-}
-
-func TestRouting(t *testing.T) {
-	p := pipeline.MustNew([]float64{1, 1}, []float64{4, 9, 4})
-	plHom, _ := platform.NewFullyHomogeneous(5, 1, 2, 0.5)
-	if res, err := MinFPUnderLatency(p, plHom, 11); err != nil || len(res.Mapping.UsedProcs()) != 3 {
-		t.Errorf("routing to Algorithm1 failed: %v %v", res, err)
-	}
-	if res, err := MinLatencyUnderFP(p, plHom, 0.2); err != nil || len(res.Mapping.UsedProcs()) != 3 {
-		t.Errorf("routing to Algorithm2 failed: %v %v", res, err)
-	}
-	plCH, _ := platform.NewCommHomogeneous([]float64{4, 3, 2, 1}, []float64{0.5, 0.5, 0.5, 0.5}, 1)
-	p2 := pipeline.MustNew([]float64{6}, []float64{1, 1})
-	if res, err := MinFPUnderLatency(p2, plCH, 7); err != nil || len(res.Mapping.UsedProcs()) != 3 {
-		t.Errorf("routing to Algorithm3 failed: %v %v", res, err)
-	}
-	if res, err := MinLatencyUnderFP(p2, plCH, 0.2); err != nil || len(res.Mapping.UsedProcs()) != 3 {
-		t.Errorf("routing to Algorithm4 failed: %v %v", res, err)
-	}
-	_, plHet := fig5()
-	if _, err := MinFPUnderLatency(p, plHet, 100); !errors.Is(err, ErrWrongClass) {
-		t.Errorf("open class routed to a polynomial algorithm: %v", err)
 	}
 }
 

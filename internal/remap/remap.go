@@ -34,7 +34,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"sync"
 	"time"
 
@@ -179,8 +178,9 @@ type Controller struct {
 	grade  core.Certainty
 }
 
-// New validates the instance and the starting mapping and returns a
-// controller with every processor alive and start installed.
+// New validates the instance, the bounds (mapping.CheckBounds) and the
+// starting mapping and returns a controller with every processor alive
+// and start installed.
 func New(pipe *pipeline.Pipeline, plat *platform.Platform, start *mapping.Mapping, cfg Config) (*Controller, error) {
 	if pipe == nil || plat == nil || start == nil {
 		return nil, fmt.Errorf("remap: controller needs a pipeline, a platform and a starting mapping")
@@ -190,6 +190,9 @@ func New(pipe *pipeline.Pipeline, plat *platform.Platform, start *mapping.Mappin
 	}
 	if err := plat.Validate(); err != nil {
 		return nil, err
+	}
+	if err := mapping.CheckBounds(cfg.MaxLatency, cfg.MaxFailProb); err != nil {
+		return nil, fmt.Errorf("remap: %w", err)
 	}
 	if err := start.Validate(pipe.NumStages(), plat.NumProcs()); err != nil {
 		return nil, fmt.Errorf("remap: starting mapping: %w", err)
@@ -205,16 +208,10 @@ func New(pipe *pipeline.Pipeline, plat *platform.Platform, start *mapping.Mappin
 	hp := &heuristics.Problem{Pipe: pipe, Plat: plat, Eval: ev, Recorder: cfg.Recorder}
 	if cfg.Objective == core.MinimizeFailureProb {
 		hp.Goal = heuristics.MinFP
-		hp.Bound = cfg.MaxLatency
-		if hp.Bound == 0 || math.IsInf(hp.Bound, 1) {
-			hp.Bound = math.Inf(1)
-		}
+		hp.Bound = mapping.LatencyBound(cfg.MaxLatency)
 	} else {
 		hp.Goal = heuristics.MinLatency
-		hp.Bound = cfg.MaxFailProb
-		if hp.Bound == 0 || hp.Bound == 1 {
-			hp.Bound = 1
-		}
+		hp.Bound = mapping.FailProbBound(cfg.MaxFailProb)
 	}
 	met, err := ev.EvaluateMapping(start)
 	if err != nil {
@@ -360,12 +357,12 @@ func (c *Controller) mappingUses(u int) bool {
 // violation grades met against the configured bound (nil when met).
 func (c *Controller) violation(met mapping.Metrics) *Violation {
 	if c.hp.Goal == heuristics.MinFP {
-		if math.IsInf(c.hp.Bound, 1) || met.Latency <= c.hp.Bound+1e-9*math.Max(1, math.Abs(c.hp.Bound)) {
+		if mapping.LatencyWithin(met.Latency, c.hp.Bound) {
 			return nil
 		}
 		return &Violation{Metric: "latency", Value: met.Latency, Bound: c.hp.Bound}
 	}
-	if met.FailureProb <= c.hp.Bound+1e-12 {
+	if mapping.FailProbWithin(met.FailureProb, c.hp.Bound) {
 		return nil
 	}
 	return &Violation{Metric: "failureProb", Value: met.FailureProb, Bound: c.hp.Bound}

@@ -484,6 +484,12 @@ func TestViolationReport(t *testing.T) {
 	if rep.Violation.Value <= rep.Violation.Bound {
 		t.Errorf("violation value %g not above bound %g", rep.Violation.Value, rep.Violation.Bound)
 	}
+	// An out-of-range bound is rejected up front, not graded against.
+	for _, cfg := range []Config{{MaxLatency: -5}, {Objective: core.MinimizeLatency, MaxFailProb: -1}, {MaxFailProb: 2}} {
+		if _, err := New(p, pl, start, cfg); err == nil {
+			t.Errorf("New accepted the out-of-range bounds of %+v", cfg)
+		}
+	}
 }
 
 // TestSyncOneShot: Sync replaces the failure state wholesale and repairs

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"sync/atomic"
 
 	"repro/internal/exact"
@@ -21,12 +20,6 @@ var ErrInfeasible = errors.New("throughput: no RR mapping satisfies the constrai
 type TriResult struct {
 	Mapping *RRMapping
 	Metrics Metrics
-}
-
-const latencyTol = 1e-9
-
-func leqTol(x, bound float64) bool {
-	return x <= bound+latencyTol*math.Max(1, math.Abs(bound))
 }
 
 // forEachGrouping enumerates every partition of procs into non-empty
@@ -172,14 +165,14 @@ func MinPeriodUnderConstraints(p *pipeline.Pipeline, pl *platform.Platform, maxL
 	// the success product by a factor ≤ 1), so the sweep prunes grouping
 	// subtrees as soon as their prefix FP already exceeds the threshold —
 	// identical survivors, pruned subtrees uncharged (like the B&B engine).
-	fpCap := maxFailProb + 1e-12
+	fpCap := mapping.FailProbCap(maxFailProb)
 	bests := make([]triBest, opts.WorkerCount())
 	runErr := exact.ForEachMappingParallel(p.NumStages(), pl.NumProcs(), opts, func(w int) func(int64, *mapping.Mapping) bool {
 		wb := &bests[w]
 		return func(task int64, m *mapping.Mapping) bool {
 			return enumerateGroupings(m, 0, 1, FromMapping(m), guard, pl, fpCap, func(r *RRMapping) {
 				met := r.evaluateTrusted(p, pl)
-				if !leqTol(met.Latency, maxLatency) || met.FailureProb > fpCap {
+				if !mapping.LatencyWithin(met.Latency, maxLatency) || met.FailureProb > fpCap {
 					return
 				}
 				if !wb.found || triBetter(met, task, wb.res.Metrics, wb.task) {
@@ -321,7 +314,7 @@ func GreedyRR(ctx context.Context, p *pipeline.Pipeline, pl *platform.Platform, 
 	if err != nil {
 		return TriResult{}, err
 	}
-	if !leqTol(met.Latency, maxLatency) || met.FailureProb > maxFailProb+1e-12 {
+	if !mapping.LatencyWithin(met.Latency, maxLatency) || met.FailureProb > mapping.FailProbCap(maxFailProb) {
 		return TriResult{}, ErrInfeasible
 	}
 	var done <-chan struct{}
@@ -353,7 +346,7 @@ func GreedyRR(ctx context.Context, p *pipeline.Pipeline, pl *platform.Platform, 
 				if err != nil {
 					continue
 				}
-				if !leqTol(met.Latency, maxLatency) || met.FailureProb > maxFailProb+1e-12 {
+				if !mapping.LatencyWithin(met.Latency, maxLatency) || met.FailureProb > mapping.FailProbCap(maxFailProb) {
 					continue
 				}
 				if met.Period < best.Metrics.Period-1e-12 {

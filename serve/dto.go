@@ -115,9 +115,9 @@ type SolveResult struct {
 	Coalesced bool `json:"coalesced,omitempty"`
 	// Cached is true when this answer was served from the cross-request
 	// solution cache: a previously completed solve of the same canonical
-	// instance — any processor labeling — under the same objective,
-	// bounds and deadline. The mapping is translated into this request's
-	// processor ids before the response is written.
+	// instance — any processor labeling — under the same objective and
+	// bounds, whatever its deadline. The mapping is translated into this
+	// request's processor ids before the response is written.
 	Cached bool `json:"cached,omitempty"`
 	// Degraded is true when the circuit breaker forced the heuristic
 	// route because exact escalation recently blew its budget; retry

@@ -24,30 +24,30 @@ func canonicalSessionKey(canonBytes []byte) string {
 
 // requestKey names one canonical solve request: the canonical session
 // key (which already digests the canonical instance bytes) plus the
-// objective, the bi-criteria bounds and the deadline. Relabeled copies
-// of one request therefore share one key. It keys the solution cache as
-// it is and the singleflight through flightKey. The deadline is in the
-// key for the singleflight: a duplicate gets its leader's answer,
-// Partial included, so only requests with equal deadlines may share a
-// flight. Building on the session key avoids a second SHA-256 pass over
-// the O(m²) canonical bytes on the request path.
+// objective and the bi-criteria bounds. Relabeled copies of one request
+// therefore share one key. It keys the solution cache as it is and the
+// singleflight through flightKey. The deadline is left out: only
+// complete answers are stored, and a complete answer does not depend on
+// the deadline it was solved under. Building on the session key avoids a
+// second SHA-256 pass over the O(m²) canonical bytes on the request path.
 func requestKey(sessionKey string, objective repro.Objective, spec SolveSpec) string {
 	h := sha256.New()
 	h.Write([]byte(sessionKey))
-	fmt.Fprintf(h, "|%d|%x|%x|%d",
-		objective, math.Float64bits(spec.MaxLatency), math.Float64bits(spec.MaxFailProb),
-		spec.DeadlineMillis)
+	fmt.Fprintf(h, "|%d|%x|%x",
+		objective, math.Float64bits(spec.MaxLatency), math.Float64bits(spec.MaxFailProb))
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// flightKey marks a request key with the breaker's verdict: a
+// flightKey marks a request key with the request's deadline and the
+// breaker's verdict. A duplicate gets its leader's answer, Partial
+// included, so only requests with equal deadlines may share a flight; a
 // breaker-forced solve runs the heuristic route, so it must not share a
 // flight with one that may escalate to the exact search.
-func flightKey(reqKey string, forced bool) string {
-	if forced {
-		return reqKey + "|forced"
+func flightKey(reqKey string, deadlineMillis int64, forced bool) string {
+	if deadlineMillis == 0 && !forced {
+		return reqKey
 	}
-	return reqKey
+	return fmt.Sprintf("%s|%d|%t", reqKey, deadlineMillis, forced)
 }
 
 // lru is a mutex-guarded least-recently-used map from string keys to

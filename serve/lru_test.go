@@ -120,9 +120,10 @@ func TestSessionCacheEvictionUnderPressure(t *testing.T) {
 
 // TestCanonicalSessionKeyOptions pins the option half of the request
 // keys: equal canonical bytes give equal session keys, and on one
-// session key, changing any answer-shaping field or the breaker's
-// verdict gives a new request key. The byte half (relabelings collide,
-// distinct instances don't) is internal/canon's to test.
+// session key, changing any answer-shaping field gives a new request
+// key, while the deadline and the breaker's verdict split only the
+// flight key. The byte half (relabelings collide, distinct instances
+// don't) is internal/canon's to test.
 func TestCanonicalSessionKeyOptions(t *testing.T) {
 	p, pl := workload.Fig5()
 	cn, err := repro.CanonicalizeInstance(p, pl)
@@ -145,14 +146,25 @@ func TestCanonicalSessionKeyOptions(t *testing.T) {
 		"objective":   requestKey(base, repro.MinimizeLatency, spec),
 		"maxLatency":  requestKey(base, repro.MinimizeFailureProb, variant(func(v *SolveSpec) { v.MaxLatency = math.Nextafter(22, 0) })),
 		"maxFailProb": requestKey(base, repro.MinimizeFailureProb, variant(func(v *SolveSpec) { v.MaxFailProb = 0.25 })),
-		"deadline":    requestKey(base, repro.MinimizeFailureProb, variant(func(v *SolveSpec) { v.DeadlineMillis = 101 })),
-		"forced":      flightKey(req, true),
 	} {
 		if key == req {
 			t.Errorf("changing %s left the request key unchanged", name)
 		}
 	}
-	if flightKey(req, false) != req {
-		t.Error("an unforced flight key differs from its request key")
+	if requestKey(base, repro.MinimizeFailureProb, variant(func(v *SolveSpec) { v.DeadlineMillis = 101 })) != req {
+		t.Error("changing the deadline changed the request key")
+	}
+	flight := flightKey(req, 100, false)
+	for name, key := range map[string]string{
+		"request":  req,
+		"deadline": flightKey(req, 101, false),
+		"forced":   flightKey(req, 100, true),
+	} {
+		if key == flight {
+			t.Errorf("the %s flight key equals the flight key of the request", name)
+		}
+	}
+	if flightKey(req, 0, false) != req {
+		t.Error("an unforced flight key without a deadline differs from its request key")
 	}
 }

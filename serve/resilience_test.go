@@ -104,7 +104,7 @@ func TestCoalescedSolvesShareOneSolve(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	key := flightKey(requestKey(canonicalSessionKey(cn.Bytes), repro.MinimizeFailureProb, SolveSpec{MaxLatency: 22}), false)
+	key := flightKey(requestKey(canonicalSessionKey(cn.Bytes), repro.MinimizeFailureProb, SolveSpec{MaxLatency: 22}), 0, false)
 
 	const callers = 4
 	results := make(chan SolveResult, callers)

@@ -178,7 +178,7 @@ func New(cfg Config) *Service {
 
 // Recorder exposes the service-wide telemetry recorder: serve-tier
 // counters plus every warm session's per-class route latency profiles.
-// Useful for pre-seeding profiles in tests and for embedding the service
+// Useful for reading the profiles in tests and for embedding the service
 // in a process that aggregates its own metrics.
 func (s *Service) Recorder() *repro.Recorder { return s.rec }
 
@@ -478,7 +478,7 @@ func (s *Service) solveOne(ctx context.Context, spec SolveSpec) SolveResult {
 		shared bool
 	)
 	if reqKey != "" {
-		res, shared, err = s.flight.Do(ctx, flightKey(reqKey, forced), solve)
+		res, shared, err = s.flight.Do(ctx, flightKey(reqKey, spec.DeadlineMillis, forced), solve)
 	} else {
 		res, err = solve()
 	}

@@ -266,6 +266,34 @@ func TestSolutionCacheEviction(t *testing.T) {
 	}
 }
 
+// TestSolutionCacheIgnoresDeadline: a complete answer does not depend on
+// the deadline it was solved under, so the same request sent again with
+// another deadlineMillis is served from the solution cache.
+func TestSolutionCacheIgnoresDeadline(t *testing.T) {
+	srv := httptest.NewServer(New(Config{}))
+	defer srv.Close()
+
+	p, pl := hetSolutionInstance(t, []float64{2, 1, 3, 2})
+	first := decodeBody[SolveResult](t, postJSON(t, srv, "/v1/solve",
+		solveSpecJSON(t, p, pl, `, "objective": "minLatency", "deadlineMillis": 2000`)))
+	if first.Error != "" || first.Cached || first.Partial {
+		t.Fatalf("first solve: error %q cached %v partial %v", first.Error, first.Cached, first.Partial)
+	}
+	second := decodeBody[SolveResult](t, postJSON(t, srv, "/v1/solve",
+		solveSpecJSON(t, p, pl, `, "objective": "minLatency", "deadlineMillis": 3000`)))
+	if second.Error != "" || !second.Cached {
+		t.Fatalf("the same request under another deadline must hit the solution cache: error %q cached %v", second.Error, second.Cached)
+	}
+	if math.Float64bits(second.Latency) != math.Float64bits(first.Latency) ||
+		math.Float64bits(second.FailureProb) != math.Float64bits(first.FailureProb) {
+		t.Errorf("cached metrics (%v, %v), want (%v, %v)", second.Latency, second.FailureProb, first.Latency, first.FailureProb)
+	}
+	stats := decodeBody[Stats](t, mustGet(t, srv, "/v1/stats"))
+	if stats.Solves != 1 || stats.SolutionHits != 1 {
+		t.Errorf("solves/solutionHits = %d/%d, want 1/1", stats.Solves, stats.SolutionHits)
+	}
+}
+
 // TestSolutionCacheDisabled: a negative SolutionCacheSize switches the
 // cross-request cache off — identical repeated requests re-solve (the
 // warm session still hits) and the solution counters stay zero.

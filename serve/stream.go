@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro"
+	"repro/internal/mapping"
 )
 
 // POST /v1/remap/stream — failure-reactive re-mapping as a stream.
@@ -111,6 +112,9 @@ func (s *Service) handleRemapStream(w http.ResponseWriter, r *http.Request, spec
 		return
 	}
 	objective, err := parseObjective(spec.Objective)
+	if err == nil {
+		err = mapping.CheckBounds(spec.MaxLatency, spec.MaxFailProb)
+	}
 	if err != nil {
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error()})
 		return

@@ -205,6 +205,28 @@ func TestRemapStreamBadRequests(t *testing.T) {
 	}
 }
 
+// TestRemapStreamRejectsOutOfRangeBounds: a latency bound below 0 or a
+// failure-probability bound outside [0, 1] gets a 400 before the stream
+// commits, with or without a start mapping. With a start, such bounds
+// used to commit the stream (200) and report violations against them;
+// without one, the initial solve failed them with a 422.
+func TestRemapStreamRejectsOutOfRangeBounds(t *testing.T) {
+	srv := httptest.NewServer(New(Config{}))
+	defer srv.Close()
+
+	const start = `, "start": {"intervals": [{"first": 0, "last": 1}], "alloc": [[0]]}`
+	const crash = `, "events": [{"seq": 0, "time": 1, "proc": 0, "kind": 0}]`
+	for _, bound := range []string{`"maxFailProb": 2`, `"maxFailProb": -1`, `"maxLatency": -5`} {
+		for _, form := range []string{"", start} {
+			// The later "maxLatency" member overrides fig5RemapSpec's 22.
+			status, events := postStream(t, srv, fig5RemapSpec(t, ", "+bound+form+crash))
+			if status != http.StatusBadRequest {
+				t.Errorf("%s (start: %v): status = %d (%d records), want 400", bound, form != "", status, len(events))
+			}
+		}
+	}
+}
+
 // TestRemapStreamRandomEventsCapped: a random campaign longer than
 // maxRandomEvents is rejected with a structured 400 before its schedule is
 // allocated (an unchecked 2^60 used to panic in makeslice and surface as a
