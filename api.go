@@ -232,13 +232,9 @@ func Latency(p *Pipeline, pl *Platform, m *Mapping) (float64, error) {
 }
 
 // FailureProb computes the global failure probability
-// 1 − Π_j (1 − Π_{u∈alloc(j)} fp_u).
+// 1 − Π_j (1 − Π_{u∈alloc(j)} fp_u), to a few ulps relative however small
+// it is.
 func FailureProb(pl *Platform, m *Mapping) float64 { return mapping.FailureProb(pl, m) }
-
-// FailureProbLog computes the failure probability through log space,
-// which stays accurate when replica products approach the precision of
-// float64 (see the Theorem 7 gadget for why this matters).
-func FailureProbLog(pl *Platform, m *Mapping) float64 { return mapping.FailureProbLog(pl, m) }
 
 // MinLatencyGeneralMapping computes the latency-optimal general mapping by
 // Theorem 4's layered-graph shortest path (polynomial on every platform).

@@ -46,9 +46,6 @@ func TestQuickstartFlow(t *testing.T) {
 	if fp := FailureProb(pl, res.Mapping); fp != met.FailureProb {
 		t.Error("FailureProb disagrees with Evaluate")
 	}
-	if fpl := FailureProbLog(pl, res.Mapping); math.Abs(fpl-met.FailureProb) > 1e-9 {
-		t.Error("FailureProbLog disagrees with FailureProb")
-	}
 }
 
 func TestConstructors(t *testing.T) {

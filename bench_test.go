@@ -300,10 +300,9 @@ func BenchmarkE11EstimateFP(b *testing.B) {
 		Intervals: []mapping.Interval{{First: 0, Last: 0}, {First: 1, Last: 1}},
 		Alloc:     [][]int{{0}, {1, 2, 3, 4, 5, 6, 7, 8, 9, 10}},
 	}
-	rng := rand.New(rand.NewSource(8))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sim.EstimateFP(pl, m, 10_000, rng); err != nil {
+		if _, err := sim.EstimateFPParallel(context.Background(), pl, m, 10_000, 1, int64(i)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -570,7 +569,7 @@ func BenchmarkEvaluateMany(b *testing.B) {
 			b.Fatal(err)
 		}
 		out := make([]mapping.Sibling, 64)
-		pre := mapping.BatchPrefix{Depth: 1, Lat: 1, Succ: 1, PrevFirst: 0, PrevLast: 0, PrevProc: 2}
+		pre := mapping.BatchPrefix{Depth: 1, Lat: 1, PrevFirst: 0, PrevLast: 0, PrevProc: 2}
 		free := bitset.Make(64)
 		free.Fill(63)
 		b.ReportAllocs()
@@ -588,7 +587,7 @@ func BenchmarkEvaluateMany(b *testing.B) {
 			b.Fatal(err)
 		}
 		out := make([]mapping.Sibling, 128)
-		pre := mapping.BatchPrefix{Depth: 1, Lat: 1, Succ: 1, PrevFirst: 0, PrevLast: 0, PrevProc: 100}
+		pre := mapping.BatchPrefix{Depth: 1, Lat: 1, PrevFirst: 0, PrevLast: 0, PrevProc: 100}
 		free := bitset.Make(128)
 		free.Fill(128)
 		free.Remove(100)

@@ -15,8 +15,8 @@
 //     classes (Fully Homogeneous, Communication Homogeneous, Fully
 //     Heterogeneous) crossed with failure homogeneity;
 //   - the analytic metrics: the latency formulas Eq. (1) and Eq. (2) and
-//     the global failure probability (with a log-space variant that stays
-//     exact when probabilities approach the double-precision ulp);
+//     the global failure probability, accumulated so that it keeps its
+//     relative precision far below the double-precision ulp of 1;
 //   - the paper's polynomial algorithms: Theorem 1 (minimum FP), Theorem 2
 //     (minimum latency on CommHom), Theorem 4 (minimum-latency general
 //     mapping by layered-graph shortest path), and the four bi-criteria

@@ -68,6 +68,6 @@ func E9PartitionReduction() *Table {
 		t.AddRow(fmt.Sprint(m), fmt.Sprint(pi.Sum()),
 			fmt.Sprint(v.PartitionYes), fmt.Sprint(v.MappingYes), fmt.Sprint(v.Equivalent()))
 	}
-	t.AddNote("the FP side is decided in log space: 1-(1-q) cancels catastrophically for tiny q")
+	t.AddNote("the FP side is decided by a relative test: the FP threshold e^{-S/2} is far below the ulp of 1")
 	return t
 }

@@ -39,7 +39,7 @@ func E11SimulatorValidation() *Table {
 			panic(err)
 		}
 		analyticFP := mapping.FailureProb(pl, m)
-		est, err := sim.EstimateFP(pl, m, 40_000, rng)
+		est, err := sim.EstimateFPParallel(context.Background(), pl, m, 40_000, 1, int64(97+len(t.Rows)))
 		if err != nil {
 			panic(err)
 		}

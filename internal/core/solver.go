@@ -134,7 +134,8 @@ type Options struct {
 	// instance enumerates in ~2 ms), so the default is set by answer
 	// latency, not by enumeration feasibility. Communication-homogeneous
 	// platforms with m ≤ 16 take the exact route at any count; twice the
-	// budget caps the mappings one exact search may evaluate.
+	// budget caps the search nodes (exact.Options.MaxEnum) one exact
+	// search may visit.
 	ExactBudget float64
 	// Workers is the goroutine count for the exact enumeration fan-out
 	// (0 = GOMAXPROCS, 1 = sequential). Forwarded to exact.Options.Workers;

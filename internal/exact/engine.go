@@ -54,7 +54,8 @@ import (
 // pruneFunc decides whether to cut the subtree below a partial mapping.
 // lbLat is a lower bound on the latency of every completion; prefixFP is
 // the failure probability of the already-assigned intervals (a lower
-// bound as well: FP is non-decreasing in added intervals).
+// bound as well: mapping.AccumFailure never decreases it, in floating
+// point too).
 type pruneFunc func(lbLat, prefixFP float64) bool
 
 // visitFunc receives each complete enumerated mapping: the subtree index
@@ -77,7 +78,7 @@ type engine struct {
 
 	ctx        context.Context // nil: never canceled
 	budget     int64
-	counter    atomic.Int64 // complete mappings evaluated
+	counter    atomic.Int64 // node budget handed out to workers (see charge)
 	abort      atomic.Bool
 	overBudget atomic.Bool
 	canceled   atomic.Bool
@@ -95,19 +96,24 @@ type engine struct {
 // never touches shared cache lines; engine.run folds the aggregate into
 // the telemetry registry after the fan-out completes.
 type searchStats struct {
-	nodes      atomic.Int64 // candidate nodes scored (batch siblings + pushes)
+	nodes      atomic.Int64 // search nodes visited (batch siblings + pushes)
+	visited    atomic.Int64 // complete mappings handed to the visitor
 	prunes     atomic.Int64 // subtrees cut by the shared bound / constraint
 	batchCalls atomic.Int64 // EvaluateManyW block calls
 	batchCands atomic.Int64 // siblings scored across those blocks
 }
 
-// localStats is the per-worker face of searchStats.
+// localStats is the per-worker face of searchStats. nodes counts the
+// budget the worker took and reserved the part of it not yet spent, so
+// the nodes visited are nodes − reserved.
 type localStats struct {
-	nodes, prunes, batchCalls, batchCands int64
+	nodes, visited, prunes, batchCalls, batchCands int64
+	reserved                                       int64
 }
 
 func (g *engine) flushStats(l *localStats) {
-	g.stats.nodes.Add(l.nodes)
+	g.stats.nodes.Add(l.nodes - l.reserved)
+	g.stats.visited.Add(l.visited)
 	g.stats.prunes.Add(l.prunes)
 	g.stats.batchCalls.Add(l.batchCalls)
 	g.stats.batchCands.Add(l.batchCands)
@@ -174,7 +180,7 @@ func (g *engine) run(workers int, newWorker func(w int) (pruneFunc, visitFunc)) 
 		started := time.Now()
 		defer func() {
 			g.rec.Counter("exact_runs_total").Inc()
-			g.rec.Counter("exact_enumerated_total").Add(g.counter.Load())
+			g.rec.Counter("exact_enumerated_total").Add(g.stats.visited.Load())
 			g.rec.Counter("exact_nodes_total").Add(g.stats.nodes.Load())
 			g.rec.Counter("exact_incumbent_prunes_total").Add(g.stats.prunes.Load())
 			g.rec.Counter("exact_batch_calls_total").Add(g.stats.batchCalls.Load())
@@ -229,6 +235,41 @@ func (g *engine) run(workers int, newWorker func(w int) (pruneFunc, visitFunc)) 
 	return nil
 }
 
+// nodeBlock is the share of the node budget a worker takes at a time, so
+// the shared counter is touched once per block, not once per node.
+const nodeBlock = 1024
+
+// charge spends k search nodes of the budget, taking a further block from
+// the shared counter when the worker's share runs out. Once the budget
+// cannot cover them it stops the whole enumeration with ErrBudget and
+// reports false. The shares handed out never sum past the budget, so a
+// sequential search trips exactly when it would visit node budget+1; with
+// several workers, shares still unspent by the others can trip it up to
+// nodeBlock nodes per worker sooner.
+func (g *engine) charge(l *localStats, k int64) bool {
+	if l.reserved >= k {
+		l.reserved -= k
+		return true
+	}
+	return g.refill(l, k)
+}
+
+// refill is charge's slow path, kept apart so charge inlines into push.
+func (g *engine) refill(l *localStats, k int64) bool {
+	need := k - l.reserved
+	take := max(need, nodeBlock)
+	granted := min(take, g.budget-(g.counter.Add(take)-take))
+	if granted < need {
+		l.reserved = 0
+		g.overBudget.Store(true)
+		g.abort.Store(true)
+		return false
+	}
+	l.nodes += granted
+	l.reserved = granted - need
+	return true
+}
+
 // runWorker dispatches one worker onto the mask representation the
 // engine selected at construction.
 func (g *engine) runWorker(prune pruneFunc, visit visitFunc) {
@@ -249,9 +290,8 @@ func (g *engine) worker(prune pruneFunc, visit visitFunc) {
 		ends:  make([]int, g.n),
 		masks: make([]uint64, g.n),
 		lat:   make([]float64, g.n+1),
-		succ:  make([]float64, g.n+1),
+		fail:  make([]float64, g.n+1),
 	}
-	s.succ[0] = 1
 	defer g.flushStats(&s.localStats)
 	for !g.abort.Load() {
 		t := g.nextTask.Add(1) - 1
@@ -291,24 +331,28 @@ type search struct {
 	// intervals 0..d-2 (interval d-1's term needs its successor set and is
 	// charged when that successor is chosen).
 	lat []float64
-	// succ[d] is the success-probability product over intervals 0..d-1.
-	succ []float64
+	// fail[d] is the failure probability of intervals 0..d-1
+	// (mapping.AccumFailure from fail[0] = 0).
+	fail []float64
 }
 
-// push records interval d = [first, end] on replica set sub, extends the
-// incremental accumulators, and applies pruning. It reports whether the
-// subtree should be explored. The accumulation mirrors the slice-based
-// evaluators addition for addition so complete-node metrics are bitwise
-// identical to mapping.Evaluate.
+// push charges one node, records interval d = [first, end] on replica set
+// sub, extends the incremental accumulators, and applies pruning. It
+// reports whether the subtree should be explored (false also when the
+// budget ran out, which aborts the search). The accumulation mirrors the
+// slice-based evaluators addition for addition so complete-node metrics
+// are bitwise identical to mapping.Evaluate.
 func (s *search) push(d, first, end int, sub uint64) bool {
+	if !s.eng.charge(&s.localStats, 1) {
+		return false
+	}
 	ev := s.eng.ev
 	s.ends[d] = end
 	s.masks[d] = sub
 	if ev == nil {
 		return true
 	}
-	s.nodes++
-	s.succ[d+1] = s.succ[d] * ev.SuccessFactor(sub)
+	s.fail[d+1] = mapping.AccumFailure(s.fail[d], ev.FailureFactor(sub))
 	var newLat, lb float64
 	if s.eng.commHom {
 		commIn, compute := ev.IntervalEq1Cost(first, end, sub)
@@ -328,7 +372,7 @@ func (s *search) push(d, first, end int, sub uint64) bool {
 		lb = newLat + ev.IntervalComputeLB(first, end, sub) + ev.TailLatencyLB(end+1)
 	}
 	s.lat[d+1] = newLat
-	if s.prune != nil && s.prune(lb, 1-s.succ[d+1]) {
+	if s.prune != nil && s.prune(lb, s.fail[d+1]) {
 		s.prunes++
 		return false
 	}
@@ -374,15 +418,11 @@ func (s *search) rec(start int, used uint64, depth int) bool {
 	return true
 }
 
-// complete finalizes the candidate's metrics and hands it to the visitor,
-// charging the enumeration budget.
+// complete finalizes the candidate's metrics and hands it to the visitor
+// (its last interval's push already charged the budget).
 func (s *search) complete(depth int) bool {
 	g := s.eng
-	if g.counter.Add(1) > g.budget {
-		g.overBudget.Store(true)
-		g.abort.Store(true)
-		return false
-	}
+	s.visited++
 	var met mapping.Metrics
 	if ev := g.ev; ev != nil {
 		if g.commHom {
@@ -394,7 +434,7 @@ func (s *search) complete(depth int) bool {
 			}
 			met.Latency = s.lat[depth] + ev.IntervalEq2FinalTerm(first, s.ends[depth-1], s.masks[depth-1])
 		}
-		met.FailureProb = 1 - s.succ[depth]
+		met.FailureProb = s.fail[depth]
 	}
 	if !s.visit(s.task, s.ends[:depth], s.masks[:depth], met) {
 		g.abort.Store(true)

@@ -11,6 +11,7 @@ import (
 	"repro/internal/mapping"
 	"repro/internal/pipeline"
 	"repro/internal/platform"
+	"repro/internal/telemetry"
 )
 
 // Reference implementations: the original unpruned slice-based solvers on
@@ -257,6 +258,41 @@ func TestSolverBudget(t *testing.T) {
 			return func(int64, *mapping.Mapping) bool { return true }
 		}); !errors.Is(err, ErrBudget) {
 		t.Errorf("ForEachMappingParallel err = %v, want ErrBudget", err)
+	}
+}
+
+// TestBudgetChargesPrunedNodes: MaxEnum caps the search nodes visited,
+// pruned ones included. On one interval each of the 2^m−1 replica sets is
+// one node, and every set is a different FP, so the bound prunes most of
+// them (all but the first on the wide search, which tries the full set
+// first); a sequential search runs at a budget of exactly its node count
+// and stops with ErrBudget one node short of it.
+func TestBudgetChargesPrunedNodes(t *testing.T) {
+	const m = 12
+	p := pipeline.Uniform(1, 1, 1)
+	pl, _ := platform.NewFullyHomogeneous(m, 1, 1, 0.5)
+	for _, wide := range []bool{false, true} {
+		rec := telemetry.NewRecorder()
+		res, err := MinFPUnderLatency(p, pl, math.Inf(1), Options{Workers: 1, MaxEnum: math.MaxInt64, Recorder: rec, forceWide: wide})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := len(res.Mapping.Alloc[0]); got != m {
+			t.Fatalf("wide=%v: optimum uses %d replicas, want %d", wide, got, m)
+		}
+		nodes := rec.Counter("exact_nodes_total").Load()
+		if nodes != 1<<m-1 {
+			t.Fatalf("wide=%v: %d nodes, want %d", wide, nodes, 1<<m-1)
+		}
+		if visited := rec.Counter("exact_enumerated_total").Load(); visited >= nodes/2 || wide && visited != 1 {
+			t.Fatalf("wide=%v: visited %d mappings over %d nodes: the bound pruned too few", wide, visited, nodes)
+		}
+		if _, err := MinFPUnderLatency(p, pl, math.Inf(1), Options{Workers: 1, MaxEnum: nodes, forceWide: wide}); err != nil {
+			t.Errorf("wide=%v: budget %d = node count: err = %v", wide, nodes, err)
+		}
+		if _, err := MinFPUnderLatency(p, pl, math.Inf(1), Options{Workers: 1, MaxEnum: nodes - 1, forceWide: wide}); !errors.Is(err, ErrBudget) {
+			t.Errorf("wide=%v: budget %d: err = %v, want ErrBudget", wide, nodes-1, err)
+		}
 	}
 }
 

@@ -46,9 +46,9 @@ type searchWide struct {
 	// tracked so the batch prefix never has to scan mask rows for it.
 	prevProc []int
 	localStats
-	// lat and succ mirror search.lat / search.succ (see engine.go).
+	// lat and fail mirror search.lat / search.fail (see engine.go).
 	lat  []float64
-	succ []float64
+	fail []float64
 }
 
 func (s *searchWide) maskRow(d int) bitset.Set {
@@ -82,9 +82,8 @@ func (g *engine) workerWide(prune pruneFunc, visit visitFunc) {
 		sub:   make([]uint64, (g.n+1)*W),
 		rest:  make([]uint64, 2*W),
 		lat:   make([]float64, g.n+1),
-		succ:  make([]float64, g.n+1),
+		fail:  make([]float64, g.n+1),
 	}
-	s.succ[0] = 1
 	if g.ev != nil && !g.replication {
 		s.sib = make([]mapping.Sibling, g.m*g.n)
 		s.prevProc = make([]int, g.n)
@@ -153,20 +152,23 @@ func (s *searchWide) explore(d, first, end int, sub bitset.Set) bool {
 	return s.rec(end+1, d+1)
 }
 
-// push records interval d = [first, end] on replica set sub, extends the
-// incremental latency and success-probability accumulators through the
-// Evaluator's *W methods (search.push's operation order, hence
-// bitwise-identical complete-node metrics), and applies pruning. It
-// reports whether the subtree should be explored.
+// push charges one node, records interval d = [first, end] on replica set
+// sub, extends the incremental latency and failure-probability
+// accumulators through the Evaluator's *W methods (search.push's operation
+// order, hence bitwise-identical complete-node metrics), and applies
+// pruning. It reports whether the subtree should be explored (false also
+// when the budget ran out, which aborts the search).
 func (s *searchWide) push(d, first, end int, sub bitset.Set) bool {
+	if !s.eng.charge(&s.localStats, 1) {
+		return false
+	}
 	ev := s.eng.ev
 	s.ends[d] = end
 	s.maskRow(d).Copy(sub)
 	if ev == nil {
 		return true
 	}
-	s.nodes++
-	s.succ[d+1] = s.succ[d] * ev.SuccessFactorW(sub)
+	s.fail[d+1] = mapping.AccumFailure(s.fail[d], ev.FailureFactorW(sub))
 	var newLat, lb float64
 	if s.eng.commHom {
 		commIn, compute := ev.IntervalEq1CostW(first, end, sub)
@@ -186,7 +188,7 @@ func (s *searchWide) push(d, first, end int, sub bitset.Set) bool {
 		lb = newLat + ev.IntervalComputeLBW(first, end, sub) + ev.TailLatencyLB(end+1)
 	}
 	s.lat[d+1] = newLat
-	if s.prune != nil && s.prune(lb, 1-s.succ[d+1]) {
+	if s.prune != nil && s.prune(lb, s.fail[d+1]) {
 		s.prunes++
 		return false
 	}
@@ -257,7 +259,7 @@ func (s *searchWide) rec(start, depth int) bool {
 		return true
 	}
 	ev := g.ev
-	pre := mapping.BatchPrefix{Depth: depth, Lat: s.lat[depth], Succ: s.succ[depth]}
+	pre := mapping.BatchPrefix{Depth: depth, Lat: s.lat[depth], Fail: s.fail[depth]}
 	if !g.commHom {
 		// rec always runs at depth ≥ 1 (the first interval comes from the
 		// task loop), so interval depth−1 exists and is a singleton.
@@ -276,7 +278,9 @@ func (s *searchWide) rec(start, depth int) bool {
 		nb := ev.EvaluateManyW(pre, start, end, free, sib)
 		s.batchCalls++
 		s.batchCands += int64(nb)
-		s.nodes += int64(nb)
+		if !g.charge(&s.localStats, int64(nb)) {
+			return false
+		}
 		if end == last {
 			if !s.completeBatch(depth, end, sib[:nb]) {
 				return false
@@ -286,7 +290,7 @@ func (s *searchWide) rec(start, depth int) bool {
 		tail := ev.TailLatencyLB(end + 1)
 		for i := 0; i < nb; i++ {
 			sb := &sib[i]
-			if s.prune != nil && s.prune(sb.LB+tail, 1-sb.Succ) {
+			if s.prune != nil && s.prune(sb.LB+tail, sb.Fail) {
 				s.prunes++
 				continue
 			}
@@ -296,7 +300,7 @@ func (s *searchWide) rec(start, depth int) bool {
 			mrow.Add(sb.Proc)
 			s.prevProc[depth] = sb.Proc
 			s.lat[depth+1] = sb.Lat
-			s.succ[depth+1] = sb.Succ
+			s.fail[depth+1] = sb.Fail
 			s.usedRow(depth+1).Or(s.usedRow(depth), mrow)
 			if !s.rec(end+1, depth+1) {
 				return false
@@ -307,26 +311,22 @@ func (s *searchWide) rec(start, depth int) bool {
 }
 
 // completeBatch finalizes a final-stage sibling block inline: each
-// surviving candidate is budget-charged and visited with the metrics
-// EvaluateManyW already produced — bitwise those of the push/complete
-// chain it replaces.
+// surviving candidate is visited with the metrics EvaluateManyW already
+// produced — bitwise those of the push/complete chain it replaces (rec
+// charged the block's nodes when it scored them).
 func (s *searchWide) completeBatch(depth, end int, sibs []mapping.Sibling) bool {
 	g := s.eng
 	tailN := g.ev.TailLatencyLB(g.n)
 	var met mapping.Metrics
 	for i := range sibs {
 		sb := &sibs[i]
-		if s.prune != nil && s.prune(sb.LB+tailN, 1-sb.Succ) {
+		if s.prune != nil && s.prune(sb.LB+tailN, sb.Fail) {
 			s.prunes++
 			continue
 		}
-		if g.counter.Add(1) > g.budget {
-			g.overBudget.Store(true)
-			g.abort.Store(true)
-			return false
-		}
+		s.visited++
 		met.Latency = sb.Final
-		met.FailureProb = 1 - sb.Succ
+		met.FailureProb = sb.Fail
 		s.ends[depth] = end
 		mrow := s.maskRow(depth)
 		mrow.Zero()
@@ -340,14 +340,10 @@ func (s *searchWide) completeBatch(depth, end int, sibs []mapping.Sibling) bool 
 }
 
 // complete finalizes the candidate's metrics and hands it to the
-// visitor, charging the enumeration budget, as search.complete does.
+// visitor, as search.complete does.
 func (s *searchWide) complete(depth int) bool {
 	g := s.eng
-	if g.counter.Add(1) > g.budget {
-		g.overBudget.Store(true)
-		g.abort.Store(true)
-		return false
-	}
+	s.visited++
 	var met mapping.Metrics
 	if ev := g.ev; ev != nil {
 		if g.commHom {
@@ -359,7 +355,7 @@ func (s *searchWide) complete(depth int) bool {
 			}
 			met.Latency = s.lat[depth] + ev.IntervalEq2FinalTermW(first, s.ends[depth-1], s.maskRow(depth-1))
 		}
-		met.FailureProb = 1 - s.succ[depth]
+		met.FailureProb = s.fail[depth]
 	}
 	if !s.visit(s.task, s.ends[:depth], s.masks[:depth*g.stride], met) {
 		g.abort.Store(true)

@@ -12,7 +12,11 @@
 // bitmasks evaluated through mapping.Evaluator with zero heap
 // allocations, subtrees provably worse than the incumbent (or outside the
 // constraint) are pruned, and the search fans out over Options.Workers
-// goroutines by first-interval subtree. The engine is chosen from
+// goroutines by first-interval subtree. Each search level carries the
+// prefix's charged latency and its failure probability, accumulated by
+// mapping.AccumFailure; FP never decreases along a prefix, so a prefix
+// already past the FP bound or the incumbent is cut together with all
+// its completions. The engine is chosen from
 // (replication, n, m) alone: a replication search whose n·(2^m−1)
 // first-interval tasks fit an int64 runs the uint64-register narrow
 // search; every other enumeration — every replication-free one at any m
@@ -49,7 +53,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"runtime"
 
 	"repro/internal/frontier"
@@ -59,8 +62,9 @@ import (
 	"repro/internal/telemetry"
 )
 
-// ErrBudget is returned when an enumeration would exceed Options.MaxEnum
-// evaluated mappings; callers should shrink the instance or raise the cap.
+// ErrBudget is returned when an enumeration would visit more than
+// Options.MaxEnum search nodes; callers should shrink the instance or
+// raise the cap.
 var ErrBudget = errors.New("exact: enumeration budget exceeded")
 
 // ErrInfeasible is returned when no enumerated mapping satisfies the
@@ -82,10 +86,12 @@ type Options struct {
 	// considered (sufficient for latency-only optimization: replication
 	// can only increase latency).
 	Replication bool
-	// MaxEnum caps the number of evaluated mappings (default
-	// DefaultMaxEnum). Branch-and-bound pruned subtrees are not charged,
-	// so the same budget now covers far larger instances than full
-	// enumeration did.
+	// MaxEnum caps the search nodes one enumeration visits (default
+	// DefaultMaxEnum). A node is one interval placed on one replica set —
+	// a partial or complete mapping — and is charged whether it is then
+	// pruned, extended or visited, so the cap bounds the work even where
+	// the bound prunes every candidate. Subtrees below a pruned node are
+	// never visited and cost nothing.
 	MaxEnum int64
 	// Workers is the number of enumeration goroutines used by the four
 	// interval-mapping solvers and ForEachMappingParallel: 0 means
@@ -151,127 +157,6 @@ func (o Options) WorkerCount() int {
 }
 
 func defaultWorkers() int { return runtime.GOMAXPROCS(0) }
-
-// ForEachMapping enumerates every valid interval mapping of n stages onto
-// m processors, invoking visit for each. The *mapping.Mapping passed to
-// visit is reused between calls — clone it to retain it. Enumeration stops
-// early when visit returns false. The error is ErrBudget if the cap was
-// hit.
-//
-// This is the original slice-based enumerator. It survives purely as the
-// reference implementation the bitmask engine (narrow and wide) is
-// property-tested against; production enumeration — any m — goes through
-// ForEachMappingParallel and the engine.
-func ForEachMapping(n, m int, opts Options, visit func(*mapping.Mapping) bool) error {
-	budget := opts.maxEnum()
-	count := int64(0)
-	stopped := false
-	canceled := false
-	var done <-chan struct{}
-	if opts.Ctx != nil {
-		done = opts.Ctx.Done()
-	}
-
-	intervals := make([]mapping.Interval, 0, n)
-	// assign[u] = interval index of processor u, or -1 when unused.
-	assign := make([]int, m)
-
-	var emit func(p int) bool // builds alloc from assign and visits
-	emit = func(p int) bool {
-		alloc := make([][]int, p)
-		for u, j := range assign {
-			if j >= 0 {
-				alloc[j] = append(alloc[j], u)
-			}
-		}
-		for j := 0; j < p; j++ {
-			if len(alloc[j]) == 0 {
-				return true // not a valid mapping; skip silently
-			}
-		}
-		count++
-		if done != nil && count&1023 == 0 {
-			select {
-			case <-done:
-				canceled = true
-				return false
-			default:
-			}
-		}
-		if count > budget {
-			return false
-		}
-		mp := &mapping.Mapping{Intervals: intervals, Alloc: alloc}
-		if !visit(mp) {
-			stopped = true
-			return false
-		}
-		return true
-	}
-
-	var assignProcs func(u, p int) bool
-	assignProcs = func(u, p int) bool {
-		if u == m {
-			return emit(p)
-		}
-		for j := -1; j < p; j++ {
-			assign[u] = j
-			if !opts.Replication && j >= 0 {
-				// at most one processor per interval
-				dup := false
-				for v := 0; v < u; v++ {
-					if assign[v] == j {
-						dup = true
-						break
-					}
-				}
-				if dup {
-					continue
-				}
-			}
-			if !assignProcs(u+1, p) {
-				return false
-			}
-		}
-		assign[u] = -1
-		return true
-	}
-
-	var split func(start int) bool
-	split = func(start int) bool {
-		if start == n {
-			p := len(intervals)
-			if p > m {
-				return true
-			}
-			for u := range assign {
-				assign[u] = -1
-			}
-			return assignProcs(0, p)
-		}
-		for end := start; end < n; end++ {
-			intervals = append(intervals, mapping.Interval{First: start, Last: end})
-			ok := split(end + 1)
-			intervals = intervals[:len(intervals)-1]
-			if !ok {
-				return false
-			}
-		}
-		return true
-	}
-
-	if n <= 0 || m <= 0 {
-		return fmt.Errorf("exact: need n>0 and m>0, got n=%d m=%d", n, m)
-	}
-	finished := split(0)
-	if canceled {
-		return canceledErr(opts.Ctx)
-	}
-	if !finished && !stopped && count > budget {
-		return ErrBudget
-	}
-	return nil
-}
 
 // Result mirrors poly.Result for the exact solvers.
 type Result struct {
@@ -463,7 +348,7 @@ func ParetoFront(p *pipeline.Pipeline, pl *platform.Platform, opts Options) ([]R
 			// Cut only when an entry is strictly better in latency than the
 			// whole subtree can be (tolerance guards rounding of the bound)
 			// and no worse in FP.
-			return f.DominatesPoint(lb-mapping.LatencySlack*math.Max(1, math.Abs(lb)), prefixFP)
+			return f.DominatesPoint(lb-mapping.LatencySlack*lb, prefixFP)
 		}
 		visit := func(task int64, ends []int, masks []uint64, met mapping.Metrics) bool {
 			// InsertTagged rejects dominated candidates without cloning and

@@ -3,6 +3,7 @@ package exact
 import (
 	"errors"
 	"math"
+	"math/big"
 	"math/rand"
 	"strconv"
 	"testing"
@@ -218,6 +219,39 @@ func TestAlgorithms12MatchExhaustive(t *testing.T) {
 	}
 }
 
+// Property: with many replicas of heterogeneous reliability, Algorithm 2
+// decides on and reports the same bits the exact search scores. The FP
+// bound F is set exactly on exact's optimum for the k most reliable
+// replicas (distinct fps make that set unique), so Algorithm 2 must
+// answer that set at FP F bitwise; a product taken in another order than
+// ascending processor id is often an ulp or more away.
+func TestAlgorithm2DecidesOnExactFP(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		m := 10 + rng.Intn(5)
+		p := pipeline.Random(rng, 1, 1, 5, 1, 5)
+		speeds := make([]float64, m)
+		fps := make([]float64, m)
+		for u := range fps {
+			speeds[u] = 2
+			fps[u] = math.Exp(-rng.Float64() * 4)
+		}
+		pl, _ := platform.NewCommHomogeneous(speeds, fps, 1+rng.Float64()*4)
+		L, _ := achievableBounds(p, pl, pl.ProcsByReliabilityDesc()[:m/2+rng.Intn(m/2)])
+		want, err := MinFPUnderLatency(p, pl, L, Options{})
+		if err != nil {
+			return false
+		}
+		F := want.Metrics.FailureProb
+		got, err := poly.Algorithm2(p, pl, F)
+		return err == nil && got.Metrics.FailureProb == F &&
+			agreesWithExhaustive(p, pl, L, F, poly.Algorithm1, poly.Algorithm2)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+		t.Error(err)
+	}
+}
+
 // Property (Theorem 6): Algorithm 3 and 4 match the exhaustive optimum on
 // CommHom + FailureHom platforms, at random thresholds and at thresholds
 // set exactly on an achievable single-interval mapping.
@@ -401,5 +435,72 @@ func TestInfeasibleThresholds(t *testing.T) {
 	}
 	if _, err := MinLatencyUnderFP(p, pl, 0.01, Options{}); !errors.Is(err, ErrInfeasible) {
 		t.Errorf("err = %v, want ErrInfeasible (0.5^2 = 0.25 > 0.01)", err)
+	}
+}
+
+// bigFailureProb is 1 − Π_j (1 − Π_{u∈alloc(j)} fp_u) in 1024-bit
+// arithmetic: exact to far more bits than float64 for every FP above
+// 1e-250, and independent of mapping's accumulation.
+func bigFailureProb(fps []float64, mp *mapping.Mapping) *big.Float {
+	const prec = 1024
+	one := new(big.Float).SetPrec(prec).SetInt64(1)
+	success := new(big.Float).SetPrec(prec).SetInt64(1)
+	for _, procs := range mp.Alloc {
+		q := new(big.Float).SetPrec(prec).SetInt64(1)
+		for _, u := range procs {
+			q.Mul(q, big.NewFloat(fps[u]))
+		}
+		success.Mul(success, q.Sub(one, q))
+	}
+	return success.Sub(one, success)
+}
+
+// TestMinFPHighReliabilityMatchesBigReference: with processor fps of
+// 1e-9–1e-6 the optimal FPs lie far below the ulp of 1, where a
+// 1 − success formula reads 0 and ties every replicated mapping.
+// MinFPUnderLatency's answer must have the least FP of all mappings that
+// meet the bound, both taken in big.Float.
+func TestMinFPHighReliabilityMatchesBigReference(t *testing.T) {
+	const n, m = 3, 7
+	for seed := int64(0); seed < 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		p := pipeline.Random(rng, n, 1, 10, 1, 10)
+		speeds := make([]float64, m)
+		fps := make([]float64, m)
+		for u := range speeds {
+			speeds[u] = 1 + 9*rng.Float64()
+			fps[u] = math.Pow(10, -9+3*rng.Float64())
+		}
+		pl, err := platform.NewCommHomogeneous(speeds, fps, 1+4*rng.Float64())
+		if err != nil {
+			t.Fatal(err)
+		}
+		fastest := math.Inf(1)
+		for u := 0; u < m; u++ {
+			lat, err := mapping.Latency(p, pl, mapping.NewSingleInterval(n, []int{u}))
+			if err != nil {
+				t.Fatal(err)
+			}
+			fastest = math.Min(fastest, lat)
+		}
+		bound := 1.5 * fastest
+		var best *big.Float
+		if err := ForEachMapping(n, m, Options{Replication: true}, func(mp *mapping.Mapping) bool {
+			if lat, _ := mapping.Latency(p, pl, mp); mapping.LatencyWithin(lat, bound) {
+				if fp := bigFailureProb(fps, mp); best == nil || fp.Cmp(best) < 0 {
+					best = fp
+				}
+			}
+			return true
+		}); err != nil {
+			t.Fatal(err)
+		}
+		res, err := MinFPUnderLatency(p, pl, bound, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := bigFailureProb(fps, res.Mapping); got.Cmp(best) != 0 {
+			t.Errorf("seed %d: answer %s has FP %s (reports %g), optimum %s", seed, res.Mapping, got.Text('g', 6), res.Metrics.FailureProb, best.Text('g', 6))
+		}
 	}
 }

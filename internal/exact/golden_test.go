@@ -16,9 +16,11 @@ import (
 // replicationFreeGolden is the SHA-256 of replicationFreeDigest's stream.
 // Any change to the replication-free search — its task order, its visit
 // order within a task, its pruning or its arithmetic — that moves one
-// returned mapping or one metric bit changes it. The digest was recorded
-// while m ≤ 64 searches without replication still ran the uint64 engine.
-const replicationFreeGolden = "c2ce0d0d14378b76abd5d0000536b4196a10bc1cba79c0713ff01d7f09c0c351"
+// returned mapping or one metric bit changes it. The digest was first
+// recorded while m ≤ 64 searches without replication still ran the uint64
+// engine, and re-recorded when FP moved to mapping.AccumFailure: every
+// mapping and latency bit stayed, only FP low bits moved.
+const replicationFreeGolden = "a5a479555d3d3c96bc325bc9eb64d31de5fc5e42378112b8105e5abbd9df8135"
 
 // replicationFreeDigest hashes MinLatencyInterval's mapping and metric
 // bits, at Workers 1 and 2, over a seeded corpus of communication-

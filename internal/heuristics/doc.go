@@ -41,7 +41,7 @@
 //     current walk state: a rejected move restores it, an accepted one
 //     re-takes it;
 //   - Repair's point-move sweep previews each candidate's failure
-//     probability before applying it (EvalState.SuccessFactorWith and
+//     probability before applying it (EvalState.FailureFactorWith and
 //     FailureProbWith: a product over replica sets, while scoring pays
 //     the Eq. (1)/(2) term recomputes). Once the incumbent is feasible, a
 //     candidate whose FP alone makes it lose under repairBetter — above

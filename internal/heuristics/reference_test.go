@@ -490,7 +490,7 @@ func TestRepairPreviewEquivalence(t *testing.T) {
 					case feasible:
 						pr.Bound = ev.FailureProb + 0.1*(1-ev.FailureProb)
 					default:
-						pr.Bound = ev.FailureProb*0.9 - 2e-12 // past feasible()'s 1e-12 slack
+						pr.Bound = ev.FailureProb * 0.9 // far past the relative slack
 					}
 					if pr.feasible(ev) != feasible {
 						t.Fatalf("m=%d k=%d goal=%v: evicted start %+v feasible=%v under bound %g, want %v",

@@ -172,14 +172,14 @@ func (s *searcher) previewFP(mv *move) float64 {
 	st := s.st
 	switch mv.kind {
 	case mvAdd:
-		return st.FailureProbWith(mv.j, st.SuccessFactorWith(mv.j, -1, mv.u), -1, 0)
+		return st.FailureProbWith(mv.j, st.FailureFactorWith(mv.j, -1, mv.u), -1, 0)
 	case mvRemove:
-		return st.FailureProbWith(mv.j, st.SuccessFactorWith(mv.j, mv.u, -1), -1, 0)
+		return st.FailureProbWith(mv.j, st.FailureFactorWith(mv.j, mv.u, -1), -1, 0)
 	case mvReplace:
-		return st.FailureProbWith(mv.j, st.SuccessFactorWith(mv.j, mv.u, mv.u2), -1, 0)
+		return st.FailureProbWith(mv.j, st.FailureFactorWith(mv.j, mv.u, mv.u2), -1, 0)
 	default: // mvMigrate
-		return st.FailureProbWith(mv.j, st.SuccessFactorWith(mv.j, mv.u, -1),
-			mv.j2, st.SuccessFactorWith(mv.j2, -1, mv.u))
+		return st.FailureProbWith(mv.j, st.FailureFactorWith(mv.j, mv.u, -1),
+			mv.j2, st.FailureFactorWith(mv.j2, -1, mv.u))
 	}
 }
 

@@ -29,11 +29,18 @@ func TestBoundRule(t *testing.T) {
 
 	fp := 0.1 // a variable: constant arithmetic would be exact
 	cube := fp * fp * fp
-	if cube <= 0.001 || !FailProbWithin(cube, 0.001) || FailProbWithin(0.001+2*failProbSlack, 0.001) {
-		t.Errorf("FailProbWithin: 0.1³ = %v must meet 0.001, 0.001 + 2·slack must not", cube)
+	if cube <= 0.001 || !FailProbWithin(cube, 0.001) || FailProbWithin(0.001*(1+2*failProbSlack), 0.001) {
+		t.Errorf("FailProbWithin: 0.1³ = %v must meet 0.001, 0.001·(1 + 2·slack) must not", cube)
 	}
-	if !LatencyWithin(22*(1+LatencySlack/2), 22) || LatencyWithin(22*(1+2*LatencySlack), 22) ||
-		!LatencyWithin(LatencySlack/2, 0) || !LatencyWithin(1e300, math.Inf(1)) {
-		t.Error("LatencyWithin: want a relative slack at |L| ≥ 1, an absolute one below, and +Inf to admit all")
+	if FailProbWithin(1e-12, 1e-13) || !FailProbWithin(1e-300, 1e-300) || FailProbWithin(2e-300, 1e-300) {
+		t.Error("FailProbWithin: want a slack relative to F at any magnitude")
+	}
+	for _, L := range []float64{22, 22 * 0x1p-24, 1e-300} {
+		if !LatencyWithin(L*(1+LatencySlack/2), L) || LatencyWithin(L*(1+2*LatencySlack), L) {
+			t.Errorf("LatencyWithin: want a slack relative to L = %v", L)
+		}
+	}
+	if !LatencyWithin(1e300, math.Inf(1)) {
+		t.Error("LatencyWithin: +Inf must admit every latency")
 	}
 }

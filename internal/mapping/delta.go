@@ -50,7 +50,7 @@ type EvalState struct {
 	commIn, compute []float64
 	term            []float64
 	inputSum        float64
-	succ            []float64 // per-interval success factor 1 − Π fp
+	fail            []float64 // per-interval failure factor Π fp
 }
 
 // NewState returns an empty EvalState bound to the evaluator, with every
@@ -65,7 +65,7 @@ func (e *Evaluator) NewState() *EvalState {
 		commIn:  make([]float64, n),
 		compute: make([]float64, n),
 		term:    make([]float64, n),
-		succ:    make([]float64, n),
+		fail:    make([]float64, n),
 	}
 }
 
@@ -106,7 +106,7 @@ func (st *EvalState) CopyFrom(o *EvalState) {
 		copy(st.term[:o.p], o.term[:o.p])
 		st.inputSum = o.inputSum
 	}
-	copy(st.succ[:o.p], o.succ[:o.p])
+	copy(st.fail[:o.p], o.fail[:o.p])
 }
 
 // NumIntervals returns the current interval count p.
@@ -165,21 +165,21 @@ func (st *EvalState) Latency() float64 {
 	return total
 }
 
-// FailureProb re-accumulates the cached per-interval success factors.
+// FailureProb re-accumulates the cached per-interval failure factors.
 func (st *EvalState) FailureProb() float64 {
-	success := 1.0
+	fp := 0.0
 	for j := 0; j < st.p; j++ {
-		success *= st.succ[j]
+		fp = AccumFailure(fp, st.fail[j])
 	}
-	return 1 - success
+	return fp
 }
 
-// SuccessFactorWith returns the success factor interval j would have with
+// FailureFactorWith returns the failure factor interval j would have with
 // replica rm withdrawn and the unused processor add enrolled (−1 skips
 // either), leaving the state unchanged: it toggles the two bits of row j,
-// runs SuccessFactorW over the row's ascending bit order — the product
+// runs FailureFactorW over the row's ascending bit order — the product
 // every mutator caches — and toggles them back. Zero allocations.
-func (st *EvalState) SuccessFactorWith(j, rm, add int) float64 {
+func (st *EvalState) FailureFactorWith(j, rm, add int) float64 {
 	row := st.row(j)
 	if rm >= 0 {
 		row.Remove(rm)
@@ -187,7 +187,7 @@ func (st *EvalState) SuccessFactorWith(j, rm, add int) float64 {
 	if add >= 0 {
 		row.Add(add)
 	}
-	f := st.ev.SuccessFactorW(row)
+	f := st.ev.FailureFactorW(row)
 	if add >= 0 {
 		row.Remove(add)
 	}
@@ -198,24 +198,24 @@ func (st *EvalState) SuccessFactorWith(j, rm, add int) float64 {
 }
 
 // FailureProbWith returns the failure probability the state would have
-// with interval j's success factor replaced by sj and, when j2 ≥ 0,
-// interval j2's by sj2. It multiplies in FailureProb's interval order, so
-// with factors from SuccessFactorWith it previews a replica move's FP
+// with interval j's failure factor replaced by qj and, when j2 ≥ 0,
+// interval j2's by qj2. It accumulates in FailureProb's interval order, so
+// with factors from FailureFactorWith it previews a replica move's FP
 // bitwise equal to what apply-then-FailureProb reads. The state is
 // unchanged; zero allocations.
-func (st *EvalState) FailureProbWith(j int, sj float64, j2 int, sj2 float64) float64 {
-	success := 1.0
+func (st *EvalState) FailureProbWith(j int, qj float64, j2 int, qj2 float64) float64 {
+	fp := 0.0
 	for i := 0; i < st.p; i++ {
+		q := st.fail[i]
 		switch i {
 		case j:
-			success *= sj
+			q = qj
 		case j2:
-			success *= sj2
-		default:
-			success *= st.succ[i]
+			q = qj2
 		}
+		fp = AccumFailure(fp, q)
 	}
-	return 1 - success
+	return fp
 }
 
 // ToMapping materializes the state as a regular *Mapping with ascending
@@ -229,7 +229,7 @@ func (st *EvalState) ToMapping() *Mapping {
 // max(old, u's replica term), with no recompute. That is exact: the term
 // is a max over replicas, each replica's value depends only on itself and
 // the successor set (unchanged), and u's value comes from the helper the
-// term loops use. The success factor, the predecessor's term and the input
+// term loops use. The failure factor, the predecessor's term and the input
 // sum are ordered sums or products over the changed set: recomputed.
 func (st *EvalState) AddReplica(j, u int) {
 	row := st.row(j)
@@ -240,7 +240,7 @@ func (st *EvalState) AddReplica(j, u int) {
 		st.touchMask(j)
 		return
 	}
-	st.succ[j] = ev.SuccessFactorW(row)
+	st.fail[j] = ev.FailureFactorW(row)
 	st.term[j] = st.termWithAdd(j, u)
 	if j > 0 {
 		st.recomputeTerm(j - 1)
@@ -330,22 +330,22 @@ func (st *EvalState) LatencyFloorWithAdd(j, u int) float64 {
 // processor u alone, left of the old replica set when left is true and
 // right of it otherwise (the split-new moves). The state is unchanged;
 // zero allocations. Neither half's factor depends on the cut: the old set
-// keeps interval j's cached factor and the new half gets 1 − fp_u, which
-// is SuccessFactorW of {u}. Both are multiplied in FailureProb's interval
+// keeps interval j's cached factor and the new half gets fp_u, which is
+// FailureFactorW of {u}. Both are accumulated in FailureProb's interval
 // order, so the preview equals what apply-then-FailureProb reads, bitwise.
 func (st *EvalState) FailureProbWithSplit(j, u int, left bool) float64 {
-	su := 1 - st.ev.pl.FailProb[u]
-	success := 1.0
+	qu := st.ev.pl.FailProb[u]
+	fp := 0.0
 	for i := 0; i < st.p; i++ {
 		if i == j && left {
-			success *= su
+			fp = AccumFailure(fp, qu)
 		}
-		success *= st.succ[i]
+		fp = AccumFailure(fp, st.fail[i])
 		if i == j && !left {
-			success *= su
+			fp = AccumFailure(fp, qu)
 		}
 	}
-	return 1 - success
+	return fp
 }
 
 // RemoveReplica withdraws processor u from interval j (caller keeps the
@@ -419,7 +419,7 @@ func (st *EvalState) Merge(j int) {
 // themselves stay valid because neither the interval's stages, masks nor
 // neighbors changed).
 func (st *EvalState) shiftTerms(dst, src int) {
-	st.succ[dst] = st.succ[src]
+	st.fail[dst] = st.fail[src]
 	if st.ev.commHom {
 		st.commIn[dst] = st.commIn[src]
 		st.compute[dst] = st.compute[src]
@@ -479,7 +479,7 @@ func (st *EvalState) recomputeTerm(j int) {
 	first, end := st.First(j), st.ends[j]
 	if ev.stride == 1 {
 		mask := st.words[j]
-		st.succ[j] = ev.SuccessFactor(mask)
+		st.fail[j] = ev.FailureFactor(mask)
 		if ev.commHom {
 			st.commIn[j], st.compute[j] = ev.IntervalEq1Cost(first, end, mask)
 			return
@@ -492,7 +492,7 @@ func (st *EvalState) recomputeTerm(j int) {
 		return
 	}
 	mask := st.row(j)
-	st.succ[j] = ev.SuccessFactorW(mask)
+	st.fail[j] = ev.FailureFactorW(mask)
 	if ev.commHom {
 		st.commIn[j], st.compute[j] = ev.IntervalEq1CostW(first, end, mask)
 		return

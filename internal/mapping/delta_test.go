@@ -331,8 +331,8 @@ func assertStatesEqual(t *testing.T, a, b *EvalState) {
 		if !bitset.Set(a.words[j*stride : (j+1)*stride]).Equal(b.words[j*stride : (j+1)*stride]) {
 			t.Fatalf("mask %d diverged", j)
 		}
-		if a.succ[j] != b.succ[j] {
-			t.Fatalf("succ[%d] diverged: %g vs %g", j, a.succ[j], b.succ[j])
+		if a.fail[j] != b.fail[j] {
+			t.Fatalf("fail[%d] diverged: %g vs %g", j, a.fail[j], b.fail[j])
 		}
 		if a.ev.commHom {
 			if a.commIn[j] != b.commIn[j] || a.compute[j] != b.compute[j] {
@@ -376,7 +376,7 @@ func TestEvalStateZeroAllocs(t *testing.T) {
 			_ = st.Metrics()
 			st.RemoveReplica(0, u)
 			last := st.NumIntervals() - 1
-			_ = st.FailureProbWith(0, st.SuccessFactorWith(0, st.Mask(0).NextOne(0), u), last, st.SuccessFactorWith(last, -1, u))
+			_ = st.FailureProbWith(0, st.FailureFactorWith(0, st.Mask(0).NextOne(0), u), last, st.FailureFactorWith(last, -1, u))
 			_ = st.FailureProbWithSplit(last, u, true)
 			_ = st.LatencyFloorWithAdd(0, u)
 			_ = st.LatencyFloorWithAdd(last, u)
@@ -410,7 +410,7 @@ func freeFixed(st *EvalState, m int) int {
 
 // TestEvalStateFailureProbPreview: for every add, remove, replace and
 // migrate move on random states at stride 1 and stride > 1, on both
-// platform classes, the FP previewed by SuccessFactorWith and
+// platform classes, the FP previewed by FailureFactorWith and
 // FailureProbWith equals what FailureProb reads after applying the move,
 // bitwise, and so does FailureProbWithSplit for every split that staffs a
 // new half, left or right, with one unused processor, at every cut. The
@@ -446,7 +446,7 @@ func TestEvalStateFailureProbPreview(t *testing.T) {
 			}
 			for j := 0; j < st.NumIntervals(); j++ {
 				for _, u := range free {
-					check("add", st.FailureProbWith(j, st.SuccessFactorWith(j, -1, u), -1, 0),
+					check("add", st.FailureProbWith(j, st.FailureFactorWith(j, -1, u), -1, 0),
 						func(s *EvalState) { s.AddReplica(j, u) })
 					for cut := st.First(j) + 1; cut <= st.End(j); cut++ {
 						check("split-new-right", st.FailureProbWithSplit(j, u, false), func(s *EvalState) {
@@ -466,19 +466,19 @@ func TestEvalStateFailureProbPreview(t *testing.T) {
 				replicas := st.Mask(j).AppendBits(nil)
 				for _, u := range replicas {
 					for _, u2 := range free {
-						check("replace", st.FailureProbWith(j, st.SuccessFactorWith(j, u, u2), -1, 0),
+						check("replace", st.FailureProbWith(j, st.FailureFactorWith(j, u, u2), -1, 0),
 							func(s *EvalState) { s.ReplaceReplica(j, u, u2) })
 					}
 					if len(replicas) < 2 {
 						continue
 					}
-					check("remove", st.FailureProbWith(j, st.SuccessFactorWith(j, u, -1), -1, 0),
+					check("remove", st.FailureProbWith(j, st.FailureFactorWith(j, u, -1), -1, 0),
 						func(s *EvalState) { s.RemoveReplica(j, u) })
 					for j2 := 0; j2 < st.NumIntervals(); j2++ {
 						if j2 == j {
 							continue
 						}
-						check("migrate", st.FailureProbWith(j, st.SuccessFactorWith(j, u, -1), j2, st.SuccessFactorWith(j2, -1, u)),
+						check("migrate", st.FailureProbWith(j, st.FailureFactorWith(j, u, -1), j2, st.FailureFactorWith(j2, -1, u)),
 							func(s *EvalState) { s.MoveReplica(j, j2, u) })
 					}
 				}

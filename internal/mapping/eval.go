@@ -25,7 +25,7 @@ import (
 // candidates are scored by the *W methods of evalwide.go, which read
 // replica sets as bitset rows of Stride() words (one uint64 per interval
 // when m ≤ 64) and visit processors in ascending order. The per-interval
-// uint64 kernels below (SuccessFactor, IntervalEq1Cost, InputSum,
+// uint64 kernels below (FailureFactor, IntervalEq1Cost, InputSum,
 // IntervalEq2Term, …) serve the exact engine's single-register
 // replication search and EvalState at stride 1; they add in the same
 // order as their *W twins, so both give the same bits.
@@ -135,14 +135,14 @@ func (e *Evaluator) CommHom() bool { return e.commHom }
 // output term alone.
 func (e *Evaluator) TailLatencyLB(start int) float64 { return e.lbTail[start] }
 
-// SuccessFactor returns 1 − Π_{u∈mask} fp_u, the per-interval success
-// probability factor.
-func (e *Evaluator) SuccessFactor(mask uint64) float64 {
-	qj := 1.0
+// FailureFactor returns q = Π_{u∈mask} fp_u, the probability that every
+// replica in mask fails (the per-interval factor of AccumFailure).
+func (e *Evaluator) FailureFactor(mask uint64) float64 {
+	q := 1.0
 	for bm := mask; bm != 0; bm &= bm - 1 {
-		qj *= e.pl.FailProb[bits.TrailingZeros64(bm)]
+		q *= e.pl.FailProb[bits.TrailingZeros64(bm)]
 	}
-	return 1 - qj
+	return q
 }
 
 // IntervalEq1Cost returns the two Eq. (1) latency terms of one interval —

@@ -109,7 +109,7 @@ func TestEvaluatorZeroAllocs(t *testing.T) {
 			lat = ev.LatencyW(ends, masks)
 			lat += ev.FailureProbW(ends, masks)
 			lat += ev.TailLatencyLB(1)
-			lat += ev.SuccessFactor(masks[0])
+			lat += ev.FailureFactor(masks[0])
 			lat += ev.IntervalComputeLB(0, 0, masks[0])
 		}); allocs != 0 {
 			t.Errorf("%s: evaluation helpers allocate %.1f objects per run, want 0", name, allocs)

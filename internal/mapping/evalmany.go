@@ -15,11 +15,11 @@ import (
 // out of the per-candidate loop.
 //
 // Bitwise contract (the invariant the exact solvers depend on): each
-// sibling's charged latency, success product, pre-tail lower bound and —
-// on the final stage — complete latency are bitwise identical to what the
-// engine's incremental push/complete pair computes through the
+// sibling's charged latency, failure probability, pre-tail lower bound
+// and — on the final stage — complete latency are bitwise identical to
+// what the engine's incremental push/complete pair computes through the
 // single-candidate methods (IntervalEq1CostW, IntervalEq2TermW, InputSumW,
-// SuccessFactorW, IntervalComputeLBW, IntervalEq2FinalTermW, and their
+// FailureFactorW, IntervalComputeLBW, IntervalEq2FinalTermW, and their
 // uint64 twins). Hoisting is restricted to subexpressions whose value is
 // identical for every sibling and whose extraction does not reassociate
 // any float operation:
@@ -32,7 +32,7 @@ import (
 //     term W_prev/s_w + δ_first/b_{w,u}; the first addend is
 //     sibling-independent and hoisted as a value, the sum itself keeps
 //     push's association (term first, then lat + term);
-//   - FP: a singleton's success factor is 1 − 1.0·fp_u = 1 − fp_u.
+//   - FP: a singleton's failure factor is 1.0·fp_u = fp_u.
 //
 // EvaluateManyW writes into a caller-provided scratch slice and performs
 // zero heap allocations, preserving the per-node allocation contract of
@@ -40,14 +40,14 @@ import (
 
 // BatchPrefix describes the shared partial mapping whose singleton
 // sibling extensions one EvaluateManyW call scores: the charged latency
-// and success product after Depth intervals (the engine's lat[Depth] /
-// succ[Depth] accumulators) plus, on fully heterogeneous platforms with
+// and failure probability after Depth intervals (the engine's lat[Depth] /
+// fail[Depth] accumulators) plus, on fully heterogeneous platforms with
 // Depth ≥ 1, the previous interval's stage window and sole replica
 // (whose Eq. (2) term is charged only now that its successor is known).
 type BatchPrefix struct {
 	Depth int     // intervals already chosen
 	Lat   float64 // charged latency of the prefix
-	Succ  float64 // success-probability product of the prefix
+	Fail  float64 // failure probability of the prefix
 	// PrevFirst, PrevLast and PrevProc describe interval Depth−1 on
 	// fully heterogeneous platforms (ignored when Depth == 0 and on
 	// communication-homogeneous platforms).
@@ -59,7 +59,7 @@ type BatchPrefix struct {
 type Sibling struct {
 	Proc int     // the candidate replica
 	Lat  float64 // charged latency including this interval (lat[Depth+1])
-	Succ float64 // success product including this interval (succ[Depth+1])
+	Fail float64 // failure probability including this interval (fail[Depth+1])
 	// LB is the latency floor of every completion before the tail bound:
 	// callers add TailLatencyLB of the next stage to obtain the
 	// branch-and-bound pruning bound. On
@@ -94,7 +94,7 @@ func (e *Evaluator) EvaluateManyW(pre BatchPrefix, first, last int, free bitset.
 				lat := base + work/e.pl.Speed[u]
 				sb.Lat = lat
 				sb.LB = lat
-				sb.Succ = pre.Succ * (1 - e.pl.FailProb[u])
+				sb.Fail = AccumFailure(pre.Fail, e.pl.FailProb[u])
 				sb.Final = 0
 				if final {
 					sb.Final = lat + e.lbTail[e.n] // exact δ_n/b
@@ -128,7 +128,7 @@ func (e *Evaluator) EvaluateManyW(pre BatchPrefix, first, last int, free bitset.
 			sb.Lat = lat
 			compute := work / e.pl.Speed[u]
 			sb.LB = lat + compute
-			sb.Succ = pre.Succ * (1 - e.pl.FailProb[u])
+			sb.Fail = AccumFailure(pre.Fail, e.pl.FailProb[u])
 			sb.Final = 0
 			if final {
 				sb.Final = lat + (compute + finalOut/e.pl.BOut[u])

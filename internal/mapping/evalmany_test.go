@@ -35,13 +35,12 @@ func singleton(e *Evaluator, u int) bitset.Set {
 }
 
 // growPrefix assigns `depth` singleton intervals over stages of p,
-// reproducing push's latency/success recurrences for commHom or het
+// reproducing push's latency/failure recurrences for commHom or het
 // platforms.
 func growPrefix(rng *rand.Rand, e *Evaluator, depth int) singletonPrefix {
 	n, m := e.NumStages(), e.NumProcs()
 	sp := singletonPrefix{free: bitset.Make(m)}
 	sp.free.Fill(m)
-	sp.pre.Succ = 1
 	prevFirst, prevLast, prevProc := 0, -1, 0
 	for d := 0; d < depth && sp.start < n-1 && sp.free.Count() > 1; d++ {
 		first := sp.start
@@ -54,7 +53,7 @@ func growPrefix(rng *rand.Rand, e *Evaluator, depth int) singletonPrefix {
 			}
 		}
 		mask := singleton(e, u)
-		sp.pre.Succ *= e.SuccessFactorW(mask)
+		sp.pre.Fail = AccumFailure(sp.pre.Fail, e.FailureFactorW(mask))
 		if e.CommHom() {
 			commIn, compute := e.IntervalEq1CostW(first, last, mask)
 			lat := sp.pre.Lat + commIn
@@ -81,7 +80,7 @@ func growPrefix(rng *rand.Rand, e *Evaluator, depth int) singletonPrefix {
 // extended by [first, last] on {u}; it needs u < 64.
 func composedSibling(e *Evaluator, sp singletonPrefix, first, last, u int) Sibling {
 	mask := uint64(1) << uint(u)
-	sb := Sibling{Proc: u, Succ: sp.pre.Succ * e.SuccessFactor(mask)}
+	sb := Sibling{Proc: u, Fail: AccumFailure(sp.pre.Fail, e.FailureFactor(mask))}
 	if e.CommHom() {
 		commIn, compute := e.IntervalEq1Cost(first, last, mask)
 		lat := sp.pre.Lat + commIn
@@ -111,7 +110,7 @@ func composedSibling(e *Evaluator, sp singletonPrefix, first, last, u int) Sibli
 // composedSiblingW is composedSibling through the *W kernels, for any u.
 func composedSiblingW(e *Evaluator, sp singletonPrefix, first, last, u int) Sibling {
 	mask := singleton(e, u)
-	sb := Sibling{Proc: u, Succ: sp.pre.Succ * e.SuccessFactorW(mask)}
+	sb := Sibling{Proc: u, Fail: AccumFailure(sp.pre.Fail, e.FailureFactorW(mask))}
 	if e.CommHom() {
 		commIn, compute := e.IntervalEq1CostW(first, last, mask)
 		lat := sp.pre.Lat + commIn
@@ -220,7 +219,7 @@ func TestEvaluateManyWMatchesSingleCandidateW(t *testing.T) {
 					sp.free.Add(u)
 				}
 			}
-			sp.pre = BatchPrefix{Depth: 1, Lat: 3.25, Succ: 0.75, PrevProc: m - 2}
+			sp.pre = BatchPrefix{Depth: 1, Lat: 3.25, Fail: 0.25, PrevProc: m - 2}
 			checkBatch(t, fmt.Sprintf("m=%d ragged", m), e, sp, out, composedSiblingW)
 		}
 	}
@@ -232,7 +231,7 @@ func TestEvaluateManyZeroAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	n := 5
 	p := pipeline.Random(rng, n, 1, 10, 0, 10)
-	pre := BatchPrefix{Depth: 1, Lat: 1, Succ: 1, PrevLast: 0, PrevProc: 2}
+	pre := BatchPrefix{Depth: 1, Lat: 1, PrevLast: 0, PrevProc: 2}
 	for _, pl := range []*platform.Platform{
 		platform.RandomCommHomogeneous(rng, 16, 1, 10, 0.05, 0.95, 2),
 		platform.RandomFullyHeterogeneous(rng, 80, 1, 10, 0.05, 0.95, 1, 20),

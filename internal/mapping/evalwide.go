@@ -72,26 +72,26 @@ func (e *Evaluator) latencyEq2W(ends []int, words []uint64) float64 {
 	return total
 }
 
-// FailureProbW computes 1 − Π_j (1 − Π_{u∈row j} fp_u) over the
-// candidate, in the same operation order as the slice-based FailureProb.
+// FailureProbW computes the candidate's failure probability, in the same
+// operation order as the slice-based FailureProb.
 func (e *Evaluator) FailureProbW(ends []int, words []uint64) float64 {
-	success := 1.0
+	fp := 0.0
 	for j := range ends {
-		success *= e.SuccessFactorW(Row(words, e.stride, j))
+		fp = AccumFailure(fp, e.FailureFactorW(Row(words, e.stride, j)))
 	}
-	return 1 - success
+	return fp
 }
 
-// SuccessFactorW is SuccessFactor for a multi-word replica set.
-func (e *Evaluator) SuccessFactorW(mask bitset.Set) float64 {
-	qj := 1.0
+// FailureFactorW is FailureFactor for a multi-word replica set.
+func (e *Evaluator) FailureFactorW(mask bitset.Set) float64 {
+	q := 1.0
 	for w, word := range mask {
 		base := w * bitset.WordBits
 		for bm := word; bm != 0; bm &= bm - 1 {
-			qj *= e.pl.FailProb[base+bits.TrailingZeros64(bm)]
+			q *= e.pl.FailProb[base+bits.TrailingZeros64(bm)]
 		}
 	}
-	return 1 - qj
+	return q
 }
 
 // IntervalEq1CostW is IntervalEq1Cost for a multi-word replica set.

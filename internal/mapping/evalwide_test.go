@@ -147,7 +147,7 @@ func TestWideEvalZeroAllocs(t *testing.T) {
 		allocs := testing.AllocsPerRun(200, func() {
 			met := ev.EvalW(ends, words)
 			sink += met.Latency + met.FailureProb
-			sink += ev.SuccessFactorW(row) + ev.MinSpeedW(row)
+			sink += ev.FailureFactorW(row) + ev.MinSpeedW(row)
 			sink += ev.IntervalComputeLBW(0, ends[0], row)
 		})
 		if allocs != 0 {

@@ -3,6 +3,12 @@
 // mappings — together with the paper's analytic metrics: the latency
 // formulas Eq. (1) and Eq. (2) and the global failure probability.
 //
+// bound.go holds the two rules every solver shares: how the failure
+// probability combines replica sets (AccumFailure, which keeps FP exact
+// to a few relative ulps however small it is), and what a latency or
+// failure-probability bound means (CheckBounds, the unconstrained
+// sentinels and the relative slacks).
+//
 // An interval mapping partitions the stages 1..n into p consecutive
 // intervals I_j = [d_j, e_j]; interval I_j is replicated on the processor
 // set alloc(j). Every processor executes at most one interval (it serves
@@ -268,66 +274,14 @@ func LatencyEq2(p *pipeline.Pipeline, pl *platform.Platform, m *Mapping) (float6
 	return total, nil
 }
 
-// FailureProb computes the global failure probability of the mapping:
-//
-//	FP = 1 − Π_{j=1..p} (1 − Π_{u∈alloc(j)} fp_u)
-//
-// The application fails iff some interval loses all of its replicas.
+// FailureProb computes the global failure probability of the mapping,
+// FP = 1 − Π_{j=1..p} (1 − Π_{u∈alloc(j)} fp_u), through the rule of
+// bound.go (ReplicaFailure, AccumFailure). The application fails iff some interval loses
+// all of its replicas.
 func FailureProb(pl *platform.Platform, m *Mapping) float64 {
-	success := 1.0
+	fp := 0.0
 	for _, procs := range m.Alloc {
-		qj := 1.0
-		for _, u := range procs {
-			qj *= pl.FailProb[u]
-		}
-		success *= 1 - qj
+		fp = AccumFailure(fp, ReplicaFailure(pl, procs))
 	}
-	return 1 - success
-}
-
-// LogSuccessProb returns log(1 − FP) computed entirely in log space, so
-// that mappings whose success probability underflows float64 (hundreds of
-// unreliable replicas) still compare correctly. The result is −Inf when
-// some interval is allocated only processors with fp = 1.
-func LogSuccessProb(pl *platform.Platform, m *Mapping) float64 {
-	logSuccess := 0.0
-	for _, procs := range m.Alloc {
-		logQ := 0.0 // log Π fp_u
-		zero := false
-		for _, u := range procs {
-			fp := pl.FailProb[u]
-			if fp == 0 {
-				zero = true
-				break
-			}
-			logQ += math.Log(fp)
-		}
-		if zero {
-			continue // q_j = 0, interval never fails: contributes log(1) = 0
-		}
-		// log(1 − q_j) where q_j = exp(logQ).
-		logSuccess += log1mexp(logQ)
-	}
-	return logSuccess
-}
-
-// log1mexp computes log(1 − e^x) for x ≤ 0 with good accuracy across the
-// whole range (the standard two-branch trick).
-func log1mexp(x float64) float64 {
-	if x >= 0 {
-		if x == 0 {
-			return math.Inf(-1)
-		}
-		return math.NaN()
-	}
-	if x > -math.Ln2 {
-		return math.Log(-math.Expm1(x))
-	}
-	return math.Log1p(-math.Exp(x))
-}
-
-// FailureProbLog computes FP via the log-space path; it equals
-// FailureProb up to rounding but keeps precision for extreme mappings.
-func FailureProbLog(pl *platform.Platform, m *Mapping) float64 {
-	return -math.Expm1(LogSuccessProb(pl, m))
+	return fp
 }

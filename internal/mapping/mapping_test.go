@@ -473,29 +473,11 @@ func TestFailureProbEdgeCases(t *testing.T) {
 	if got := FailureProb(pl, m2); got != 1 {
 		t.Errorf("FP with only fp=1 = %g, want 1", got)
 	}
-	if got := LogSuccessProb(pl, m2); !math.IsInf(got, -1) {
-		t.Errorf("LogSuccessProb with only fp=1 = %g, want -Inf", got)
-	}
-	if got := LogSuccessProb(pl, m); got != 0 {
-		t.Errorf("LogSuccessProb with perfect replica = %g, want 0", got)
-	}
-}
-
-// Property: the log-space failure probability matches the direct product
-// for randomly generated mappings.
-func TestFailureProbLogMatchesDirect(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 1 + rng.Intn(5)
-		m := n + rng.Intn(8)
-		pl := platform.RandomCommHomogeneous(rng, m, 1, 2, 0.01, 0.99, 1)
-		mp := randomMapping(rng, n, m)
-		direct := FailureProb(pl, mp)
-		logged := FailureProbLog(pl, mp)
-		return math.Abs(direct-logged) <= 1e-9
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
+	// A later sure failure reads 1 exactly too, whatever came before.
+	pl3, _ := platform.NewCommHomogeneous([]float64{1, 1}, []float64{0.1, 1}, 1)
+	m3 := &Mapping{Intervals: []Interval{{0, 0}, {1, 2}}, Alloc: [][]int{{0}, {1}}}
+	if got := FailureProb(pl3, m3); got != 1 {
+		t.Errorf("FP with a later fp=1 interval = %g, want 1", got)
 	}
 }
 
@@ -534,33 +516,36 @@ func TestReplicationMonotonicity(t *testing.T) {
 	}
 }
 
-func TestLogSuccessProbExtreme(t *testing.T) {
-	// 500 replicas with fp=0.99: success prob of one interval is
-	// 1 − 0.99^500 ≈ 1 − 6.6e-3, fine; but 500 intervals each with one
-	// fp=0.99 replica underflow the direct product? No — that needs
-	// log-space to stay accurate. Check self-consistency instead:
+// TestFailureProbExtreme: FP keeps its relative precision far below the
+// ulp of 1, and a success probability that underflows still reads FP 1.
+func TestFailureProbExtreme(t *testing.T) {
 	m := 400
 	speeds := make([]float64, m)
-	fps := make([]float64, m)
+	half := make([]float64, m)
+	unreliable := make([]float64, m)
+	all := make([]int, m)
 	for i := range speeds {
 		speeds[i] = 1
-		fps[i] = 0.99
+		half[i] = 0.5
+		unreliable[i] = 0.99
+		all[i] = i
 	}
-	pl, _ := platform.NewCommHomogeneous(speeds, fps, 1)
+	// One interval on 400 replicas of fp 0.5 fails with probability
+	// 2⁻⁴⁰⁰ exactly (the old 1 − success formula read 0).
+	pl, _ := platform.NewCommHomogeneous(speeds, half, 1)
+	if got := FailureProb(pl, NewSingleInterval(1, all)); got != 0x1p-400 {
+		t.Errorf("FP of 400 replicas at fp 0.5 = %g, want 2⁻⁴⁰⁰", got)
+	}
+	// 400 single-replica intervals at fp 0.99 succeed with probability
+	// 0.01⁴⁰⁰, far below the smallest float: FP is 1.
+	pl, _ = platform.NewCommHomogeneous(speeds, unreliable, 1)
 	mp := &Mapping{}
 	for j := 0; j < m; j++ {
 		mp.Intervals = append(mp.Intervals, Interval{j, j})
 		mp.Alloc = append(mp.Alloc, []int{j})
 	}
-	logS := LogSuccessProb(pl, mp)
-	want := float64(m) * math.Log(0.01)
-	if math.Abs(logS-want) > 1e-6*math.Abs(want) {
-		t.Errorf("LogSuccessProb = %g, want %g", logS, want)
-	}
-	// Direct computation would return exactly 1 here (success underflows
-	// to 0); log-space keeps the information.
-	if fp := FailureProbLog(pl, mp); fp != 1 {
-		t.Errorf("FailureProbLog = %g, want 1 (rounds to 1 but from the log side)", fp)
+	if fp := FailureProb(pl, mp); fp != 1 {
+		t.Errorf("FP of 400 intervals at fp 0.99 = %g, want 1", fp)
 	}
 }
 

@@ -101,13 +101,10 @@ func VerifyPartitionReduction(pi *PartitionInstance) (PartitionVerification, err
 			return PartitionVerification{}, err
 		}
 		latOK := lat <= inst.MaxLatency+tol
-		// The FP threshold e^{−S/2} can be astronomically small, so two
-		// precautions are required: the comparison must be relative, and
-		// the failure probability must come from the log-space evaluator —
-		// the direct formula 1−(1−q) cancels catastrophically for q near
-		// the double-precision ulp of 1 and inflates the value by ~1e−3
-		// relative, enough to flip the decision.
-		fp := mapping.FailureProbLog(inst.Platform, mp)
+		// The FP threshold e^{−S/2} can be astronomically small, so the
+		// comparison must be relative; mapping.FailureProb keeps the
+		// relative precision of such a value.
+		fp := mapping.FailureProb(inst.Platform, mp)
 		fpOK := fp <= inst.MaxFailProb*(1+tol)
 		if latOK {
 			if s := lat - 2; s > bestSum {

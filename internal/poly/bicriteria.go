@@ -1,6 +1,8 @@
 package poly
 
 import (
+	"sort"
+
 	"repro/internal/mapping"
 	"repro/internal/pipeline"
 	"repro/internal/platform"
@@ -42,23 +44,25 @@ func Algorithm1(p *pipeline.Pipeline, pl *platform.Platform, maxLatency float64)
 // Homogeneous platform, minimize the latency under a failure-probability
 // threshold FP. Latency grows with the replica count, so the algorithm
 // finds the smallest k whose best achievable failure probability — the
-// product of the k smallest fp_u — meets the threshold
+// product of the k smallest fp_u, mapping.ReplicaFailure, the value the
+// mapping is then scored at — meets the threshold
 // (mapping.FailProbWithin: fp = 0.1 meets F = 0.001 at k = 3, though
-// 0.1³ rounds to 0.0010000000000000002).
+// 0.1³ rounds to 0.0010000000000000002). That product never grows with k,
+// bits included: the new factor is at most 1 and rounding is monotone, so
+// the smallest k is found by bisection.
 func Algorithm2(p *pipeline.Pipeline, pl *platform.Platform, maxFailureProb float64) (Result, error) {
 	_, ok := pl.CommHomogeneous()
 	if !ok || !pl.SpeedHomogeneous() {
 		return Result{}, ErrWrongClass
 	}
 	byReliability := pl.ProcsByReliabilityDesc()
-	prod := 1.0
-	for k := 1; k <= len(byReliability); k++ {
-		prod *= pl.FailProb[byReliability[k-1]]
-		if mapping.FailProbWithin(prod, maxFailureProb) {
-			return evaluate(p, pl, mapping.NewSingleInterval(p.NumStages(), byReliability[:k]))
-		}
+	k := 1 + sort.Search(len(byReliability), func(i int) bool {
+		return mapping.FailProbWithin(mapping.ReplicaFailure(pl, byReliability[:i+1]), maxFailureProb)
+	})
+	if k > len(byReliability) {
+		return Result{}, ErrInfeasible
 	}
-	return Result{}, ErrInfeasible
+	return evaluate(p, pl, mapping.NewSingleInterval(p.NumStages(), byReliability[:k]))
 }
 
 // Algorithm3 implements the paper's Algorithm 3 (Theorem 6): on a

@@ -1,12 +1,9 @@
 package sim
 
 import (
-	"fmt"
 	"math"
-	"math/rand"
 
 	"repro/internal/mapping"
-	"repro/internal/platform"
 )
 
 // SurvivesFailures reports whether the mapped application survives a given
@@ -40,36 +37,6 @@ type FPEstimate struct {
 func (e FPEstimate) Within(analytic float64, k float64) bool {
 	slack := k*e.StdErr + 1e-9
 	return math.Abs(e.FP-analytic) <= slack
-}
-
-// EstimateFP estimates the mapping's failure probability by sampling crash
-// patterns directly (each processor fails independently with its fp_u).
-// This is the fast path — no event simulation — used for large trial
-// counts; RunInjected exercises the full simulator on any specific
-// pattern.
-func EstimateFP(pl *platform.Platform, m *mapping.Mapping, trials int, rng *rand.Rand) (FPEstimate, error) {
-	if trials <= 0 {
-		return FPEstimate{}, fmt.Errorf("sim: trials must be > 0")
-	}
-	if err := m.Validate(maxStage(m)+1, pl.NumProcs()); err != nil {
-		return FPEstimate{}, err
-	}
-	failed := make([]bool, pl.NumProcs())
-	failures := 0
-	for t := 0; t < trials; t++ {
-		for u := range failed {
-			failed[u] = rng.Float64() < pl.FailProb[u]
-		}
-		if !SurvivesFailures(m, failed) {
-			failures++
-		}
-	}
-	p := float64(failures) / float64(trials)
-	return FPEstimate{
-		FP:     p,
-		StdErr: math.Sqrt(p * (1 - p) / float64(trials)),
-		Trials: trials,
-	}, nil
 }
 
 func maxStage(m *mapping.Mapping) int {

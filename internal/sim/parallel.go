@@ -29,8 +29,11 @@ func ctxDone(ctx context.Context) <-chan struct{} {
 	return ctx.Done()
 }
 
-// EstimateFPParallel estimates the failure probability like EstimateFP but
-// fans the trials out over `workers` goroutines (0 = GOMAXPROCS). Each
+// EstimateFPParallel estimates the mapping's failure probability by
+// sampling crash patterns directly (each processor fails independently
+// with its fp_u; no event simulation — RunInjected exercises the full
+// simulator on any specific pattern). It fans the trials out over
+// `workers` goroutines (0 = GOMAXPROCS). Each
 // worker samples with an independent RNG deterministically derived from
 // seed, so the result is reproducible for a fixed (trials, workers, seed)
 // triple regardless of scheduling.

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -199,8 +200,7 @@ func TestMonteCarloSuccessRate(t *testing.T) {
 	mp := fig5Split()
 	analytic := mapping.FailureProb(pl, mp)
 
-	rng := rand.New(rand.NewSource(123))
-	est, err := EstimateFP(pl, mp, 40000, rng)
+	est, err := EstimateFPParallel(context.Background(), pl, mp, 40000, 1, 123)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -419,7 +419,7 @@ func TestConsensusOverheadVisibleInLatency(t *testing.T) {
 
 func TestEstimateFPErrors(t *testing.T) {
 	_, pl := fig5()
-	if _, err := EstimateFP(pl, fig5Split(), 0, rand.New(rand.NewSource(1))); err == nil {
+	if _, err := EstimateFPParallel(context.Background(), pl, fig5Split(), 0, 1, 1); err == nil {
 		t.Error("zero trials accepted")
 	}
 }
@@ -436,7 +436,8 @@ func TestSurvivesFailures(t *testing.T) {
 	}
 }
 
-// Property: EstimateFP within 5σ of analytic FP on random small instances.
+// Property: the serial estimate is within 5σ of the analytic FP on random
+// small instances.
 func TestEstimateFPMatchesAnalytic(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -445,7 +446,7 @@ func TestEstimateFPMatchesAnalytic(t *testing.T) {
 		pl := platform.RandomCommHomogeneous(rng, m, 1, 2, 0.05, 0.95, 1)
 		mp := randomIntervalMapping(rng, n, m)
 		analytic := mapping.FailureProb(pl, mp)
-		est, err := EstimateFP(pl, mp, 6000, rng)
+		est, err := EstimateFPParallel(context.Background(), pl, mp, 6000, 1, seed)
 		if err != nil {
 			return false
 		}

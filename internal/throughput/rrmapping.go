@@ -117,18 +117,23 @@ func (r *RRMapping) String() string {
 // dead group means lost data sets even though the other groups survive:
 //
 //	FP = 1 − Π_j Π_g (1 − Π_{u∈Groups[j][g]} fp_u)
+//
+// Each group is one replica set of mapping.AccumFailure's rule, taken in
+// interval then group order.
 func (r *RRMapping) FailureProb(pl *platform.Platform) float64 {
-	success := 1.0
+	fp := 0.0
 	for _, groups := range r.Groups {
-		for _, procs := range groups {
-			q := 1.0
-			for _, u := range procs {
-				q *= pl.FailProb[u]
-			}
-			success *= 1 - q
-		}
+		fp = accumGroups(fp, groups, pl)
 	}
-	return 1 - success
+	return fp
+}
+
+// accumGroups accumulates the failure factor of each group into fp.
+func accumGroups(fp float64, groups [][]int, pl *platform.Platform) float64 {
+	for _, procs := range groups {
+		fp = mapping.AccumFailure(fp, mapping.ReplicaFailure(pl, procs))
+	}
+	return fp
 }
 
 // Latency: a data set traverses one group per interval; the worst case

@@ -142,11 +142,21 @@ func triBetter(a Metrics, taskA int64, b Metrics, taskB int64) bool {
 	return taskA < taskB
 }
 
+// boundCaps validates the two bounds and returns the largest latency and
+// failure probability that meet them, under mapping's bound rule.
+func boundCaps(maxLatency, maxFailProb float64) (latCap, fpCap float64, err error) {
+	if err := mapping.CheckBounds(maxLatency, maxFailProb); err != nil {
+		return 0, 0, err
+	}
+	return mapping.LatencyCap(mapping.LatencyBound(maxLatency)), mapping.FailProbCap(mapping.FailProbBound(maxFailProb)), nil
+}
+
 // MinPeriodUnderConstraints finds, by exhaustive enumeration over interval
 // mappings and all round-robin groupings of each replica set, the RR
 // mapping of minimum period among those with latency ≤ maxLatency and
-// failure probability ≤ maxFailProb. Use math.Inf(1) and 1 to leave a
-// criterion unconstrained. Instances must be small (the grouping space
+// failure probability ≤ maxFailProb, under mapping's bound rule (a
+// latency bound of 0 or +Inf and an FP bound of 0 or 1 leave the
+// criterion unconstrained). Instances must be small (the grouping space
 // multiplies Bell numbers into the mapping enumeration). The mapping
 // enumeration fans out over opts.Workers goroutines (0 = GOMAXPROCS) via
 // the exact package's first-interval decomposition; the result is
@@ -159,20 +169,23 @@ func triBetter(a Metrics, taskA int64, b Metrics, taskB int64) bool {
 // found so far (when any) is returned alongside the exact.ErrCanceled
 // error so callers can grade it as a partial answer.
 func MinPeriodUnderConstraints(p *pipeline.Pipeline, pl *platform.Platform, maxLatency, maxFailProb float64, opts exact.Options) (TriResult, error) {
+	latCap, fpCap, err := boundCaps(maxLatency, maxFailProb)
+	if err != nil {
+		return TriResult{}, err
+	}
 	opts.Replication = true
 	guard := newRRGuard(opts)
-	// The FP filter below is monotone in added groups (each group multiplies
-	// the success product by a factor ≤ 1), so the sweep prunes grouping
-	// subtrees as soon as their prefix FP already exceeds the threshold —
-	// identical survivors, pruned subtrees uncharged (like the B&B engine).
-	fpCap := mapping.FailProbCap(maxFailProb)
+	// The FP filter below is monotone in added groups (FP never decreases
+	// as a group is accumulated), so the sweep prunes grouping subtrees as
+	// soon as their prefix FP already exceeds the threshold — identical
+	// survivors, pruned subtrees uncharged (like the B&B engine).
 	bests := make([]triBest, opts.WorkerCount())
 	runErr := exact.ForEachMappingParallel(p.NumStages(), pl.NumProcs(), opts, func(w int) func(int64, *mapping.Mapping) bool {
 		wb := &bests[w]
 		return func(task int64, m *mapping.Mapping) bool {
-			return enumerateGroupings(m, 0, 1, FromMapping(m), guard, pl, fpCap, func(r *RRMapping) {
+			return enumerateGroupings(m, 0, 0, FromMapping(m), guard, pl, fpCap, func(r *RRMapping) {
 				met := r.evaluateTrusted(p, pl)
-				if !mapping.LatencyWithin(met.Latency, maxLatency) || met.FailureProb > fpCap {
+				if met.Latency > latCap || met.FailureProb > fpCap {
 					return
 				}
 				if !wb.found || triBetter(met, task, wb.res.Metrics, wb.task) {
@@ -216,7 +229,7 @@ func TriPareto(p *pipeline.Pipeline, pl *platform.Platform, opts exact.Options) 
 		front := &TriFront{}
 		fronts[w] = front
 		return func(task int64, m *mapping.Mapping) bool {
-			return enumerateGroupings(m, 0, 1, FromMapping(m), guard, nil, 1, func(r *RRMapping) {
+			return enumerateGroupings(m, 0, 0, FromMapping(m), guard, nil, 1, func(r *RRMapping) {
 				front.InsertTagged(r.evaluateTrusted(p, pl), r, task)
 			})
 		}
@@ -244,15 +257,14 @@ func TriPareto(p *pipeline.Pipeline, pl *platform.Platform, opts exact.Options) 
 // completion (false: budget tripped or canceled — stop the mapping
 // enumeration too).
 //
-// succ is the success product of the groups chosen for intervals [0, j);
-// when pl is non-nil, subtrees whose prefix failure probability 1−succ
-// already exceeds fpCap are skipped: FP only grows as groups are added
-// (each multiplies the success product by a factor in [0, 1]), so every
-// grouping below would fail the caller's FP filter. The prefix uses the
-// same per-group products in the same order as RRMapping.FailureProb,
-// making the prune float-consistent with the filter it anticipates.
-// Callers not filtering on FP pass pl == nil (and succ 1, fpCap 1).
-func enumerateGroupings(m *mapping.Mapping, j int, succ float64, r *RRMapping, guard *rrGuard, pl *platform.Platform, fpCap float64, visit func(*RRMapping)) bool {
+// fp is the failure probability of the groups chosen for intervals
+// [0, j); when pl is non-nil, subtrees whose prefix fp already exceeds
+// fpCap are skipped: FP never decreases as groups are added, so every
+// grouping below would fail the caller's FP filter. The prefix accumulates
+// the groups as RRMapping.FailureProb does, making the prune
+// float-consistent with the filter it anticipates. Callers not filtering
+// on FP pass pl == nil (and fp 0, fpCap 1).
+func enumerateGroupings(m *mapping.Mapping, j int, fp float64, r *RRMapping, guard *rrGuard, pl *platform.Platform, fpCap float64, visit func(*RRMapping)) bool {
 	if j == len(m.Alloc) {
 		if !guard.step() {
 			return false
@@ -261,21 +273,15 @@ func enumerateGroupings(m *mapping.Mapping, j int, succ float64, r *RRMapping, g
 		return true
 	}
 	ok := forEachGrouping(m.Alloc[j], func(groups [][]int) bool {
-		nsucc := succ
+		nfp := fp
 		if pl != nil {
-			for _, g := range groups {
-				q := 1.0
-				for _, u := range g {
-					q *= pl.FailProb[u]
-				}
-				nsucc *= 1 - q
-			}
-			if 1-nsucc > fpCap {
+			nfp = accumGroups(fp, groups, pl)
+			if nfp > fpCap {
 				return true // FP already violated; deeper groups only raise it
 			}
 		}
 		r.Groups[j] = groups
-		return enumerateGroupings(m, j+1, nsucc, r, guard, pl, fpCap, visit)
+		return enumerateGroupings(m, j+1, nfp, r, guard, pl, fpCap, visit)
 	})
 	r.Groups[j] = [][]int{m.Alloc[j]}
 	return ok
@@ -303,18 +309,23 @@ func cloneRR(r *RRMapping) *RRMapping {
 // GreedyRR is the scalable heuristic: start from a reliability mapping
 // (typically the core solver's answer), then repeatedly split the group
 // whose cycle bottlenecks the period into two round-robin halves, as long
-// as the period improves and both constraints keep holding.
+// as the period improves and both constraints keep holding. The bounds
+// follow mapping's bound rule, as in MinPeriodUnderConstraints.
 //
 // ctx is polled between split rounds: on cancellation the best feasible
 // RR mapping reached so far is returned with an error wrapping the
 // context's cause.
 func GreedyRR(ctx context.Context, p *pipeline.Pipeline, pl *platform.Platform, m *mapping.Mapping, maxLatency, maxFailProb float64) (TriResult, error) {
+	latCap, fpCap, err := boundCaps(maxLatency, maxFailProb)
+	if err != nil {
+		return TriResult{}, err
+	}
 	cur := FromMapping(m)
 	met, err := cur.Evaluate(p, pl)
 	if err != nil {
 		return TriResult{}, err
 	}
-	if !mapping.LatencyWithin(met.Latency, maxLatency) || met.FailureProb > mapping.FailProbCap(maxFailProb) {
+	if met.Latency > latCap || met.FailureProb > fpCap {
 		return TriResult{}, ErrInfeasible
 	}
 	var done <-chan struct{}
@@ -346,7 +357,7 @@ func GreedyRR(ctx context.Context, p *pipeline.Pipeline, pl *platform.Platform, 
 				if err != nil {
 					continue
 				}
-				if !mapping.LatencyWithin(met.Latency, maxLatency) || met.FailureProb > mapping.FailProbCap(maxFailProb) {
+				if met.Latency > latCap || met.FailureProb > fpCap {
 					continue
 				}
 				if met.Period < best.Metrics.Period-1e-12 {

@@ -61,7 +61,9 @@ func WithWorkers(n int) SessionOption {
 // which Solve and Pareto use exact enumeration on the hard platform
 // classes (0 means the core default, currently 5,000,000). Solve takes
 // the exact route on communication-homogeneous platforms with m ≤ 16
-// whatever the count.
+// whatever the count. Twice the budget caps the search nodes one exact
+// search may visit; a search that runs out answers through the
+// heuristics.
 func WithExactBudget(budget float64) SessionOption {
 	return func(c *sessionConfig) { c.exactBudget = budget }
 }
@@ -252,8 +254,9 @@ func (s *Session) EstimateFailureProb(ctx context.Context, m *Mapping, trials in
 }
 
 // MinPeriod exhaustively finds the RR mapping of minimum period with
-// latency ≤ maxLatency and FP ≤ maxFailProb (small instances; use
-// math.Inf(1) and 1 to leave a criterion unconstrained). On cancellation
+// latency ≤ maxLatency and FP ≤ maxFailProb (small instances; a latency
+// bound of 0 or +Inf and an FP bound of 0 or 1 leave the criterion
+// unconstrained, as in SolveRequest). On cancellation
 // the best RR mapping found so far is returned with a non-nil error
 // wrapping the context's cause.
 func (s *Session) MinPeriod(ctx context.Context, maxLatency, maxFailProb float64) (TriResult, error) {
@@ -263,7 +266,8 @@ func (s *Session) MinPeriod(ctx context.Context, maxLatency, maxFailProb float64
 }
 
 // GreedyRoundRobin splits bottleneck groups round-robin as long as the
-// period improves within both constraints (scalable heuristic).
+// period improves within both constraints (scalable heuristic; bounds as
+// in MinPeriod).
 func (s *Session) GreedyRoundRobin(ctx context.Context, m *Mapping, maxLatency, maxFailProb float64) (TriResult, error) {
 	ctx, cancel := s.callCtx(ctx)
 	defer cancel()

@@ -30,8 +30,8 @@ func TestSessionParetoGolden(t *testing.T) {
 		opts []repro.SessionOption
 		want string
 	}{
-		{"default", nil, "55007e98ff709600ce82339f6bab85d4fbc145b492709dd006556350a38d1ac6"},
-		{"seed7", []repro.SessionOption{repro.WithSeed(7)}, "f42856d39e27985a33ba9ee3a006886b542e3f59867f16b94669dbf49941867b"},
+		{"default", nil, "63a776ea7785d34b84698f375cfacda6bf3bd48c7da9e84593dbdc237ff1322f"},
+		{"seed7", []repro.SessionOption{repro.WithSeed(7)}, "7ea1a08575aebea85542e88c52593d5d21b5af2fad5e9684d7a240007edca663"},
 	} {
 		s, err := repro.NewSession(inst.Pipeline, inst.Platform, c.opts...)
 		if err != nil {
